@@ -232,16 +232,16 @@ _G_TABLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, -1), (-1, 0, 2, 1), (0, 0, 1,
 _H_TABLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, -1), (-1, 1, 2, 1), (0, 0, 1, 0))
 
 
-def _eta_walk(R, walks, labelled_edges):
-    """The eta cycle from its edge labels, oriented so its class is the
-    second canonical handle class (+alpha2, validated downstream)."""
-    w = walk_from_edge_set(R, [dart_of_label(R, lab) for lab in labelled_edges])
-    return w
+def _eta_walk(R, labelled_edges):
+    """The eta cycle through its labelled edges, in the orientation
+    ``walk_from_edge_set`` gives it; ``_build_soul`` picks the one that
+    matches the coordinate table."""
+    return walk_from_edge_set(R, [dart_of_label(R, lab) for lab in labelled_edges])
 
 
 def _build_soul(name, itineraries, rotations, eta_edges, table, weights, expected):
     closed, walks = build_curve_graph(itineraries, rotations)
-    eta = _eta_walk(closed, walks, eta_edges)
+    eta = _eta_walk(closed, eta_edges)
     curves = dict(walks)
     reference = None
     for candidate in (eta, _reverse(closed, eta)):
@@ -266,7 +266,7 @@ def _build_soul(name, itineraries, rotations, eta_edges, table, weights, expecte
     )
 
 
-def _soul_weights(itineraries, walks, R, curve_totals, eta_walk_darts, skew):
+def _soul_weights(itineraries, R, curve_totals, eta_walk_darts, skew):
     """Per-edge lengths preserving each curve's total: on curves that
     lend an edge to eta, that edge is lightened by the skew and the
     curve's other edge compensates, making eta the unique shortest
@@ -327,16 +327,16 @@ _EPS = Fraction(1, 400)
 _SKEW = Fraction(1, 400)
 
 
-def _build_remark45(base_name, name, itineraries, rotations, eta_edges, table):
-    closed, walks = build_curve_graph(itineraries, rotations)
+def _build_remark45(name, itineraries, rotations, eta_edges, table):
+    closed, _ = build_curve_graph(itineraries, rotations)
     totals = {
         "alpha": Fraction(2),
         "beta": 2 + _EPS,
         "gamma": 2 + 2 * _EPS,
         "delta": 2 + 3 * _EPS,
     }
-    eta = _eta_walk(closed, walks, eta_edges)
-    weights = _soul_weights(itineraries, walks, closed, totals, eta, _SKEW)
+    eta = _eta_walk(closed, eta_edges)
+    weights = _soul_weights(itineraries, closed, totals, eta, _SKEW)
     expected = {
         "genus": 2,
         "spectrum_order": ("alpha", "beta", "gamma", "delta", "eta"),
@@ -349,12 +349,12 @@ def _build_remark45(base_name, name, itineraries, rotations, eta_edges, table):
 
 
 def _build_remark45G():
-    return _build_remark45("example2G", "remark45G", _SOUL_G_ITIN, _SOUL_G_ROT,
+    return _build_remark45("remark45G", _SOUL_G_ITIN, _SOUL_G_ROT,
                            _SOUL_G_ETA, _G_TABLE)
 
 
 def _build_remark45H():
-    return _build_remark45("example2H", "remark45H", _SOUL_H_ITIN, _SOUL_H_ROT,
+    return _build_remark45("remark45H", _SOUL_H_ITIN, _SOUL_H_ROT,
                            _SOUL_H_ETA, _H_TABLE)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import hyperbolic
-from .catalog import EXAMPLE_NAMES, candidate_pool, load_example
+from .catalog import EXAMPLE_NAMES, POLYGON_WORD, candidate_pool, load_example
 from .homology import algebraic_intersection, class_of_walk
 from .minima import (
     compare_bases,
@@ -27,12 +27,15 @@ from .ribbon import (
     _tables,
     complement_components,
     edge_label,
+    edges,
     ribbon_to_dict,
     schema_to_ribbon,
     surface_invariants,
     walk_edge_labels,
 )
 from .zlattice import (
+    LatticeError,
+    _check_modulus,
     _rank_mod_p,
     complete_to_unimodular,
     det_int,
@@ -91,9 +94,7 @@ def _coordinates_check(bundle):
 
 
 def _checks_example1(b):
-    base = schema_to_ribbon(
-        "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
-    )
+    base = schema_to_ribbon(POLYGON_WORD)
     inv0 = surface_invariants(base)
     inv = surface_invariants(b.closed)
     five = [b.curves[c] for c in b.expected["five_curves"]]
@@ -344,8 +345,7 @@ def bundle_to_dict(bundle):
         "basis": list(bundle.reference.names),
     }
     if bundle.weights is not None:
-        labels = [edge_label(bundle.closed, e) for e in
-                  _sorted_edges(bundle.closed)]
+        labels = [edge_label(bundle.closed, e) for e in edges(bundle.closed)]
         data["edge_lengths"] = {
             lab: fmt_value(l)
             for lab, l in zip(labels, bundle.weights.edge_length)
@@ -363,11 +363,6 @@ def bundle_to_dict(bundle):
             "collar_ok": stats.collar_ok,
         }
     return data
-
-
-def _sorted_edges(R):
-    from .ribbon import edges
-    return edges(R)
 
 
 def bundle_to_dot(bundle):
@@ -412,6 +407,11 @@ def trace_to_dict(trace, bundle):
 # ---------------------------------------------------------------------------
 # entry point
 
+def _usage_error(message):
+    print(message, file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="surfhom",
@@ -438,22 +438,29 @@ def main(argv=None):
                           help="rational enumeration bound, e.g. 13/12")
 
     args = parser.parse_args(argv)
+    if args.command != "export" and args.modulus is not None:
+        try:
+            _check_modulus(args.modulus)
+        except LatticeError as e:
+            return _usage_error(str(e))
 
     if args.command == "verify":
         names = EXAMPLE_NAMES if args.name == "all" else (args.name,)
         if any(n not in EXAMPLE_NAMES for n in names):
-            print(f"unknown example {args.name!r}", file=sys.stderr)
-            return 2
-        ok = True
-        for n in sorted(names):
-            rep = run_checks(n, args.modulus)
+            return _usage_error(f"unknown example {args.name!r}")
+        reports = [run_checks(n, args.modulus) for n in sorted(names)]
+        if args.modulus is not None and not any(
+            c.modulus == args.modulus for rep in reports for c in rep.checks
+        ):
+            return _usage_error(
+                f"--modulus {args.modulus} leaves no ring-specific claim in {args.name}"
+            )
+        for rep in reports:
             print_report(rep, args.json)
-            ok = ok and rep.passed
-        return 0 if ok else 1
+        return 0 if all(rep.passed for rep in reports) else 1
 
     if args.name not in EXAMPLE_NAMES:
-        print(f"unknown example {args.name!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown example {args.name!r}")
     bundle = load_example(args.name)
 
     if args.command == "export":
@@ -464,23 +471,20 @@ def main(argv=None):
             sys.stdout.write(bundle_to_dot(bundle))
         return 0
 
-    if args.command == "minima":
-        try:
-            bound = Fraction(args.bound)
-        except (ValueError, ZeroDivisionError):
-            print(f"bad bound {args.bound!r}", file=sys.stderr)
-            return 2
-        pool = candidate_pool(bundle, bound)
-        proc = successive_minima_I if args.procedure == "I" else successive_minima_II
-        if args.procedure == "I":
-            trace = proc(pool, args.modulus, len(bundle.reference.names))
-        else:
-            trace = proc(pool, args.modulus)
-        json.dump(trace_to_dict(trace, bundle), sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 0
-
-    return 2
+    try:
+        bound = Fraction(args.bound)
+    except (ValueError, ZeroDivisionError):
+        bound = None
+    if bound is None or bound <= 0:
+        return _usage_error(f"bad bound {args.bound!r}: need a positive rational")
+    if bundle.weights is None:
+        return _usage_error(f"{args.name} carries no edge lengths")
+    pool = candidate_pool(bundle, bound)
+    proc = successive_minima_I if args.procedure == "I" else successive_minima_II
+    trace = proc(pool, args.modulus, len(bundle.reference.names))
+    json.dump(trace_to_dict(trace, bundle), sys.stdout, indent=2, sort_keys=True)
+    print()
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ repeat.
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .ribbon import (
     ValidationError,
@@ -19,12 +20,7 @@ from .ribbon import (
     edges,
     validate_walk,
 )
-from .zlattice import as_int_matrix, det_int, in_span, is_partial_basis
-
-
-def _as_fraction(x):
-    f = Fraction(x)
-    return f
+from .zlattice import _check_modulus, as_int_matrix, det_int, in_span, is_partial_basis
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class WeightedGraph:
 
     def __post_init__(self):
         E = edges(self.ribbon)
-        lengths = tuple(_as_fraction(x) for x in self.edge_length)
+        lengths = tuple(Fraction(x) for x in self.edge_length)
         if len(lengths) != len(E):
             raise ValidationError("one length per edge required")
         if any(l <= 0 for l in lengths):
@@ -83,7 +79,7 @@ def enumerate_cycles(G, bound):
     Exhaustive backtracking with partial-length pruning; results sorted
     by (length, canonical encoding).
     """
-    bound = _as_fraction(bound)
+    bound = Fraction(bound)
     if bound <= 0:
         raise ValidationError("bound must be positive")
     R = G.ribbon
@@ -139,6 +135,9 @@ class MinimaTrace:
 
 
 def _check_candidates(candidates):
+    """The candidates as a tuple, after checking each carries a class
+    and that lengths never decrease."""
+    candidates = tuple(candidates)
     last = None
     for c in candidates:
         if c.cls is None:
@@ -146,6 +145,7 @@ def _check_candidates(candidates):
         if last is not None and c.length < last:
             raise ValidationError("candidates must be sorted by length")
         last = c.length
+    return candidates
 
 
 def _tied(candidates, i):
@@ -155,34 +155,48 @@ def _tied(candidates, i):
     )
 
 
+def _greedy(candidates, modulus, limit, accept, reasons, halting):
+    """The greedy loop behind both procedures.
+
+    ``accept(chosen, cls)`` decides a candidate class against the
+    classes already selected; ``reasons`` are the (selected, rejected)
+    reason strings; the trace halts with ``halting`` once ``limit``
+    classes are selected (never when ``limit`` is None).
+    """
+    _check_modulus(modulus)
+    events = []
+    selected = []
+    chosen = []
+    for i, c in enumerate(candidates):
+        if limit is not None and len(selected) >= limit:
+            break
+        if accept(chosen, c.cls):
+            events.append(TraceEvent(c, "selected", reasons[0], _tied(candidates, i)))
+            selected.append(c)
+            chosen.append(c.cls)
+        else:
+            events.append(TraceEvent(c, "rejected", reasons[1]))
+    reached = limit is not None and len(selected) >= limit
+    trace = MinimaTrace(
+        tuple(events), tuple(selected), halting if reached else "exhausted", modulus
+    )
+    _assert_sorted(trace)
+    return trace
+
+
 def successive_minima_I(candidates, modulus=0, count=None):
     """Greedy selection of shortest cycles with span-independent classes.
 
-    Stops after ``count`` selections (or candidate exhaustion); the
-    trace records every decision.
+    A class is rejected when it lies in the Z-span (F_p-span for a
+    prime ``modulus``) of the classes already selected.  Stops after
+    ``count`` selections (or candidate exhaustion); the trace records
+    every decision.
     """
-    candidates = tuple(candidates)
-    _check_candidates(candidates)
-    events = []
-    selected = []
-    span = []
-    halting = "exhausted"
-    for i, c in enumerate(candidates):
-        if count is not None and len(selected) >= count:
-            halting = "reached-count"
-            break
-        flag, _ = in_span(as_int_matrix(span) if span else (), c.cls, modulus)
-        if flag:
-            events.append(TraceEvent(c, "rejected", "span-dependent"))
-        else:
-            events.append(TraceEvent(c, "selected", "independent", _tied(candidates, i)))
-            selected.append(c)
-            span.append(c.cls)
-    if count is not None and len(selected) >= count:
-        halting = "reached-count"
-    trace = MinimaTrace(tuple(events), tuple(selected), halting, modulus)
-    _assert_sorted(trace)
-    return trace
+    return _greedy(
+        _check_candidates(candidates), modulus, count,
+        lambda chosen, cls: not in_span(chosen, cls, modulus)[0],
+        ("independent", "span-dependent"), "reached-count",
+    )
 
 
 def successive_minima_II(candidates, modulus=0, target=None):
@@ -192,29 +206,14 @@ def successive_minima_II(candidates, modulus=0, target=None):
     classes are selected; the output is a basis whenever the candidate
     pool contains one.
     """
-    candidates = tuple(candidates)
-    _check_candidates(candidates)
+    candidates = _check_candidates(candidates)
     if target is None:
         target = len(candidates[0].cls) if candidates else 0
-    events = []
-    selected = []
-    chosen = []
-    halting = "exhausted"
-    for i, c in enumerate(candidates):
-        if len(selected) >= target:
-            halting = "complete"
-            break
-        if is_partial_basis(as_int_matrix(chosen + [c.cls]), modulus):
-            events.append(TraceEvent(c, "selected", "extendable", _tied(candidates, i)))
-            selected.append(c)
-            chosen.append(c.cls)
-        else:
-            events.append(TraceEvent(c, "rejected", "not-extendable"))
-    if len(selected) >= target:
-        halting = "complete"
-    trace = MinimaTrace(tuple(events), tuple(selected), halting, modulus)
-    _assert_sorted(trace)
-    return trace
+    return _greedy(
+        candidates, modulus, target,
+        lambda chosen, cls: is_partial_basis(chosen + [cls], modulus),
+        ("extendable", "not-extendable"), "complete",
+    )
 
 
 def _assert_sorted(trace):
@@ -259,12 +258,16 @@ def _is_basis(classes, modulus):
     return abs(det_int(M)) == 1
 
 
-def _basis_subsets(candidates, n, modulus):
-    from itertools import combinations
-
-    for combo in combinations(candidates, n):
-        if _is_basis([c.cls for c in combo], modulus):
-            yield combo
+def _beating_subsets(basis, candidates, ring_test):
+    """Subsets of the candidates, as large as ``basis``, whose class
+    matrix passes ``ring_test`` and whose sorted lengths are not
+    pointwise >= those of ``basis``; each comes with its sorted lengths."""
+    la = sorted_lengths(basis)
+    for combo in combinations(tuple(candidates), len(basis)):
+        if ring_test([c.cls for c in combo]):
+            lb = sorted_lengths(combo)
+            if not all(a <= b for a, b in zip(la, lb)):
+                yield combo, lb
 
 
 def is_globally_minimal(basis, candidates, modulus=0):
@@ -277,17 +280,13 @@ def is_globally_minimal(basis, candidates, modulus=0):
     to the canonical cycle encodings.
     """
     basis = tuple(basis)
-    n = len(basis)
     if not _is_basis([c.cls for c in basis], modulus):
         raise ValidationError("input cycles do not form a basis")
-    la = sorted_lengths(basis)
     witness = None
-    for combo in _basis_subsets(tuple(candidates), n, modulus):
-        lb = sorted_lengths(combo)
-        if not all(a <= b for a, b in zip(la, lb)):
-            key = (lb, tuple(sorted(c.key for c in combo)))
-            if witness is None or key > witness[0]:
-                witness = (key, combo)
+    for combo, lb in _beating_subsets(basis, candidates, lambda M: _is_basis(M, modulus)):
+        key = (lb, tuple(sorted(c.key for c in combo)))
+        if witness is None or key > witness[0]:
+            witness = (key, combo)
     if witness is None:
         return True, None
     return False, witness[1]
@@ -297,26 +296,15 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
     """Check the minimality inequality of a full procedure-I basis
     against every linearly independent subsequence of the same size."""
     selected = trace.selected
-    n = len(selected)
-    if n == 0 or not _is_basis([c.cls for c in selected], trace.modulus):
+    if not selected or not _is_basis([c.cls for c in selected], trace.modulus):
         raise ValidationError("trace does not form a basis; nothing to verify")
-    la = sorted_lengths(selected)
-    from itertools import combinations
-
-    for combo in combinations(tuple(candidates), n):
-        M = as_int_matrix([c.cls for c in combo])
-        if modulus:
-            if not is_partial_basis(M, modulus):
-                continue
-        else:
-            from .zlattice import smith_normal_form
-
-            if smith_normal_form(M).rank != n:
-                continue
-        lb = sorted_lengths(combo)
-        if not all(a <= b for a, b in zip(la, lb)):
-            return False
-    return True
+    # the selection is a basis, so every subset is square and
+    # Q-independence is a nonzero determinant
+    beating = _beating_subsets(
+        selected, candidates,
+        lambda M: is_partial_basis(M, modulus) if modulus else det_int(M) != 0,
+    )
+    return next(beating, None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -215,23 +215,32 @@ def _check_modulus(modulus):
         raise LatticeError(f"modulus must be 0 or a prime, got {modulus}")
 
 
-def _rank_mod_p(A, p):
-    M = [[x % p for x in row] for row in A]
-    rank = 0
-    cols = len(A[0]) if A else 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, len(M)) if M[i][j]), None)
+def _rref_mod_p(rows, p, ncols):
+    """Gauss-Jordan elimination mod p on the first ``ncols`` columns.
+
+    Row operations act on whole rows, so columns past ``ncols`` record
+    them.  Returns the reduced rows and the pivot columns.
+    """
+    M = [[x % p for x in row] for row in rows]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][j]), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][j], -1, p)
-        M[rank] = [(x * inv) % p for x in M[rank]]
+        M[r], M[piv] = M[piv], M[r]
+        inv = pow(M[r][j], -1, p)
+        M[r] = [(x * inv) % p for x in M[r]]
         for i in range(len(M)):
-            if i != rank and M[i][j]:
+            if i != r and M[i][j]:
                 f = M[i][j]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[rank])]
-        rank += 1
-    return rank
+                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
+        pivots.append(j)
+    return M, pivots
+
+
+def _rank_mod_p(A, p):
+    return len(_rref_mod_p(A, p, len(A[0]) if A else 0)[1])
 
 
 def in_span(M, v, modulus=0):
@@ -250,32 +259,17 @@ def in_span(M, v, modulus=0):
     if len(v) != len(M[0]):
         raise LatticeError("vector length does not match matrix columns")
     if modulus:
-        p = modulus
-        rows = [[x % p for x in row] + [0] * len(M) for row in M]
-        for i, row in enumerate(rows):
-            row[len(v) + i] = 1
+        p, n = modulus, len(v)
+        rows, pivots = _rref_mod_p(
+            [row + e for row, e in zip(M, identity(len(M)))], p, n
+        )
         target = [x % p for x in v]
-        rank = 0
-        pivots = []
-        for j in range(len(v)):
-            piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][j], -1, p)
-            rows[rank] = [(x * inv) % p for x in rows[rank]]
-            for i in range(len(rows)):
-                if i != rank and rows[i][j]:
-                    f = rows[i][j]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-            pivots.append(j)
-            rank += 1
         coeffs = [0] * len(M)
-        for r, j in enumerate(pivots):
+        for row, j in zip(rows, pivots):
             if target[j]:
                 f = target[j]
-                target = [(a - f * b) % p for a, b in zip(target, rows[r][: len(v)])]
-                coeffs = [(a + f * b) % p for a, b in zip(coeffs, rows[r][len(v):])]
+                target = [(a - f * b) % p for a, b in zip(target, row[:n])]
+                coeffs = [(a + f * b) % p for a, b in zip(coeffs, row[n:])]
         if any(target):
             return False, None
         return True, tuple(coeffs)
@@ -337,10 +331,9 @@ def complete_to_unimodular(M, ambient_cols=None):
         if ambient_cols is None:
             raise LatticeError("cannot complete an empty matrix of unknown width")
         return identity(ambient_cols)
-    if not is_partial_basis(M, 0):
-        raise LatticeError("rows are not a partial basis")
     snf = smith_normal_form(M)
-    n = len(M[0])
+    if len(M) > len(M[0]) or any(d != 1 for d in snf.invariant_factors):
+        raise LatticeError("rows are not a partial basis")
     added = snf.V_inv[snf.rank:]
     stacked = M + tuple(added)
     if abs(det_int(stacked)) != 1:

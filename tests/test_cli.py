@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from surfhom.catalog import load_example
 from surfhom.cli import (
@@ -17,6 +20,13 @@ def run(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_verify_single_pass():
@@ -105,6 +115,62 @@ def test_minima_command():
 def test_minima_bad_bound():
     code, _ = run(["minima", "example4", "--bound", "zebra"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["minima", "example4", "--modulus", "4"],
+    ["minima", "example4", "--modulus", "4", "--bound", "1/100"],
+    ["minima", "example4", "--modulus", "-3", "--bound", "1/100"],
+    ["minima", "example1"],
+    ["minima", "example4", "--bound", "0"],
+    ["minima", "example4", "--bound", "-1"],
+    ["verify", "example4", "--modulus", "4"],
+    ["verify", "example4", "--modulus", "5"],
+    ["verify", "all", "--modulus", "5"],
+    ["verify", "example1", "--modulus", "0"],
+])
+def test_usage_errors_exit_2_with_one_line(argv):
+    code, out, err = run_with_stderr(argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_modulus_runs_ring_claims():
+    code, out, err = run_with_stderr(["verify", "all", "--modulus", "2"])
+    assert code == 0 and err == ""
+    assert "mod-2 selection completes to a basis" in out
+    assert "index-2 subgroup" not in out
+
+
+def test_minima_empty_pool_is_exhausted():
+    for procedure in ("I", "II"):
+        code, out = run(["minima", "example4", "--procedure", procedure, "--bound", "1/100"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data["events"], data["selected"], data["halting"]) == ([], [], "exhausted")
+
+
+# sha256 of stdout for the commands the benchmark's cli workload runs
+PINNED_STDOUT = {
+    "verify all --json":
+        "0b30eb92f3181eb42081e3e0ea1d0e273d772e78c831c77ed072987a3893ab4a",
+    "minima example4 --procedure II --bound 13/12":
+        "f2677e7def6c206de30a1270b20194c9930162284fbb7df18c69409233dbe4ea",
+    "minima example4 --procedure I --modulus 2 --bound 2":
+        "51619140e8b6df6e7ba4799f24f8f3882af62676f4b754f6efef40407b46aedb",
+    "minima remark45G --procedure I --bound 4":
+        "f3eb13cd0c4753f84692ac29cdec8c1eb7aea6f1aba51c3a4c4a8570ab12b25b",
+    "export example3 --format json":
+        "fc34ea1d53dc1fa037c938c83a7f25283112cecc4546517bb369dbe878fae0c5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_is_pinned(command):
+    code, out = run(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 def test_bundle_to_dict_and_dot_are_pure():

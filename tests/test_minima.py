@@ -18,7 +18,7 @@ from surfhom.minima import (
     verify_lemma_procI_minimal,
 )
 from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, surface_invariants
-from surfhom.zlattice import as_int_matrix, det_int, subgroup_index
+from surfhom.zlattice import LatticeError, as_int_matrix, det_int, subgroup_index
 
 from .util import random_ribbon_graph
 
@@ -103,6 +103,12 @@ def test_procedure_I_on_soulG():
 def test_procedure_I_empty():
     tr = successive_minima_I((), 0, 4)
     assert tr.selected == () and tr.events == ()
+
+
+def test_empty_pool_checks_modulus():
+    for proc in (successive_minima_I, successive_minima_II):
+        with pytest.raises(LatticeError):
+            proc((), 4)
 
 
 def test_procedure_II_example4():
