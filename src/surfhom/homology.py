@@ -31,6 +31,7 @@ from .zlattice import (
     is_partial_basis,
     matmul,
     smith_normal_form,
+    transpose,
     vec_mat,
 )
 
@@ -340,6 +341,16 @@ def standard_symplectic(g):
     return as_int_matrix(J)
 
 
+def _symplectic_inverse(P, G):
+    """Exact inverse of a basis P whose pairing P @ G @ P^T is the
+    standard form S: as S^-1 = -S, the inverse is G @ P^T @ (-S), and
+    multiplying by -S maps each column pair (u, v) to (v, -u)."""
+    return tuple(
+        tuple(x for u, v in zip(row[::2], row[1::2]) for x in (v, -u))
+        for row in matmul(G, transpose(P))
+    )
+
+
 def class_of_walk(R, walk, basis, modulus=0):
     """Coordinates of a walk's class in a declared reference basis."""
     vec = class_vector(R, walk)
@@ -380,14 +391,18 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     if pairing != standard_symplectic(m // 2):
         raise LatticeError("declared basis does not pair as a canonical basis")
     walk_map = tuple((basis_walks or {}).get(nm) for nm in basis_names)
-    return ReferenceBasis(name, tuple(basis_names), B, int_inverse(B), pairing, walk_map)
+    inverse = _symplectic_inverse(B, H.pairing_matrix)
+    return ReferenceBasis(name, tuple(basis_names), B, inverse, pairing, walk_map)
 
 
 def symplectic_basis(R, name="symplectic"):
     """A canonical homology basis via integer symplectic reduction.
 
     The output's intersection matrix is exactly the standard block form
-    (pairs (a_i, b_i) with <a_i, b_i> = 1).
+    S (pairs (a_i, b_i) with <a_i, b_i> = 1).  The reduction checks
+    P @ G @ P^T == S for the basis rows P and the surface's pairing G,
+    so P^-1 = G @ P^T @ (-S) exactly and no Smith form is needed to
+    invert P.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
@@ -461,7 +476,8 @@ def symplectic_basis(R, name="symplectic"):
         names += [f"a{i + 1}", f"b{i + 1}"]
     for row in Pm:
         walks.append(by_class.get(row))
-    return ReferenceBasis(name, tuple(names), Pm, int_inverse(Pm), pairing, tuple(walks))
+    inverse = _symplectic_inverse(Pm, H.pairing_matrix)
+    return ReferenceBasis(name, tuple(names), Pm, inverse, pairing, tuple(walks))
 
 
 # ---------------------------------------------------------------------------

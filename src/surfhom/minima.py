@@ -251,7 +251,7 @@ def compare_bases(A, B):
 
 def _is_basis(classes, modulus):
     M = as_int_matrix(classes)
-    if len(M) != len(M[0]):
+    if not M or len(M) != len(M[0]):
         return False
     if modulus:
         return is_partial_basis(M, modulus)

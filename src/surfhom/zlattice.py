@@ -8,6 +8,7 @@ deterministic functions of the input.
 """
 
 from dataclasses import dataclass
+from operator import add, sub
 
 
 class LatticeError(ValueError):
@@ -29,28 +30,47 @@ def as_int_matrix(rows):
 
 
 def identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    unit = (0,) * n + (1,) + (0,) * n
+    return tuple(unit[n - i:2 * n - i] for i in range(n))
+
+
+def _combine(v, A, cols):
+    """The row sum of ``x * A[i]`` over the nonzero entries x = v[i]."""
+    out = [0] * cols
+    for x, row in zip(v, A):
+        if x == 1:
+            out = list(map(add, out, row))
+        elif x == -1:
+            out = list(map(sub, out, row))
+        elif x:
+            out = [o + x * a for o, a in zip(out, row)]
+    return tuple(out)
 
 
 def matmul(A, B):
+    """A @ B, each row of A as a combination of B's rows.
+
+    Zero entries of A are skipped, so the cost is O(nnz(A) * cols(B)).
+    """
     if A and B and len(A[0]) != len(B):
         raise LatticeError("dimension mismatch in matmul")
-    Bt = tuple(zip(*B)) if B else ()
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
-    )
+    cols = len(B[0]) if B else 0
+    return tuple(_combine(row, B, cols) for row in A)
 
 
 def transpose(A):
     return tuple(zip(*A)) if A else ()
 
 
-def mat_vec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
-
-
 def vec_mat(v, A):
-    return tuple(sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0]))) if A else ()
+    """Row vector times matrix, skipping the zero entries of v.
+
+    The cost is O(nnz(v) * cols(A)); a fundamental-cycle vector with one
+    nonzero entry costs one row copy.
+    """
+    if len(v) != len(A):
+        raise LatticeError("vector length does not match matrix rows")
+    return _combine(v, A, len(A[0])) if A else ()
 
 
 @dataclass(frozen=True)
@@ -172,7 +192,12 @@ def smith_normal_form(A):
 
 
 def det_int(A):
-    """Exact signed determinant by fraction-free (Bareiss) elimination."""
+    """Exact signed determinant by fraction-free (Bareiss) elimination.
+
+    A row with a zero in the pivot column only scales by pivot / prev,
+    so it is left as it is when the two are equal; the cost falls with
+    the number of nonzero entries below each pivot.
+    """
     A = as_int_matrix(A)
     n = len(A)
     if n == 0 or len(A[0]) != n:
@@ -189,22 +214,50 @@ def det_int(A):
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
+        rk = M[k]
+        pk = rk[k]
+        cols = range(k + 1, n)
+        for ri in M[k + 1:]:
+            a = ri[k]
+            if a:
+                for j in cols:
+                    ri[j] = (ri[j] * pk - a * rk[j]) // prev
+            elif pk != prev:
+                for j in cols:
+                    ri[j] = ri[j] * pk // prev
+        prev = pk
     return sign * M[n - 1][n - 1]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the bases above is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin primality test for p < _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise LatticeError(f"modulus {p} is too large to test for primality")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -141,6 +142,18 @@ def test_verify_modulus_runs_ring_claims():
     assert code == 0 and err == ""
     assert "mod-2 selection completes to a basis" in out
     assert "index-2 subgroup" not in out
+
+
+def test_large_prime_modulus_is_checked_promptly():
+    # 2^61 - 1 is prime but has no claim in example4; 2^82 is past the
+    # range where the primality test is exact
+    for argv in (["verify", "example4", "--modulus", str(2 ** 61 - 1)],
+                 ["minima", "example4", "--modulus", str(2 ** 82)]):
+        start = time.perf_counter()
+        code, out, err = run_with_stderr(argv)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_minima_empty_pool_is_exhausted():

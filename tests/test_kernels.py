@@ -1,0 +1,231 @@
+"""The zero-skipping lattice kernels, the closed-form symplectic inverse
+and the Miller-Rabin modulus check.
+
+``vec_mat``, ``matmul`` and ``det_int`` are compared with the dense
+versions kept in ``reference_zlattice``; the symplectic inverse with a
+Smith-form ``int_inverse``; ``_is_prime`` with trial division.  The
+count guard pins how many Smith forms the homology path runs, which
+repeats exactly on any machine.
+"""
+
+import importlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfhom.catalog import EXAMPLE_NAMES, load_example
+from surfhom.homology import cotree_basis, homology, symplectic_basis
+from surfhom.ribbon import schema_to_ribbon, surface_invariants
+from surfhom.zlattice import (
+    _MR_LIMIT,
+    LatticeError,
+    _is_prime,
+    det_int,
+    identity,
+    int_inverse,
+    matmul,
+    vec_mat,
+)
+
+from . import reference_zlattice as ref
+from .util import random_ribbon_graph
+
+# the package re-exports the function ``homology``, which hides the module
+homology_module = importlib.import_module("surfhom.homology")
+zlattice = importlib.import_module("surfhom.zlattice")
+
+# mostly zeros, like fundamental-cycle vectors and one-vertex transforms
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))
+dense_entries = st.integers(-50, 50)
+entries = st.one_of(sparse_entries, dense_entries)
+
+
+def matrices(rows, cols, elements=entries):
+    return st.lists(
+        st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda M: tuple(map(tuple, M)))
+
+
+shapes = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    M = [list(r) for r in draw(matrices(n, n, draw(st.sampled_from((sparse_entries, dense_entries)))))]
+    shape = draw(st.sampled_from(("plain", "zero row", "repeated row", "zero pivot")))
+    if shape == "zero row":
+        M[draw(st.integers(0, n - 1))] = [0] * n
+    elif shape == "repeated row" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        M[i] = list(M[j])
+    elif shape == "zero pivot":
+        # a zero on the diagonal with a nonzero below it forces a row swap
+        k = draw(st.integers(0, n - 1))
+        M[k][k] = 0
+        if k + 1 < n:
+            M[draw(st.integers(k + 1, n - 1))][k] = draw(st.integers(1, 9))
+    return tuple(map(tuple, M))
+
+
+# ---------------------------------------------------------------------------
+# differential: the row kernels against the dense reference
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vec_mat_matches_reference(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    A = data.draw(matrices(rows, cols))
+    v = data.draw(st.lists(entries, min_size=rows, max_size=rows).map(tuple))
+    assert vec_mat(v, A) == ref.vec_mat(v, A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))))
+def test_matmul_matches_reference(pair):
+    A, B = pair
+    assert matmul(A, B) == ref.matmul(A, B)
+
+
+@settings(max_examples=250, deadline=None)
+@given(square_matrices())
+def test_det_matches_reference(A):
+    assert det_int(A) == ref.det_int(A)
+
+
+def test_det_pivot_swaps_and_singular():
+    swap = ((0, 1, 2), (3, 0, 1), (1, 1, 0))
+    assert det_int(swap) == ref.det_int(swap) == 7
+    late_swap = ((1, 2, 3), (2, 4, 1), (3, 5, 0))
+    assert det_int(late_swap) == ref.det_int(late_swap) == -5
+    assert det_int(((0, 0), (0, 5))) == ref.det_int(((0, 0), (0, 5))) == 0
+    assert det_int(((2, 4), (1, 2))) == ref.det_int(((2, 4), (1, 2))) == 0
+    assert det_int(((-7,),)) == -7
+    # rows with a zero pivot-column entry must still be rescaled when the
+    # pivot differs from the previous one
+    sign_flip = ((1, 0, 0), (0, -1, 0), (0, 0, 3))
+    assert det_int(sign_flip) == ref.det_int(sign_flip) == -3
+    scaled = ((2, 0, 0), (0, 1, 0), (0, 0, 5))
+    assert det_int(scaled) == ref.det_int(scaled) == 10
+
+
+def test_width_mismatches_raise():
+    A = ((1, 2, 3), (4, 5, 6))
+    for mul in (matmul, ref.matmul):
+        with pytest.raises(LatticeError):
+            mul(A, A)
+    for v in ((1,), (1, 2, 3)):
+        with pytest.raises(LatticeError):
+            vec_mat(v, A)
+    for det in (det_int, ref.det_int):
+        with pytest.raises(LatticeError):
+            det(A)
+
+
+def test_empty_operands():
+    assert matmul((), ((1, 2),)) == ref.matmul((), ((1, 2),)) == ()
+    assert matmul(((), ()), ()) == ref.matmul(((), ()), ()) == ((), ())
+    assert vec_mat((), ()) == ()
+    assert vec_mat((0, 0), ((1, 2), (3, 4))) == (0, 0)
+
+
+def test_identity():
+    for n in range(7):
+        assert identity(n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverse of a symplectic basis
+
+def random_closed_surfaces(n, seed=20231018):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        R = random_ribbon_graph(rng, max_edges=12, min_edges=3)
+        if surface_invariants(R).genus:
+            out.append(R)
+    return out
+
+
+@pytest.mark.parametrize("R", random_closed_surfaces(30))
+def test_symplectic_inverse_matches_int_inverse(R):
+    S = symplectic_basis(R)
+    assert S.inverse == int_inverse(S.matrix)
+    assert matmul(S.matrix, S.inverse) == identity(len(S.matrix))
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_catalog_inverses_match_int_inverse(name):
+    b = load_example(name)
+    assert b.reference.inverse == int_inverse(b.reference.matrix)
+    S = symplectic_basis(b.closed)
+    assert S.inverse == int_inverse(S.matrix)
+
+
+# ---------------------------------------------------------------------------
+# count guard: Smith forms and Smith-form inverses on the homology path
+
+def canonical_word(g):
+    return " ".join(f"a{h} b{h} a{h}' b{h}'" for h in range(1, g + 1))
+
+
+def count_lattice_calls(monkeypatch, R):
+    """Smith forms and int_inverse calls made by homology, the symplectic
+    basis and the cotree classes of a surface not yet in the cache."""
+    counts = {"smith_normal_form": 0, "int_inverse": 0}
+
+    def counted(name):
+        fn = getattr(zlattice, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        wrapper = counted(name)
+        monkeypatch.setattr(zlattice, name, wrapper)
+        monkeypatch.setattr(homology_module, name, wrapper)
+    homology.cache_clear()
+    symplectic_basis(R)
+    H = homology(R)
+    classes = [H.class_of_walk(w) for w, _ in cotree_basis(R)]
+    assert len(classes) == H.cycle_rank
+    return counts
+
+
+def test_one_vertex_surface_needs_no_smith_form(monkeypatch):
+    R = schema_to_ribbon(canonical_word(20))
+    assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 0, "int_inverse": 0}
+
+
+def test_multi_vertex_surface_needs_one_smith_form(monkeypatch):
+    # two or more faces give a nonzero face relation to quotient out
+    R = next(R for R in random_closed_surfaces(30)
+             if surface_invariants(R).vertices > 1 and surface_invariants(R).faces > 1)
+    assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 1, "int_inverse": 0}
+
+
+# ---------------------------------------------------------------------------
+# primality of a modulus
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if trial_division(n)
+    ]
+
+
+def test_is_prime_pseudoprimes_and_large_moduli():
+    assert not _is_prime(561)  # Carmichael number
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(2 ** 61 + 1)
+    with pytest.raises(LatticeError):
+        _is_prime(_MR_LIMIT)

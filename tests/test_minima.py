@@ -182,6 +182,13 @@ def test_globally_minimal_torus():
     assert ok and witness is None
 
 
+def test_globally_minimal_rejects_empty_basis():
+    b = load_example("example4")
+    pool = candidate_pool(b, Fraction(13, 12))
+    with pytest.raises(ValidationError):
+        is_globally_minimal([], pool)
+
+
 def test_globally_minimal_example4_witness():
     b = load_example("example4")
     pool = candidate_pool(b, Fraction(13, 12))
