@@ -24,7 +24,6 @@ from .minima import (
     successive_minima_II,
 )
 from .ribbon import (
-    _tables,
     complement_components,
     edge_label,
     edges,
@@ -154,7 +153,7 @@ def _soul_checks(b):
             (True,) * 4),
     ]
     if "dummy_vertex_curve" in b.expected:
-        vof, _, _ = _tables(b.closed)
+        vof = b.closed.vertex_of
         beta_verts = {vof[d] for d in b.curves["beta"]} | {
             vof[b.closed.twin[d]] for d in b.curves["beta"]
         }
@@ -366,7 +365,7 @@ def bundle_to_dict(bundle):
 
 
 def bundle_to_dot(bundle):
-    vof, _, _ = _tables(bundle.closed)
+    vof = bundle.closed.vertex_of
     lines = [f"graph {bundle.name} {{"]
     for v in range(len(bundle.closed.rotation)):
         lines.append(f"  v{v};")

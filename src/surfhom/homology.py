@@ -1,21 +1,22 @@
 """First homology of a ribbon-graph surface, with its intersection form.
 
-The cycle lattice is coordinatized by the fundamental cycles of a
-spanning tree (one per non-tree edge); 2-cell boundaries are quotiented
-out through a Smith normal form, leaving H1 = Z^2g for a closed
-surface.  The intersection form is computed by contracting the spanning
-tree: in the resulting one-vertex ribbon graph every generator is a
-loop, and two loops cross exactly when their dart pairs interleave in
-the rotation at the vertex.
+H1 comes from a tree-cotree decomposition (Eppstein, "Dynamic generators
+of topologically embedded graphs", SODA 2003).  T is a BFS spanning
+tree of the graph and C a spanning tree of the faces across the edges
+not in T, with every boundary walk merged into C's root.  The leftover
+edges L, 2g of them on a closed surface, are the basis: each loop of L
+closed through T has a unit class.  Peeling C from its leaves writes
+every other non-tree edge as a row over L, because a face boundary is
+null-homologous.  Two loops of L cross exactly when their darts
+interleave in the rotation around the contracted tree T, which one walk
+around T reads off.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .ribbon import (
     ValidationError,
-    _tables,
     edge_index,
     edge_of_dart,
     edges,
@@ -30,7 +31,6 @@ from .zlattice import (
     int_inverse,
     is_partial_basis,
     matmul,
-    smith_normal_form,
     transpose,
     vec_mat,
 )
@@ -47,7 +47,7 @@ class ChainComplex:
 
 def chain_complex(R):
     eix = edge_index(R)
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     V = len(R.rotation)
     E = R.n_edges
     d1 = [[0] * E for _ in range(V)]
@@ -64,31 +64,23 @@ def chain_complex(R):
     return ChainComplex(as_int_matrix(d1), as_int_matrix(d2))
 
 
-def _spanning_tree(R):
-    """BFS tree from vertex 0; returns (tree edge min-darts, parent darts).
-
-    parent[v] is the dart at v's parent whose edge leads to v.
-    """
-    vof, _, _ = _tables(R)
-    parent = {0: None}
-    tree = []
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for d in R.rotation[v]:
-            w = vof[R.twin[d]]
-            if w not in parent:
-                parent[w] = d
-                tree.append(edge_of_dart(R, d))
-                queue.append(w)
-    if len(parent) != len(R.rotation):
-        raise ValidationError("graph is not connected")
-    return tree, parent
+def _spanning_tree(darts_of, root):
+    """BFS tree of a graph given by darts_of[node] and the node across
+    each dart's edge; returns (nodes in BFS order, parent), where
+    parent[x] is the dart at x's parent whose edge leads to x."""
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for d, y in darts_of[x]:
+            if y not in parent:
+                parent[y] = d
+                order.append(y)
+    return order, parent
 
 
 def _tree_path(R, parent, u, v):
     """Dart walk from u to v inside the spanning tree."""
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
 
     def to_root(x):
         out = []
@@ -108,26 +100,6 @@ def _tree_path(R, parent, u, v):
     return tuple(walk)
 
 
-def _contracted_rotation(R, tree_edges):
-    """Cyclic dart order at the single vertex after contracting the tree."""
-    rot = {v: list(cyc) for v, cyc in enumerate(R.rotation)}
-    vof = list(_tables(R)[0])
-    for e in tree_edges:
-        d, t = e, R.twin[e]
-        u, v = vof[d], vof[t]
-        if u == v:
-            raise AssertionError("tree edge became a loop")
-        i = rot[u].index(d)
-        j = rot[v].index(t)
-        seq = rot[v][j + 1:] + rot[v][:j]
-        rot[u] = rot[u][:i] + seq + rot[u][i + 1:]
-        for dd in seq:
-            vof[dd] = u
-        del rot[v]
-    (order,) = rot.values()
-    return tuple(order)
-
-
 def _interleave_sign(pos, L, a1, b1, a2, b2):
     """+1 for counterclockwise order (a1, a2, b1, b2), -1 for the mirror,
     0 when the strand (a2,b2) does not separate (a1,b1)."""
@@ -143,85 +115,103 @@ def _interleave_sign(pos, L, a1, b1, a2, b2):
 
 
 class SurfaceHomology:
-    """Cycle coordinates, H1 quotient and intersection form of a surface."""
+    """H1 of a surface over the leftover edges of a tree-cotree
+    decomposition, with its intersection form.
+
+    fundamental_edges  the edges not in the spanning tree T, each the
+                       start of a fundamental cycle
+    basis_edges        the leftover edges L: fundamental_class of the
+                       i-th one is the i-th unit vector
+    pairing_matrix     intersection numbers of the L loops
+    """
 
     def __init__(self, R):
         self.R = R
-        tree, parent = _spanning_tree(R)
-        self.tree_edges = tuple(tree)
-        self.parent = parent
-        tset = set(tree)
-        self.fundamental_edges = tuple(e for e in edges(R) if e not in tset)
-        self._fund_pos = {e: i for i, e in enumerate(self.fundamental_edges)}
-        r = len(self.fundamental_edges)
-        self.cycle_rank = r
+        twin, vof = R.twin, R.vertex_of
+        vertex_darts = [[(d, vof[twin[d]]) for d in cyc] for cyc in R.rotation]
+        _, self.parent = _spanning_tree(vertex_darts, 0)
+        tree = {d for p in self.parent.values() if p is not None for d in (p, twin[p])}
+        self.fundamental_edges = tuple(e for e in edges(R) if e not in tree)
 
-        # face relations in fundamental coordinates
-        internal = [f for f in trace_faces(R) if f[0] not in R.boundary_faces]
-        rels = [self._fund_coords_of_darts(f) for f in internal]
-        rels = [row for row in rels if any(row)]
-        if rels:
-            snf = smith_normal_form(as_int_matrix(rels))
-            if any(d != 1 for d in snf.invariant_factors[: snf.rank]):
-                raise AssertionError("torsion in a surface quotient")
-            self._s = snf.rank
-            self._V = snf.V
-            self._Vi = snf.V_inv
-        else:
-            self._s = 0
-            self._V = identity(r) if r else ()
-            self._Vi = identity(r) if r else ()
-        self.rank = r - self._s
+        # the cotree C: faces joined across non-tree edges, boundary walks
+        # all in the root node -1
+        node = [None] * len(twin)
+        for i, f in enumerate(trace_faces(R)):
+            for d in f:
+                node[d] = -1 if f[0] in R.boundary_faces else i
+        face_darts = {f: [] for f in node}
+        for d in range(len(twin)):
+            if d not in tree:
+                face_darts[node[d]].append((d, node[twin[d]]))
+        root = -1 if R.boundary_faces else node[0]
+        order, crossing = _spanning_tree(face_darts, root)
+        cotree = {edge_of_dart(R, p) for p in crossing.values() if p is not None}
+        self.basis_edges = tuple(e for e in self.fundamental_edges if e not in cotree)
+        self.rank = len(self.basis_edges)
 
-        # interleaving form on fundamental loops, pushed to the quotient
-        order = _contracted_rotation(R, self.tree_edges) if len(R.rotation) > 1 \
-            else R.rotation[0]
-        pos = {d: i for i, d in enumerate(order)}
-        L = len(order)
-        J0 = [
-            [
-                _interleave_sign(pos, L, R.twin[e], e, R.twin[f], f)
-                for f in self.fundamental_edges
-            ]
-            for e in self.fundamental_edges
-        ]
-        self._J0 = as_int_matrix(J0)
-        if r:
-            full = matmul(matmul(self._Vi, self._J0), [list(c) for c in zip(*self._Vi)])
-            for i in range(self._s):
-                if any(full[i]):
-                    raise AssertionError("intersection form does not vanish on boundaries")
-            self.pairing_matrix = tuple(row[self._s:] for row in full[self._s:])
-        else:
-            self.pairing_matrix = ()
+        # class of each non-tree dart: units on L, then, leaves first, the
+        # dart from a face into its parent is minus the rest of its face
+        # (a face boundary is null-homologous); tree darts have no class
+        self._rows = dict.fromkeys(tree)
+
+        def put(d, row):
+            self._rows[d] = row
+            self._rows[twin[d]] = tuple(-x for x in row)
+
+        for i, e in enumerate(self.basis_edges):
+            put(e, (0,) * i + (1,) + (0,) * (self.rank - i - 1))
+        for f in reversed(order[1:]):
+            up = twin[crossing[f]]
+            put(crossing[f], self.class_of_chain(d for d, _ in face_darts[f] if d != up))
+
+        # the rotation at the one vertex left after contracting T
+        nxt = {}
+        for cyc in R.rotation:
+            nxt.update(zip(cyc, cyc[1:] + cyc[:1]))
+        ring = []
+        if self.fundamental_edges:
+            d = start = self.fundamental_edges[0]
+            while True:
+                ring.append(d)
+                d = nxt[d]
+                while d in tree:
+                    d = nxt[twin[d]]
+                if d == start:
+                    break
+        pos = {d: i for i, d in enumerate(ring)}
+        self.pairing_matrix = tuple(
+            tuple(_interleave_sign(pos, len(ring), twin[e], e, twin[f], f)
+                  for f in self.basis_edges)
+            for e in self.basis_edges
+        )
         if not R.boundary_faces and self.rank:
             if abs(det_int(self.pairing_matrix)) != 1:
                 raise AssertionError("intersection form of a closed surface must be unimodular")
 
     # -- coordinates ------------------------------------------------------
 
-    def _fund_coords_of_darts(self, darts):
-        row = [0] * len(self.fundamental_edges)
-        for d in darts:
-            e = edge_of_dart(self.R, d)
-            i = self._fund_pos.get(e)
-            if i is not None:
-                row[i] += 1 if d == e else -1
-        return tuple(row)
+    def class_of_chain(self, darts):
+        """H1 class of the 1-chain that runs once along each given dart.
+
+        Any chain is accepted, so a face boundary (which may use an edge
+        twice) maps to zero; tree darts contribute nothing."""
+        try:
+            rows = [self._rows[d] for d in darts]
+        except KeyError as exc:
+            raise ValidationError(f"dart {exc.args[0]!r} not in graph") from None
+        rows = [r for r in rows if r is not None]
+        return tuple(map(sum, zip(*rows))) if rows else (0,) * self.rank
 
     def class_of_walk(self, walk):
         """H1 class of a closed walk, in the surface's own coordinates."""
-        validate_walk(self.R, walk)
-        c = self._fund_coords_of_darts(walk)
-        return vec_mat(c, self._V)[self._s:] if self.cycle_rank else ()
+        return self.class_of_chain(validate_walk(self.R, walk))
 
     def fundamental_class(self, e):
         """Class of the fundamental cycle attached to non-tree edge e."""
-        c = tuple(int(f == e) for f in self.fundamental_edges)
-        return vec_mat(c, self._V)[self._s:]
+        return self._rows[e]
 
     def fundamental_walk(self, e):
-        vof, _, _ = _tables(self.R)
+        vof = self.R.vertex_of
         t = self.R.twin[e]
         path = _tree_path(self.R, self.parent, vof[t], vof[e])
         return validate_walk(self.R, (e,) + path)
@@ -237,9 +227,13 @@ class SurfaceHomology:
         )
 
 
-@lru_cache(maxsize=None)
 def homology(R):
-    return SurfaceHomology(R)
+    """The SurfaceHomology of R, built once and kept on R itself."""
+    H = R.__dict__.get("_homology")
+    if H is None:
+        H = SurfaceHomology(R)
+        object.__setattr__(R, "_homology", H)
+    return H
 
 
 def cotree_basis(R):
@@ -274,7 +268,7 @@ def algebraic_intersection(R, w1, w2):
     e2 = {edge_of_dart(R, d) for d in w2}
     if e1 & e2:
         raise ValidationError("walks share an edge; subdivide to make them transverse")
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
 
     def strands(w):
         out = {}

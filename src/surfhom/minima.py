@@ -14,7 +14,6 @@ from itertools import combinations
 
 from .ribbon import (
     ValidationError,
-    _tables,
     canonical_walk,
     edge_of_dart,
     edges,
@@ -83,7 +82,7 @@ def enumerate_cycles(G, bound):
     if bound <= 0:
         raise ValidationError("bound must be positive")
     R = G.ribbon
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     found = {}
 
     all_edges = edges(R)
@@ -313,7 +312,7 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
 def shortest_distances(G, source):
     """Dijkstra over exact rational edge lengths."""
     R = G.ribbon
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     dist = {source: Fraction(0)}
     heap = [(Fraction(0), source)]
     while heap:
@@ -337,7 +336,7 @@ def is_straight_cycle(G, cycle):
     """
     walk = cycle.darts if isinstance(cycle, WeightedCycle) else tuple(cycle)
     validate_walk(G.ribbon, walk)
-    vof, _, _ = _tables(G.ribbon)
+    vof = G.ribbon.vertex_of
     verts = [vof[d] for d in walk]
     prefix = [Fraction(0)]
     for d in walk:

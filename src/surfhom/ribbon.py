@@ -17,7 +17,6 @@ dart); the remaining faces are the 2-cells.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class ValidationError(ValueError):
@@ -72,6 +71,7 @@ class RibbonGraph:
     twin            dart involution (twin[d] is the reversal of d)
     boundary_faces  faces (by smallest dart) marked as boundary walks
     edge_labels     optional name per edge, aligned with ``edges()``
+    vertex_of       vertex_of[d] is the vertex dart d leaves (derived)
     """
 
     rotation: tuple
@@ -106,9 +106,13 @@ def validate_ribbon(R):
         raise ValidationError("ribbon graph has no darts")
     if n % 2:
         raise ValidationError("odd number of darts")
+    if not all(isinstance(d, int) for cyc in (R.twin, *R.rotation) for d in cyc):
+        raise ValidationError("darts must be integers")
     for d, t in enumerate(R.twin):
         if not 0 <= t < n or R.twin[t] != d or t == d:
             raise ValidationError("twin is not a fixed-point-free involution")
+    if not all(R.rotation):
+        raise ValidationError("vertex with an empty rotation cycle")
     seen = sorted(d for cyc in R.rotation for d in cyc)
     if seen != list(range(n)):
         raise ValidationError("rotation cycles do not partition the darts")
@@ -132,26 +136,7 @@ def validate_ribbon(R):
     faces = {min(f) for f in _trace_faces_raw(R.rotation, R.twin)}
     if not R.boundary_faces <= faces:
         raise ValidationError("boundary_faces refers to unknown faces")
-
-
-@lru_cache(maxsize=None)
-def _tables(R):
-    """vertex_of[d], position-in-rotation, and rotation prev/next maps."""
-    n = len(R.twin)
-    vertex_of = [None] * n
-    nxt = [None] * n
-    prv = [None] * n
-    for v, cyc in enumerate(R.rotation):
-        k = len(cyc)
-        for i, d in enumerate(cyc):
-            vertex_of[d] = v
-            nxt[d] = cyc[(i + 1) % k]
-            prv[d] = cyc[(i - 1) % k]
-    return tuple(vertex_of), tuple(nxt), tuple(prv)
-
-
-def vertex_of(R, d):
-    return _tables(R)[0][d]
+    object.__setattr__(R, "vertex_of", tuple(vert))
 
 
 def edges(R):
@@ -311,7 +296,7 @@ def validate_walk(R, walk):
     reversal, no undirected edge used twice."""
     if not walk:
         raise ValidationError("empty walk")
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     n = len(R.twin)
     used = set()
     for i, d in enumerate(walk):
@@ -331,7 +316,7 @@ def validate_walk(R, walk):
 
 def walk_vertices(R, walk):
     """Vertices visited, aligned with the walk: vertex where walk[i] starts."""
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     return tuple(vof[d] for d in walk)
 
 
@@ -359,7 +344,7 @@ def walk_from_edge_set(R, darts):
     The walk starts at the smallest dart of the set, in its direction.
     """
     eset = {edge_of_dart(R, d) for d in darts}
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     incident = {}
     for e in eset:
         for d in (e, R.twin[e]):
@@ -457,7 +442,7 @@ def add_loop(R, after_a, after_b, label=None):
     after_b in the vertex's counterclockwise order; choosing two darts
     that separate a curve's strands makes the new loop cross it.
     """
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     v = vof[after_a]
     if vof[after_b] != v or after_a == after_b:
         raise ValidationError("loop insertion darts must be distinct darts at one vertex")
@@ -489,7 +474,7 @@ def add_loop(R, after_a, after_b, label=None):
 # serialization (JSON surface format)
 
 def ribbon_to_dict(R):
-    vof, _, _ = _tables(R)
+    vof = R.vertex_of
     return {
         "vertices": list(range(len(R.rotation))),
         "half_edges": [
@@ -502,13 +487,19 @@ def ribbon_to_dict(R):
 
 
 def ribbon_from_dict(data):
-    twin = [None] * len(data["half_edges"])
-    for he in data["half_edges"]:
-        twin[he["id"]] = he["twin"]
-    labels = data.get("edge_labels")
-    return RibbonGraph(
-        tuple(tuple(c) for c in data["rotation"]),
-        tuple(twin),
-        frozenset(data.get("boundary_faces", ())),
-        tuple(labels) if labels is not None else None,
-    )
+    """Inverse of ``ribbon_to_dict``; malformed data raises ValidationError."""
+    try:
+        twin = [None] * len(data["half_edges"])
+        for he in data["half_edges"]:
+            if he["id"] not in range(len(twin)):
+                raise ValidationError(f"half-edge id {he['id']!r} out of range")
+            twin[he["id"]] = he["twin"]
+        labels = data.get("edge_labels")
+        return RibbonGraph(
+            tuple(tuple(c) for c in data["rotation"]),
+            tuple(twin),
+            frozenset(data.get("boundary_faces", ())),
+            tuple(labels) if labels is not None else None,
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed surface data: {exc!r}") from exc

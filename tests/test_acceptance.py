@@ -303,17 +303,13 @@ def test_criterion_8_cross_cutting_invariants():
                 assert a == -algebraic_intersection(R, w2, w1)
                 assert a == H.pair(H.class_of_walk(w1), H.class_of_walk(w2))
                 done += 1
-        # face boundaries pair trivially against every cycle
+        # face boundaries are null-homologous and pair trivially
+        # against every cycle
         for f in faces:
-            rho = H._fund_coords_of_darts(f)
+            rho = H.class_of_chain(f)
+            assert all(x == 0 for x in rho)
             for e in H.fundamental_edges:
-                z = tuple(int(x == e) for x in H.fundamental_edges)
-                pairing = sum(
-                    a * H._J0[i][j] * b
-                    for i, a in enumerate(rho)
-                    for j, b in enumerate(z)
-                )
-                assert pairing == 0
+                assert H.pair(rho, H.fundamental_class(e)) == 0
 
     # symplectic reduction reaches the standard block form
     done = 0

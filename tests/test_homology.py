@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -88,14 +90,28 @@ def test_cotree_generates_closed_surface():
 
 def test_face_boundary_is_null_homologous():
     from surfhom.ribbon import trace_faces
-    from surfhom.zlattice import vec_mat
 
     R = schema_to_ribbon(WORD20)
     H = homology(R)
     for f in trace_faces(R):
-        # face walks may repeat edges, so go through chain coordinates
-        cls = vec_mat(H._fund_coords_of_darts(f), H._V)[H._s:]
+        # face walks may repeat edges, so go through the chain class
+        cls = H.class_of_chain(f)
         assert all(x == 0 for x in cls)
+        for e in H.fundamental_edges:
+            assert H.pair(cls, H.fundamental_class(e)) == 0
+    with pytest.raises(ValidationError):
+        H.class_of_chain((R.n_darts,))
+
+
+def test_homology_is_kept_on_the_graph_and_freed_with_it():
+    R = schema_to_ribbon(WORD20)
+    H = homology(R)
+    assert homology(R) is H
+    assert homology(schema_to_ribbon(WORD20)) is not H
+    ref = weakref.ref(R)
+    del R, H
+    gc.collect()
+    assert ref() is None
 
 
 def test_symplectic_basis_torus_and_word20():

@@ -4,8 +4,8 @@ and the Miller-Rabin modulus check.
 ``vec_mat``, ``matmul`` and ``det_int`` are compared with the dense
 versions kept in ``reference_zlattice``; the symplectic inverse with a
 Smith-form ``int_inverse``; ``_is_prime`` with trial division.  The
-count guard pins how many Smith forms the homology path runs, which
-repeats exactly on any machine.
+count guard pins that the homology path runs no Smith form, a count
+that repeats exactly on any machine.
 """
 
 import importlib
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from surfhom.catalog import EXAMPLE_NAMES, load_example
 from surfhom.homology import cotree_basis, homology, symplectic_basis
-from surfhom.ribbon import schema_to_ribbon, surface_invariants
+from surfhom.ribbon import RibbonGraph, schema_to_ribbon, surface_invariants, trace_faces
 from surfhom.zlattice import (
     _MR_LIMIT,
     LatticeError,
@@ -173,7 +173,8 @@ def canonical_word(g):
 
 def count_lattice_calls(monkeypatch, R):
     """Smith forms and int_inverse calls made by homology, the symplectic
-    basis and the cotree classes of a surface not yet in the cache."""
+    basis (closed surfaces only) and the cotree classes of a fresh copy
+    of R, whose homology is not yet built."""
     counts = {"smith_normal_form": 0, "int_inverse": 0}
 
     def counted(name):
@@ -187,13 +188,15 @@ def count_lattice_calls(monkeypatch, R):
 
     for name in counts:
         wrapper = counted(name)
-        monkeypatch.setattr(zlattice, name, wrapper)
-        monkeypatch.setattr(homology_module, name, wrapper)
-    homology.cache_clear()
-    symplectic_basis(R)
+        for module in (zlattice, homology_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    R = RibbonGraph(R.rotation, R.twin, R.boundary_faces, R.edge_labels)
+    if not R.boundary_faces:
+        symplectic_basis(R)
     H = homology(R)
     classes = [H.class_of_walk(w) for w, _ in cotree_basis(R)]
-    assert len(classes) == H.cycle_rank
+    assert len(classes) == len(H.fundamental_edges)
     return counts
 
 
@@ -202,11 +205,19 @@ def test_one_vertex_surface_needs_no_smith_form(monkeypatch):
     assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 0, "int_inverse": 0}
 
 
-def test_multi_vertex_surface_needs_one_smith_form(monkeypatch):
-    # two or more faces give a nonzero face relation to quotient out
+def test_multi_vertex_surface_needs_no_smith_form(monkeypatch):
+    # two or more faces: the cotree, not a Smith form, removes the face relations
     R = next(R for R in random_closed_surfaces(30)
              if surface_invariants(R).vertices > 1 and surface_invariants(R).faces > 1)
-    assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 1, "int_inverse": 0}
+    assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 0, "int_inverse": 0}
+
+
+def test_bordered_surface_needs_no_smith_form(monkeypatch):
+    R = next(R for R in random_closed_surfaces(30)
+             if surface_invariants(R).vertices > 1 and surface_invariants(R).faces > 2)
+    bordered = RibbonGraph(R.rotation, R.twin, {f[0] for f in trace_faces(R)[:2]})
+    assert homology(bordered).rank == homology(R).rank + 1
+    assert count_lattice_calls(monkeypatch, bordered) == {"smith_normal_form": 0, "int_inverse": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,52 @@ def test_json_round_trip():
     assert R2 == R
 
 
+def test_empty_rotation_cycle_is_rejected():
+    R = schema_to_ribbon("a b a' b' c d c' d'")
+    assert surface_invariants(R).genus == 2
+    with pytest.raises(ValidationError):
+        RibbonGraph(R.rotation + ((), ()), R.twin)
+
+
+def _set(path, value):
+    def corrupt(data):
+        *keys, last = path
+        for k in keys:
+            data = data[k]
+        data[last] = value
+    return corrupt
+
+
+def _drop(key):
+    return lambda data: data.pop(key)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set(("half_edges", 0, "id"), 4),  # out of range
+    _set(("half_edges", 0, "id"), -1),  # would index from the end
+    _set(("half_edges", 0, "id"), "0"),
+    _set(("half_edges", 1, "twin"), 0.0),
+    _set(("rotation", 0, 0), "0"),
+    _set(("rotation", 0), 7),
+    _set(("half_edges", 0), None),
+    _set(("rotation",), [[0, 1, 2, 3], []]),  # empty vertex
+    _drop("half_edges"),
+    _drop("rotation"),
+], ids=["id-range", "id-negative", "id-str", "twin-float", "dart-str", "cycle-int",
+        "half-edge-none", "empty-vertex", "no-half-edges", "no-rotation"])
+def test_malformed_dict_raises_validation_error(corrupt):
+    data = ribbon_to_dict(torus())
+    corrupt(data)
+    with pytest.raises(ValidationError):
+        ribbon_from_dict(data)
+
+
+def test_malformed_dict_top_level():
+    for data in ([], None, {"half_edges": 3, "rotation": []}):
+        with pytest.raises(ValidationError):
+            ribbon_from_dict(data)
+
+
 def test_capped_strips_marks():
     R = torus()
     marked = RibbonGraph(R.rotation, R.twin, {0}, R.edge_labels)
