@@ -4,13 +4,16 @@ All lengths are exact rationals; ties between equal-length cycles are
 broken by the canonical dart encoding, so every procedure is a
 deterministic function of its input.  Candidate cycles are edge-simple
 closed walks with no dart followed by its reversal; vertices may
-repeat.
+repeat.  The enumeration searches on integers, the edge lengths scaled
+by their least common denominator, and starts each cycle at the smaller
+dart of its least edge, which makes the walk its own canonical encoding.
 """
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .ribbon import (
     ValidationError,
@@ -58,7 +61,9 @@ class WeightedCycle:
     name: str = None
 
     def with_class(self, cls, name=None):
-        return replace(self, cls=tuple(cls), name=name if name is not None else self.name)
+        return WeightedCycle(
+            self.darts, self.length, self.key, tuple(cls), self.name if name is None else name
+        )
 
 
 def make_cycle(G, walk, cls=None, name=None):
@@ -75,39 +80,54 @@ def make_cycle(G, walk, cls=None, name=None):
 def enumerate_cycles(G, bound):
     """All cycles of length <= bound, up to rotation and reflection.
 
-    Exhaustive backtracking with partial-length pruning; results sorted
-    by (length, canonical encoding).
+    Exhaustive backtracking with partial-length pruning, run on
+    integers: every edge length is scaled once by the least common
+    denominator D of the lengths, and a partial length L/D is kept
+    exactly when L <= floor(bound * D).  A cycle is reached only from
+    its least edge, as the walk that starts with that edge's smaller
+    dart; that dart occurs nowhere else in the walk or in its reversal,
+    so the walk is its own canonical encoding and no cycle is reached
+    twice.  Results sorted by (length, canonical encoding).
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValidationError("bound must be positive")
     R = G.ribbon
-    vof = R.vertex_of
-    found = {}
-
+    twin, vof = R.twin, R.vertex_of
+    D = lcm(*(l.denominator for l in G.edge_length))
+    limit = bound.numerator * D // bound.denominator
     all_edges = edges(R)
-    for start in all_edges:
-        w_start = G.length_of_dart(start)
-        if w_start > bound:
+    weight = [0] * len(twin)
+    bit = [0] * len(twin)
+    for i, (e, l) in enumerate(zip(all_edges, G.edge_length)):
+        weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
+        bit[e] = bit[twin[e]] = 1 << i
+    # per vertex: (dart, edge bit, scaled length, head vertex) of each outgoing dart
+    out = [tuple((d, bit[d], weight[d], vof[twin[d]]) for d in rot) for rot in R.rotation]
+
+    found = []
+    for i, start in enumerate(all_edges):
+        if weight[start] > limit:
             continue
-        start_v = vof[start]
-        stack = [((start,), frozenset((start,)), w_start)]
+        home = vof[start]
+        # edges up to and including the start edge start out used, so
+        # the walk takes no edge below its first one
+        stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]])]
         while stack:
-            walk, used, length = stack.pop()
-            last = walk[-1]
-            at = vof[R.twin[last]]
-            if at == start_v and R.twin[last] != start:
-                key = canonical_walk(walk, R.twin)
-                if key not in found:
-                    found[key] = WeightedCycle(walk, length, key)
-            for d in R.rotation[at]:
-                e = edge_of_dart(R, d)
-                if e < start or e in used or d == R.twin[last]:
-                    continue
-                l2 = length + G.length_of_dart(d)
-                if l2 <= bound:
-                    stack.append((walk + (d,), used | {e}, l2))
-    return tuple(sorted(found.values(), key=lambda c: (c.length, c.key)))
+            walk, used, length, at = stack.pop()
+            if at == home:
+                found.append((length, walk))
+            for d, b, w, head in out[at]:
+                if not used & b and length + w <= limit:
+                    stack.append((walk + (d,), used | b, length + w, head))
+    found.sort()
+    cycles = []
+    last = None
+    for L, walk in found:
+        if L != last:
+            last, exact = L, Fraction(L, D)
+        cycles.append(WeightedCycle(walk, exact, walk))
+    return tuple(cycles)
 
 
 # ---------------------------------------------------------------------------

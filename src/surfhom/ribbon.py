@@ -296,18 +296,20 @@ def validate_walk(R, walk):
     reversal, no undirected edge used twice."""
     if not walk:
         raise ValidationError("empty walk")
-    vof = R.vertex_of
-    n = len(R.twin)
+    vof, twin = R.vertex_of, R.twin
+    n = len(twin)
+    last = len(walk) - 1
     used = set()
     for i, d in enumerate(walk):
         if not 0 <= d < n:
             raise ValidationError(f"dart {d} not in graph")
-        nxt = walk[(i + 1) % len(walk)]
-        if vof[nxt] != vof[R.twin[d]]:
+        nxt = walk[i + 1] if i < last else walk[0]
+        t = twin[d]
+        if vof[nxt] != vof[t]:
             raise ValidationError("consecutive darts are not incident head-to-tail")
-        if nxt == R.twin[d]:
+        if nxt == t:
             raise ValidationError("immediate reversal in walk")
-        e = edge_of_dart(R, d)
+        e = d if d < t else t
         if e in used:
             raise ValidationError("walk repeats an undirected edge")
         used.add(e)

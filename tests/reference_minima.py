@@ -5,20 +5,24 @@ procedures, the two brute-force subset searches and the mod-p
 elimination: one loop per procedure, one subset loop per search (the
 lemma testing Q-independence by Smith-form rank) and one Gauss-Jordan
 pass per mod-p routine.  The library shares one copy of each; these
-keep the old code paths as the oracle it is compared against.
+keep the old code paths as the oracle it is compared against.  The
+cycle enumeration is the earlier one on ``Fraction`` lengths, with a
+``canonical_walk`` key and a dedup dict per closure.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from surfhom.minima import (
     MinimaTrace,
     TraceEvent,
+    WeightedCycle,
     _assert_sorted,
     _check_candidates,
     _tied,
     sorted_lengths,
 )
-from surfhom.ribbon import ValidationError
+from surfhom.ribbon import ValidationError, canonical_walk, edge_of_dart, edges
 from surfhom.zlattice import (
     _check_modulus,
     as_int_matrix,
@@ -198,3 +202,41 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
         if not all(a <= b for a, b in zip(la, lb)):
             return False
     return True
+
+
+def enumerate_cycles(G, bound):
+    """All cycles of length <= bound, up to rotation and reflection.
+
+    Exhaustive backtracking with partial-length pruning; results sorted
+    by (length, canonical encoding).
+    """
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise ValidationError("bound must be positive")
+    R = G.ribbon
+    vof = R.vertex_of
+    found = {}
+
+    all_edges = edges(R)
+    for start in all_edges:
+        w_start = G.length_of_dart(start)
+        if w_start > bound:
+            continue
+        start_v = vof[start]
+        stack = [((start,), frozenset((start,)), w_start)]
+        while stack:
+            walk, used, length = stack.pop()
+            last = walk[-1]
+            at = vof[R.twin[last]]
+            if at == start_v and R.twin[last] != start:
+                key = canonical_walk(walk, R.twin)
+                if key not in found:
+                    found[key] = WeightedCycle(walk, length, key)
+            for d in R.rotation[at]:
+                e = edge_of_dart(R, d)
+                if e < start or e in used or d == R.twin[last]:
+                    continue
+                l2 = length + G.length_of_dart(d)
+                if l2 <= bound:
+                    stack.append((walk + (d,), used | {e}, l2))
+    return tuple(sorted(found.values(), key=lambda c: (c.length, c.key)))

@@ -115,6 +115,29 @@ def test_walk_validation_errors():
         validate_walk(R, ())
 
 
+# a dipole: darts 0, 2, 4 at vertex 0 and their twins 1, 3, 5 at vertex 1
+DIPOLE = RibbonGraph(((0, 2, 4), (1, 3, 5)), (1, 0, 3, 2, 5, 4))
+
+
+@pytest.mark.parametrize("walk, message", [
+    ((), "empty walk"),
+    ((7, 0), "dart 7 not in graph"),
+    ((-1,), "dart -1 not in graph"),
+    ((0, 2), "consecutive darts are not incident head-to-tail"),
+    ((0, 1), "immediate reversal in walk"),
+    ((0, 3, 0, 3), "walk repeats an undirected edge"),
+    # two faults: the first failing dart decides the message
+    ((0, 1, 0, 2), "immediate reversal in walk"),
+    ((0, 2, 0), "consecutive darts are not incident head-to-tail"),
+    ((0, 3, 0, 3, 0, 1), "walk repeats an undirected edge"),
+    ((0, 3, 0, 3, 9), "walk repeats an undirected edge"),
+])
+def test_walk_validation_messages(walk, message):
+    with pytest.raises(ValidationError) as err:
+        validate_walk(DIPOLE, walk)
+    assert str(err.value) == message
+
+
 def test_subdivide_and_loop():
     R = schema_to_ribbon(WORD20)
     inv0 = surface_invariants(R)
