@@ -22,7 +22,14 @@ from .ribbon import (
     edges,
     validate_walk,
 )
-from .zlattice import _check_modulus, as_int_matrix, det_int, in_span, is_partial_basis
+from .zlattice import (
+    _check_modulus,
+    _greedy_pivots,
+    as_int_matrix,
+    det_int,
+    in_span,
+    is_partial_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -282,25 +289,62 @@ def _beating_subsets(basis, candidates, ring_test):
     matrix passes ``ring_test`` and whose sorted lengths are not
     pointwise >= those of ``basis``; each comes with its sorted lengths."""
     la = sorted_lengths(basis)
-    for combo in combinations(tuple(candidates), len(basis)):
+    for combo in combinations(candidates, len(basis)):
         if ring_test([c.cls for c in combo]):
             lb = sorted_lengths(combo)
             if not all(a <= b for a, b in zip(la, lb)):
                 yield combo, lb
 
 
-def is_globally_minimal(basis, candidates, modulus=0):
-    """Brute-force check of the partial-order global minimum.
+def _greedy_certificate(basis, candidates, modulus):
+    """Gale's test of ``basis`` against every basis of the candidates
+    over Q (``modulus`` 0) or F_p.
 
-    Returns (True, None) or (False, witness).  Among all bases beating
-    the input at some sorted position, the witness returned is the one
-    with the lexicographically largest length vector (the mildest
+    The greedy basis of the length-sorted candidates is pointwise no
+    longer than every other basis of theirs (Gale, "Optimal assignments
+    in an ordered set", 1968; Edmonds, "Matroids and the greedy
+    algorithm", 1971), so no basis of the candidates beats ``basis``
+    exactly when their rank is short of ``len(basis)`` or the sorted
+    lengths of ``basis`` are pointwise <= the greedy basis's.  Returns
+    that verdict, or None when the candidates do not all carry an
+    n-tuple of ints, or are fewer than n, for n = ``len(basis)``.
+    """
+    n = len(basis)
+    if len(candidates) < n:
+        return None
+    for c in candidates:
+        cls = c.cls
+        if type(cls) is not tuple or len(cls) != n or any(type(x) is not int for x in cls):
+            return None
+    if modulus:
+        _check_modulus(modulus)
+    pool = sorted(candidates, key=lambda c: c.length)
+    kept = _greedy_pivots([c.cls for c in pool], modulus)
+    if len(kept) < n:
+        return True
+    return all(s <= pool[i].length for s, i in zip(sorted_lengths(basis), kept))
+
+
+def is_globally_minimal(basis, candidates, modulus=0):
+    """Is no basis among the candidates shorter than ``basis`` at some
+    sorted position?
+
+    Returns (True, None) or (False, witness).  Gale's greedy certificate
+    (``_greedy_certificate``) over Q or F_p settles every passing case;
+    over Z it is sound because every Z-basis is a Q-basis.  A failing
+    certificate, or candidates it cannot read, fall back to the
+    brute-force subset search, which finds the witness: among all bases
+    beating the input at some sorted position, the one with the
+    lexicographically largest length vector (the mildest
     counterexample, which drops the short curves first); ties fall back
     to the canonical cycle encodings.
     """
     basis = tuple(basis)
     if not _is_basis([c.cls for c in basis], modulus):
         raise ValidationError("input cycles do not form a basis")
+    candidates = tuple(candidates)
+    if _greedy_certificate(basis, candidates, modulus):
+        return True, None
     witness = None
     for combo, lb in _beating_subsets(basis, candidates, lambda M: _is_basis(M, modulus)):
         key = (lb, tuple(sorted(c.key for c in combo)))
@@ -313,10 +357,21 @@ def is_globally_minimal(basis, candidates, modulus=0):
 
 def verify_lemma_procI_minimal(trace, candidates, modulus=0):
     """Check the minimality inequality of a full procedure-I basis
-    against every linearly independent subsequence of the same size."""
+    against every linearly independent subsequence of the same size.
+
+    Independence is over Q (``modulus`` 0) or F_p, whatever ring the
+    trace was taken in.  Gale's greedy certificate
+    (``_greedy_certificate``) decides this exactly, with no assumption
+    that the selection is drawn from the candidates; candidates it
+    cannot read fall back to the brute-force subset search.
+    """
     selected = trace.selected
     if not selected or not _is_basis([c.cls for c in selected], trace.modulus):
         raise ValidationError("trace does not form a basis; nothing to verify")
+    candidates = tuple(candidates)
+    verdict = _greedy_certificate(selected, candidates, modulus)
+    if verdict is not None:
+        return verdict
     # the selection is a basis, so every subset is square and
     # Q-independence is a nonzero determinant
     beating = _beating_subsets(

@@ -296,6 +296,46 @@ def _rank_mod_p(A, p):
     return len(_rref_mod_p(A, p, len(A[0]) if A else 0)[1])
 
 
+def _greedy_pivots(rows, modulus):
+    """Indices of the rows the greedy algorithm keeps, in order: each row
+    independent of the rows before it, over Q (``modulus`` 0) or F_p.
+
+    These are the pivot columns of the transposed matrix.  Over Q they
+    come from a fraction-free (Bareiss) echelon scan, whose entries are
+    minors of the input, so every division is exact.  ``rows`` must be a
+    nonempty list of equal-length tuples of ints; nothing is checked.
+    """
+    m = len(rows)
+    if modulus:
+        return _rref_mod_p(transpose(rows), modulus, m)[1]
+    M = [list(r) for r in zip(*rows)]
+    n = len(M)
+    pivots = []
+    prev = 1
+    for j in range(m):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if M[i][j]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        rk = M[r]
+        pk = rk[j]
+        cols = range(j + 1, m)
+        for ri in M[r + 1:]:
+            a = ri[j]
+            if a:
+                for k in cols:
+                    ri[k] = (ri[k] * pk - a * rk[k]) // prev
+            elif pk != prev:
+                for k in cols:
+                    ri[k] = ri[k] * pk // prev
+        prev = pk
+        pivots.append(j)
+    return pivots
+
+
 def in_span(M, v, modulus=0):
     """Is v an integer (or mod-p) combination of M's rows?
 

@@ -5,9 +5,11 @@ procedures, the two brute-force subset searches and the mod-p
 elimination: one loop per procedure, one subset loop per search (the
 lemma testing Q-independence by Smith-form rank) and one Gauss-Jordan
 pass per mod-p routine.  The library shares one copy of each; these
-keep the old code paths as the oracle it is compared against.  The
-cycle enumeration is the earlier one on ``Fraction`` lengths, with a
-``canonical_walk`` key and a dedup dict per closure.
+keep the old code paths as the oracle it is compared against, and the
+brute-force searches are the oracle for the library's greedy
+minimality certificate.  The cycle enumeration is the earlier one on
+``Fraction`` lengths, with a ``canonical_walk`` key and a dedup dict
+per closure.
 """
 
 from fractions import Fraction

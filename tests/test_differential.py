@@ -1,6 +1,7 @@
-"""Differential tests: the shared greedy loop, subset search and mod-p
-elimination against the separate implementations in
-``reference_minima``, on seeded random weighted ribbon graphs."""
+"""Differential tests: the shared greedy loop, the minimality checks and
+mod-p elimination against the separate implementations in
+``reference_minima``, on seeded random weighted ribbon graphs and on
+pools of random class vectors."""
 
 import random
 from fractions import Fraction
@@ -9,9 +10,9 @@ import pytest
 
 from surfhom import minima
 from surfhom.homology import homology
-from surfhom.minima import MinimaTrace, WeightedGraph, enumerate_cycles
+from surfhom.minima import MinimaTrace, WeightedCycle, WeightedGraph, enumerate_cycles
 from surfhom.ribbon import ValidationError, surface_invariants
-from surfhom.zlattice import _rank_mod_p, in_span
+from surfhom.zlattice import _greedy_pivots, _rank_mod_p, identity, in_span, smith_normal_form
 
 from . import reference_minima as ref
 from .util import random_ribbon_graph
@@ -106,3 +107,154 @@ def test_mod_p_elimination_matches_reference(p):
             v = tuple(rng.randint(-3, 3) for _ in range(cols))
         assert in_span(M, v, p) == ref.in_span(M, v, p)
         assert _rank_mod_p(M, p) == ref.rank_mod_p(M, p)
+
+
+# ---------------------------------------------------------------------------
+# the greedy certificate on class vectors, with no graph behind them
+
+def raised(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def random_unimodular(rng, n):
+    """An integer basis: the identity under random row additions, shuffled."""
+    M = [list(r) for r in identity(n)]
+    for _ in range(rng.randrange(3 * n + 1) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1, 2))
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+    rng.shuffle(M)
+    return [tuple(r) for r in M]
+
+
+MALFORMED = ("None", "ragged", "non-integer", "wrong-width")
+
+
+def malformed(rng, pool, kind):
+    """The pool with one class (every class, for "wrong-width") spoilt."""
+    pool = list(pool)
+    i = rng.randrange(len(pool))
+    c = pool[i]
+    if kind == "wrong-width":
+        return [WeightedCycle(c.darts, c.length, c.key, c.cls + (0,)) for c in pool]
+    if kind == "None":
+        cls = None
+    elif kind == "ragged":
+        cls = c.cls + (1,)
+    else:
+        bad = rng.choice((Fraction(1, 2), 1.0, True))
+        j = rng.randrange(len(c.cls))
+        cls = c.cls[:j] + (bad,) + c.cls[j + 1:]
+    pool[i] = WeightedCycle(c.darts, c.length, c.key, cls)
+    return pool
+
+
+def class_case(rng, modulus):
+    """A length-sorted pool of 'cycles' carrying random class vectors,
+    and the bases to check against it: one drawn outside the pool, both
+    reference procedures' selections and a random non-greedy subset.
+    One pool in four has rank below the class dimension n, one in five
+    is malformed; the label names the fault, or is None."""
+    n = rng.randint(1, 4)
+    gens = [tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(n if rng.random() < 0.75 else rng.randrange(n))]
+    serial = iter(range(1000))
+
+    def cycle(cls):
+        k = next(serial)
+        return WeightedCycle((k,), Fraction(rng.randint(1, 8), 2), (k,), cls)
+
+    def vector():
+        if len(gens) == n and rng.random() < 0.5:
+            return tuple(rng.randint(-2, 2) for _ in range(n))
+        coeffs = [rng.randint(-2, 2) for _ in gens]
+        return tuple(sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n))
+
+    outside = [cycle(r) for r in random_unimodular(rng, n)]
+    pool = [cycle(vector()) for _ in range(rng.randint(n, 9))]
+    if rng.random() < 0.3:
+        pool += outside[: rng.randint(1, n)]
+    pool.sort(key=lambda c: c.length)
+    bases = [
+        outside,
+        ref.successive_minima_I(pool, modulus, n).selected,
+        ref.successive_minima_II(pool, modulus).selected,
+        rng.sample(pool, n),
+    ]
+    label = rng.choice(MALFORMED) if rng.random() < 0.2 else None
+    if label:
+        pool = malformed(rng, pool, label)
+    return pool, [tuple(b) for b in bases if b], label
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_certificate_matches_reference_on_class_vectors(modulus, monkeypatch):
+    rng = random.Random(1968 + modulus)
+    seen = set()
+    for _ in range(150):
+        pool, bases, label = class_case(rng, modulus)
+        checks = []
+        for basis in bases:
+            checks.append(("minimal", ref.is_globally_minimal, basis, pool, modulus))
+            for trace_modulus in MODULI:
+                tr = MinimaTrace((), basis, "reached-count", trace_modulus)
+                checks.append(("lemma", ref.verify_lemma_procI_minimal, tr, pool, modulus))
+        for name, oracle, *args in checks:
+            fn = getattr(minima, oracle.__name__)
+            got = raised(fn, *args)
+            # the reference takes a Smith rank where the library takes a
+            # determinant, so only the library rejects the non-square
+            # matrix of a wrong-width class in the lemma over Q
+            if not (label in ("ragged", "wrong-width") and name == "lemma" and not modulus):
+                assert got == raised(oracle, *args)
+            # malformed pools take the brute-force path, so their
+            # errors and verdicts are those of the search alone
+            with monkeypatch.context() as m:
+                m.setattr(minima, "_greedy_certificate", lambda *a: None)
+                assert got == raised(fn, *args)
+            seen.add((name, label, got if isinstance(got, bool) else got[0]))
+    # every branch of both checks is reached: pass, fail and "not a
+    # basis" on good pools, and the old errors on malformed ones
+    assert {("minimal", None, True), ("minimal", None, False),
+            ("minimal", None, "ValidationError"), ("lemma", None, True),
+            ("lemma", None, False), ("lemma", None, "ValidationError")} <= seen
+    assert {label for _, label, _ in seen} == {None, *MALFORMED}
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_greedy_pivots_match_row_by_row_greedy(modulus):
+    # a row is kept when it raises the rank of the rows kept before it:
+    # the rank mod p, or the Smith rank over Q.  Entries stay small:
+    # the Smith transforms of a 6x5 matrix with entries near 50 can
+    # grow past any practical size.
+    rng = random.Random(1971 + modulus)
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 9)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        rows = []
+        for _ in range(m):
+            coeffs = [rng.randint(-2, 2) for _ in gens]
+            rows.append(tuple(sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n))
+                        if rng.random() < 0.6 else
+                        tuple(rng.randint(-4, 4) for _ in range(n)))
+        kept = []
+        for i, row in enumerate(rows):
+            trial = [rows[k] for k in kept] + [row]
+            rank = _rank_mod_p(trial, modulus) if modulus else smith_normal_form(trial).rank
+            if rank > len(kept):
+                kept.append(i)
+        assert _greedy_pivots(rows, modulus) == kept
+
+
+def test_pool_shorter_than_the_basis_takes_the_search_path():
+    # with fewer candidates than classes there is no subset to search,
+    # so the lemma holds without the modulus ever being checked
+    basis = tuple(WeightedCycle((k,), Fraction(1), (k,), row) for k, row in enumerate(identity(2)))
+    tr = MinimaTrace((), basis, "reached-count", 0)
+    for modulus in (0, 2, 4):
+        assert minima.verify_lemma_procI_minimal(tr, basis[:1], modulus) is True
+        assert ref.verify_lemma_procI_minimal(tr, basis[:1], modulus) is True

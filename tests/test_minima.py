@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from surfhom import minima
 from surfhom.catalog import candidate_pool, load_example
 from surfhom.homology import class_vector, homology
 from surfhom.minima import (
@@ -243,6 +244,35 @@ def test_verify_lemma_randomized():
         ok, _ = is_globally_minimal(tr.selected, cycles)
         assert ok
         done += 1
+
+
+def test_genus4_pool_of_30_is_decided_without_a_subset_search(monkeypatch):
+    # a one-face genus-4 graph on 3 vertices whose spanning tree is
+    # edges 0 and 1: each of the 8 fundamental cycles is at most
+    # 20/8 + 6/8 long and every other cycle at least 32/8, so they are
+    # the 8 shortest cycles and a Z-basis.  Procedure II selects them,
+    # and no 8 of the pool beat them, so both checks hold; the greedy
+    # certificate decides them with no pass over the C(30, 8) subsets.
+    rng = random.Random(4)
+    while True:
+        R = random_ribbon_graph(rng, max_edges=10, min_edges=10, vertices=3)
+        if surface_invariants(R).genus == 4:
+            break
+    weights = [Fraction(rng.randint(1, 3), 8) for _ in range(2)]
+    weights += [Fraction(rng.randint(16, 20), 8) for _ in range(8)]
+    G = WeightedGraph(R, weights)
+    pool = attach_all(G, enumerate_cycles(G, 6))[:30]
+    assert len(pool) == 30
+
+    def no_search(*args):
+        raise AssertionError("the subset search ran")
+
+    monkeypatch.setattr(minima, "_beating_subsets", no_search)
+    for modulus in (0, 2):
+        tr = successive_minima_II(pool, modulus)
+        assert sorted(c.length for c in tr.selected) == [c.length for c in pool[:8]]
+        assert verify_lemma_procI_minimal(tr, pool, modulus)
+        assert is_globally_minimal(tr.selected, pool, modulus) == (True, None)
 
 
 # ---------------------------------------------------------------------------

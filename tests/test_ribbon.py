@@ -1,5 +1,6 @@
 import pytest
 
+from surfhom.homology import homology
 from surfhom.ribbon import (
     RibbonGraph,
     ValidationError,
@@ -131,11 +132,20 @@ DIPOLE = RibbonGraph(((0, 2, 4), (1, 3, 5)), (1, 0, 3, 2, 5, 4))
     ((0, 2, 0), "consecutive darts are not incident head-to-tail"),
     ((0, 3, 0, 3, 0, 1), "walk repeats an undirected edge"),
     ((0, 3, 0, 3, 9), "walk repeats an undirected edge"),
+    # a bad successor is caught before its vertex is read, and a
+    # negative one does not wrap around to another dart
+    ((0, 99), "dart 99 not in graph"),
+    ((0, -1), "dart -1 not in graph"),
 ])
 def test_walk_validation_messages(walk, message):
     with pytest.raises(ValidationError) as err:
         validate_walk(DIPOLE, walk)
     assert str(err.value) == message
+
+
+def test_class_of_walk_rejects_a_bad_successor():
+    with pytest.raises(ValidationError, match="dart 99 not in graph"):
+        homology(DIPOLE).class_of_walk((0, 99))
 
 
 def test_subdivide_and_loop():
