@@ -284,13 +284,13 @@ def _is_basis(classes, modulus):
     return abs(det_int(M)) == 1
 
 
-def _beating_subsets(basis, candidates, ring_test):
-    """Subsets of the candidates, as large as ``basis``, whose class
-    matrix passes ``ring_test`` and whose sorted lengths are not
-    pointwise >= those of ``basis``; each comes with its sorted lengths."""
+def _beating_subsets(basis, candidates, modulus):
+    """Bases among the candidates, as large as ``basis``, whose sorted
+    lengths are not pointwise >= those of ``basis``; each comes with its
+    sorted lengths."""
     la = sorted_lengths(basis)
     for combo in combinations(candidates, len(basis)):
-        if ring_test([c.cls for c in combo]):
+        if _is_basis([c.cls for c in combo], modulus):
             lb = sorted_lengths(combo)
             if not all(a <= b for a, b in zip(la, lb)):
                 yield combo, lb
@@ -304,20 +304,18 @@ def _greedy_certificate(basis, candidates, modulus):
     longer than every other basis of theirs (Gale, "Optimal assignments
     in an ordered set", 1968; Edmonds, "Matroids and the greedy
     algorithm", 1971), so no basis of the candidates beats ``basis``
-    exactly when their rank is short of ``len(basis)`` or the sorted
-    lengths of ``basis`` are pointwise <= the greedy basis's.  Returns
-    that verdict, or None when the candidates do not all carry an
-    n-tuple of ints, or are fewer than n, for n = ``len(basis)``.
+    exactly when their rank is short of n = ``len(basis)`` or the sorted
+    lengths of ``basis`` are pointwise <= the greedy basis's.  Raises
+    ValidationError unless every candidate carries an n-tuple of ints.
     """
     n = len(basis)
-    if len(candidates) < n:
-        return None
     for c in candidates:
         cls = c.cls
         if type(cls) is not tuple or len(cls) != n or any(type(x) is not int for x in cls):
-            return None
-    if modulus:
-        _check_modulus(modulus)
+            raise ValidationError(f"candidate class {cls!r} is not a {n}-tuple of ints")
+    _check_modulus(modulus)
+    if len(candidates) < n:
+        return True
     pool = sorted(candidates, key=lambda c: c.length)
     kept = _greedy_pivots([c.cls for c in pool], modulus)
     if len(kept) < n:
@@ -332,12 +330,11 @@ def is_globally_minimal(basis, candidates, modulus=0):
     Returns (True, None) or (False, witness).  Gale's greedy certificate
     (``_greedy_certificate``) over Q or F_p settles every passing case;
     over Z it is sound because every Z-basis is a Q-basis.  A failing
-    certificate, or candidates it cannot read, fall back to the
-    brute-force subset search, which finds the witness: among all bases
-    beating the input at some sorted position, the one with the
-    lexicographically largest length vector (the mildest
-    counterexample, which drops the short curves first); ties fall back
-    to the canonical cycle encodings.
+    certificate falls back to the brute-force subset search, which finds
+    the witness: among all bases beating the input at some sorted
+    position, the one with the lexicographically largest length vector
+    (the mildest counterexample, which drops the short curves first);
+    ties fall back to the canonical cycle encodings.
     """
     basis = tuple(basis)
     if not _is_basis([c.cls for c in basis], modulus):
@@ -346,7 +343,7 @@ def is_globally_minimal(basis, candidates, modulus=0):
     if _greedy_certificate(basis, candidates, modulus):
         return True, None
     witness = None
-    for combo, lb in _beating_subsets(basis, candidates, lambda M: _is_basis(M, modulus)):
+    for combo, lb in _beating_subsets(basis, candidates, modulus):
         key = (lb, tuple(sorted(c.key for c in combo)))
         if witness is None or key > witness[0]:
             witness = (key, combo)
@@ -362,23 +359,12 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
     Independence is over Q (``modulus`` 0) or F_p, whatever ring the
     trace was taken in.  Gale's greedy certificate
     (``_greedy_certificate``) decides this exactly, with no assumption
-    that the selection is drawn from the candidates; candidates it
-    cannot read fall back to the brute-force subset search.
+    that the selection is drawn from the candidates.
     """
     selected = trace.selected
     if not selected or not _is_basis([c.cls for c in selected], trace.modulus):
         raise ValidationError("trace does not form a basis; nothing to verify")
-    candidates = tuple(candidates)
-    verdict = _greedy_certificate(selected, candidates, modulus)
-    if verdict is not None:
-        return verdict
-    # the selection is a basis, so every subset is square and
-    # Q-independence is a nonzero determinant
-    beating = _beating_subsets(
-        selected, candidates,
-        lambda M: is_partial_basis(M, modulus) if modulus else det_int(M) != 0,
-    )
-    return next(beating, None) is None
+    return _greedy_certificate(selected, tuple(candidates), modulus)
 
 
 # ---------------------------------------------------------------------------

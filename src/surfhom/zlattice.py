@@ -191,42 +191,64 @@ def smith_normal_form(A):
     )
 
 
-def det_int(A):
-    """Exact signed determinant by fraction-free (Bareiss) elimination.
+def _bareiss_scan(A):
+    """Fraction-free (Bareiss) echelon scan of the rows of A.
 
+    Yields ``(column, pivot, sign)`` for each pivot column in turn, as
+    soon as its pivot row is in place and before the rows below it are
+    eliminated, so a caller may stop at any pivot at no further cost.
+    The pivot is a minor of A, so every division is exact; the last
+    pivot of a nonsingular square A times the row-swap sign is det A.
     A row with a zero in the pivot column only scales by pivot / prev,
     so it is left as it is when the two are equal; the cost falls with
     the number of nonzero entries below each pivot.
     """
+    M = [list(r) for r in A]
+    n = len(M)
+    m = len(M[0]) if M else 0
+    sign = 1
+    prev = 1
+    r = 0
+    for j in range(m):
+        if r == n:
+            return
+        if not M[r][j]:
+            for i in range(r + 1, n):
+                if M[i][j]:
+                    M[r], M[i] = M[i], M[r]
+                    sign = -sign
+                    break
+            else:
+                continue
+        rk = M[r]
+        pk = rk[j]
+        yield j, pk, sign
+        cols = range(j + 1, m)
+        for ri in M[r + 1:]:
+            a = ri[j]
+            if a:
+                for k in cols:
+                    ri[k] = (ri[k] * pk - a * rk[k]) // prev
+            elif pk != prev:
+                for k in cols:
+                    ri[k] = ri[k] * pk // prev
+        prev = pk
+        r += 1
+
+
+def det_int(A):
+    """Exact signed determinant by fraction-free (Bareiss) elimination,
+    which stops at the first column without a pivot."""
     A = as_int_matrix(A)
     n = len(A)
     if n == 0 or len(A[0]) != n:
         raise LatticeError("determinant of a non-square matrix")
-    M = [list(r) for r in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        rk = M[k]
-        pk = rk[k]
-        cols = range(k + 1, n)
-        for ri in M[k + 1:]:
-            a = ri[k]
-            if a:
-                for j in cols:
-                    ri[j] = (ri[j] * pk - a * rk[j]) // prev
-            elif pk != prev:
-                for j in cols:
-                    ri[j] = ri[j] * pk // prev
-        prev = pk
-    return sign * M[n - 1][n - 1]
+    k = 0
+    for j, pk, sign in _bareiss_scan(A):
+        if j != k:
+            return 0
+        k += 1
+    return sign * pk if k == n else 0
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -300,40 +322,13 @@ def _greedy_pivots(rows, modulus):
     """Indices of the rows the greedy algorithm keeps, in order: each row
     independent of the rows before it, over Q (``modulus`` 0) or F_p.
 
-    These are the pivot columns of the transposed matrix.  Over Q they
-    come from a fraction-free (Bareiss) echelon scan, whose entries are
-    minors of the input, so every division is exact.  ``rows`` must be a
-    nonempty list of equal-length tuples of ints; nothing is checked.
+    These are the pivot columns of the transposed matrix.  ``rows`` must
+    be a nonempty list of equal-length tuples of ints; nothing is
+    checked.
     """
-    m = len(rows)
     if modulus:
-        return _rref_mod_p(transpose(rows), modulus, m)[1]
-    M = [list(r) for r in zip(*rows)]
-    n = len(M)
-    pivots = []
-    prev = 1
-    for j in range(m):
-        r = len(pivots)
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if M[i][j]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        rk = M[r]
-        pk = rk[j]
-        cols = range(j + 1, m)
-        for ri in M[r + 1:]:
-            a = ri[j]
-            if a:
-                for k in cols:
-                    ri[k] = (ri[k] * pk - a * rk[k]) // prev
-            elif pk != prev:
-                for k in cols:
-                    ri[k] = ri[k] * pk // prev
-        prev = pk
-        pivots.append(j)
-    return pivots
+        return _rref_mod_p(transpose(rows), modulus, len(rows))[1]
+    return [j for j, _, _ in _bareiss_scan(transpose(rows))]
 
 
 def in_span(M, v, modulus=0):

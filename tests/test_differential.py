@@ -4,6 +4,7 @@ mod-p elimination against the separate implementations in
 pools of random class vectors."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,14 @@ from surfhom import minima
 from surfhom.homology import homology
 from surfhom.minima import MinimaTrace, WeightedCycle, WeightedGraph, enumerate_cycles
 from surfhom.ribbon import ValidationError, surface_invariants
-from surfhom.zlattice import _greedy_pivots, _rank_mod_p, identity, in_span, smith_normal_form
+from surfhom.zlattice import (
+    LatticeError,
+    _greedy_pivots,
+    _rank_mod_p,
+    identity,
+    in_span,
+    smith_normal_form,
+)
 
 from . import reference_minima as ref
 from .util import random_ribbon_graph
@@ -192,7 +200,7 @@ def class_case(rng, modulus):
 
 
 @pytest.mark.parametrize("modulus", MODULI)
-def test_certificate_matches_reference_on_class_vectors(modulus, monkeypatch):
+def test_certificate_matches_reference_on_class_vectors(modulus):
     rng = random.Random(1968 + modulus)
     seen = set()
     for _ in range(150):
@@ -204,21 +212,16 @@ def test_certificate_matches_reference_on_class_vectors(modulus, monkeypatch):
                 tr = MinimaTrace((), basis, "reached-count", trace_modulus)
                 checks.append(("lemma", ref.verify_lemma_procI_minimal, tr, pool, modulus))
         for name, oracle, *args in checks:
-            fn = getattr(minima, oracle.__name__)
-            got = raised(fn, *args)
-            # the reference takes a Smith rank where the library takes a
-            # determinant, so only the library rejects the non-square
-            # matrix of a wrong-width class in the lemma over Q
-            if not (label in ("ragged", "wrong-width") and name == "lemma" and not modulus):
+            got = raised(getattr(minima, oracle.__name__), *args)
+            if label is None:
                 assert got == raised(oracle, *args)
-            # malformed pools take the brute-force path, so their
-            # errors and verdicts are those of the search alone
-            with monkeypatch.context() as m:
-                m.setattr(minima, "_greedy_certificate", lambda *a: None)
-                assert got == raised(fn, *args)
+            else:
+                # a malformed pool is refused; a basis that is not one
+                # is refused before the pool is read
+                assert got[0] == "ValidationError"
             seen.add((name, label, got if isinstance(got, bool) else got[0]))
     # every branch of both checks is reached: pass, fail and "not a
-    # basis" on good pools, and the old errors on malformed ones
+    # basis" on good pools, and the refusal of each kind of malformed one
     assert {("minimal", None, True), ("minimal", None, False),
             ("minimal", None, "ValidationError"), ("lemma", None, True),
             ("lemma", None, False), ("lemma", None, "ValidationError")} <= seen
@@ -250,11 +253,25 @@ def test_greedy_pivots_match_row_by_row_greedy(modulus):
         assert _greedy_pivots(rows, modulus) == kept
 
 
-def test_pool_shorter_than_the_basis_takes_the_search_path():
-    # with fewer candidates than classes there is no subset to search,
-    # so the lemma holds without the modulus ever being checked
+def test_short_pool_holds_only_for_a_valid_modulus():
+    # with fewer candidates than classes no basis of theirs exists, so
+    # the lemma holds; the modulus is checked all the same
     basis = tuple(WeightedCycle((k,), Fraction(1), (k,), row) for k, row in enumerate(identity(2)))
     tr = MinimaTrace((), basis, "reached-count", 0)
-    for modulus in (0, 2, 4):
+    for modulus in (0, 2):
         assert minima.verify_lemma_procI_minimal(tr, basis[:1], modulus) is True
-        assert ref.verify_lemma_procI_minimal(tr, basis[:1], modulus) is True
+    with pytest.raises(LatticeError, match="modulus must be 0 or a prime, got 4"):
+        minima.verify_lemma_procI_minimal(tr, basis[:1], 4)
+
+
+def test_malformed_pool_is_refused_with_its_class():
+    basis = tuple(WeightedCycle((k,), Fraction(1), (k,), row) for k, row in enumerate(identity(2)))
+    tr = MinimaTrace((), basis, "reached-count", 0)
+    for cls in (None, (1,), (1, 0, 0), (Fraction(1, 2), 0), (1.0, 0), (True, 0), [1, 0]):
+        pool = basis + (WeightedCycle((9,), Fraction(2), (9,), cls),)
+        message = f"candidate class {cls!r} is not a 2-tuple of ints"
+        for modulus in MODULI:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                minima.verify_lemma_procI_minimal(tr, pool, modulus)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                minima.is_globally_minimal(basis, pool, modulus)
