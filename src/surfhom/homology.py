@@ -25,11 +25,14 @@ from .ribbon import (
 )
 from .zlattice import (
     LatticeError,
+    _check_modulus,
+    _det,
+    _EchelonModP,
+    _QuotientZ,
     as_int_matrix,
     det_int,
     identity,
     int_inverse,
-    is_partial_basis,
     matmul,
     transpose,
     vec_mat,
@@ -61,7 +64,7 @@ def chain_complex(R):
         for d in face:
             i = eix[edge_of_dart(R, d)]
             d2[i][j] += 1 if d < R.twin[d] else -1
-    return ChainComplex(as_int_matrix(d1), as_int_matrix(d2))
+    return ChainComplex(tuple(map(tuple, d1)), tuple(map(tuple, d2)))
 
 
 def _spanning_tree(darts_of, root):
@@ -185,7 +188,7 @@ class SurfaceHomology:
             for e in self.basis_edges
         )
         if not R.boundary_faces and self.rank:
-            if abs(det_int(self.pairing_matrix)) != 1:
+            if abs(_det(self.pairing_matrix)) != 1:
                 raise AssertionError("intersection form of a closed surface must be unimodular")
 
     # -- coordinates ------------------------------------------------------
@@ -332,7 +335,7 @@ def standard_symplectic(g):
     for i in range(g):
         J[2 * i][2 * i + 1] = 1
         J[2 * i + 1][2 * i] = -1
-    return as_int_matrix(J)
+    return tuple(map(tuple, J))
 
 
 def _symplectic_inverse(P, G):
@@ -365,7 +368,7 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     n, m = len(declared), len(declared[0])
     if m != H.rank:
         raise LatticeError(f"table width {m} != homology rank {H.rank}")
-    computed = as_int_matrix([H.class_of_walk(w) for w in walks])
+    computed = tuple(H.class_of_walk(w) for w in walks)
     B = None
     for idx in combinations(range(n), m):
         sub = tuple(declared[i] for i in idx)
@@ -377,11 +380,9 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
         raise LatticeError("declared table contains no unimodular row subset")
     if matmul(declared, B) != computed:
         raise LatticeError("surface encoding does not reproduce the declared table")
-    if abs(det_int(B)) != 1:
+    if abs(_det(B)) != 1:
         raise LatticeError("declared basis is not unimodular on this surface")
-    pairing = as_int_matrix(
-        [[H.pair(B[i], B[j]) for j in range(m)] for i in range(m)]
-    )
+    pairing = tuple(tuple(H.pair(B[i], B[j]) for j in range(m)) for i in range(m))
     if pairing != standard_symplectic(m // 2):
         raise LatticeError("declared basis does not pair as a canonical basis")
     walk_map = tuple((basis_walks or {}).get(nm) for nm in basis_names)
@@ -455,8 +456,8 @@ def symplectic_basis(R, name="symplectic"):
             if G[i][k]:
                 row_op(i, k + 1, G[i][k])
 
-    Pm = as_int_matrix(P)
-    pairing = as_int_matrix(G)
+    Pm = tuple(map(tuple, P))
+    pairing = tuple(map(tuple, G))
     if pairing != standard_symplectic(n // 2):
         raise AssertionError("symplectic reduction failed")
     # attach representative walks where a basis row is a fundamental cycle
@@ -487,17 +488,15 @@ def complete_system_cotree(R, system, modulus=0):
     """
     H = homology(R)
     out = [(w, H.class_of_walk(w)) for w in system]
-    M = [c for _, c in out]
-    if not is_partial_basis(as_int_matrix(M) if M else (), modulus):
+    _check_modulus(modulus)
+    extend = (_EchelonModP(modulus) if modulus else _QuotientZ(H.rank)).extend
+    if not all(extend(c) for _, c in out):
         raise LatticeError("system classes do not form a partial basis")
-    target = H.rank
     for walk, cls in cotree_basis(R):
-        if len(M) == target:
+        if len(out) == H.rank:
             break
-        cand = M + [cls]
-        if is_partial_basis(as_int_matrix(cand), modulus):
-            M.append(cls)
+        if extend(cls):
             out.append((walk, cls))
-    if len(M) != target:
+    if len(out) != H.rank:
         raise LatticeError("cotree completion failed to reach full rank")
     return tuple(out)

@@ -24,10 +24,12 @@ from .ribbon import (
 )
 from .zlattice import (
     _check_modulus,
+    _EchelonModP,
     _greedy_pivots,
+    _HermiteRows,
+    _QuotientZ,
     as_int_matrix,
     det_int,
-    in_span,
     is_partial_basis,
 )
 
@@ -160,17 +162,34 @@ class MinimaTrace:
         return tuple(c.cls for c in self.selected)
 
 
+def _check_classes(candidates, n):
+    """Raise ValidationError naming the first candidate class that is not
+    an n-tuple of ints.  The entry types of all classes are checked at
+    once; only a failure walks the classes one by one."""
+    if all(type(c.cls) is tuple and len(c.cls) == n for c in candidates) and \
+            {type(x) for c in candidates for x in c.cls} <= {int}:
+        return
+    for c in candidates:
+        cls = c.cls
+        if type(cls) is not tuple or len(cls) != n or any(type(x) is not int for x in cls):
+            raise ValidationError(f"candidate class {cls!r} is not a {n}-tuple of ints")
+
+
 def _check_candidates(candidates):
-    """The candidates as a tuple, after checking each carries a class
-    and that lengths never decrease."""
+    """The candidates as a tuple, after checking that each class is an
+    n-tuple of ints, n the width of the first, and that lengths never
+    decrease."""
     candidates = tuple(candidates)
+    if candidates:
+        cls = candidates[0].cls
+        _check_classes(candidates, len(cls) if type(cls) is tuple else 0)
     last = None
     for c in candidates:
-        if c.cls is None:
-            raise ValidationError(f"candidate {c.darts} carries no homology class")
-        if last is not None and c.length < last:
-            raise ValidationError("candidates must be sorted by length")
-        last = c.length
+        # the enumeration shares one length object per distinct length
+        if c.length is not last:
+            if last is not None and c.length < last:
+                raise ValidationError("candidates must be sorted by length")
+            last = c.length
     return candidates
 
 
@@ -181,25 +200,30 @@ def _tied(candidates, i):
     )
 
 
-def _greedy(candidates, modulus, limit, accept, reasons, halting):
+def _greedy(candidates, modulus, limit, z_oracle, reasons, halting):
     """The greedy loop behind both procedures.
 
-    ``accept(chosen, cls)`` decides a candidate class against the
-    classes already selected; ``reasons`` are the (selected, rejected)
-    reason strings; the trace halts with ``halting`` once ``limit``
-    classes are selected (never when ``limit`` is None).
+    One oracle state serves the whole run: its ``extend(cls)`` decides
+    a candidate class against the classes already selected and adds it
+    to them when it is selected.  Over F_p that is an echelon basis
+    mod p; over Z it is ``z_oracle``, built on the class width.
+    ``reasons`` are the (selected, rejected) reason strings; the trace
+    halts with ``halting`` once ``limit`` classes are selected (never
+    when ``limit`` is None).
     """
     _check_modulus(modulus)
+    if modulus:
+        extend = _EchelonModP(modulus).extend
+    else:
+        extend = z_oracle(len(candidates[0].cls) if candidates else 0).extend
     events = []
     selected = []
-    chosen = []
     for i, c in enumerate(candidates):
         if limit is not None and len(selected) >= limit:
             break
-        if accept(chosen, c.cls):
+        if extend(c.cls):
             events.append(TraceEvent(c, "selected", reasons[0], _tied(candidates, i)))
             selected.append(c)
-            chosen.append(c.cls)
         else:
             events.append(TraceEvent(c, "rejected", reasons[1]))
     reached = limit is not None and len(selected) >= limit
@@ -214,13 +238,13 @@ def successive_minima_I(candidates, modulus=0, count=None):
     """Greedy selection of shortest cycles with span-independent classes.
 
     A class is rejected when it lies in the Z-span (F_p-span for a
-    prime ``modulus``) of the classes already selected.  Stops after
-    ``count`` selections (or candidate exhaustion); the trace records
-    every decision.
+    prime ``modulus``) of the classes already selected: over Z, when it
+    reduces to zero against the Hermite-reduced echelon rows of that
+    span.  Stops after ``count`` selections (or candidate exhaustion);
+    the trace records every decision.
     """
     return _greedy(
-        _check_candidates(candidates), modulus, count,
-        lambda chosen, cls: not in_span(chosen, cls, modulus)[0],
+        _check_candidates(candidates), modulus, count, _HermiteRows,
         ("independent", "span-dependent"), "reached-count",
     )
 
@@ -228,16 +252,18 @@ def successive_minima_I(candidates, modulus=0, count=None):
 def successive_minima_II(candidates, modulus=0, target=None):
     """Greedy selection with the basis-extendability oracle.
 
-    Runs until ``target`` (default: the class dimension, i.e. 2g)
-    classes are selected; the output is a basis whenever the candidate
-    pool contains one.
+    A class is selected when the selection stays a partial basis: over
+    Z, when its image under the quotient map onto Z^n / span(selected)
+    has gcd 1; over F_p, when it is independent of the selection.  Runs
+    until ``target`` (default: the class dimension, i.e. 2g) classes
+    are selected; the output is a basis whenever the candidate pool
+    contains one.
     """
     candidates = _check_candidates(candidates)
     if target is None:
         target = len(candidates[0].cls) if candidates else 0
     return _greedy(
-        candidates, modulus, target,
-        lambda chosen, cls: is_partial_basis(chosen + [cls], modulus),
+        candidates, modulus, target, _QuotientZ,
         ("extendable", "not-extendable"), "complete",
     )
 
@@ -309,10 +335,7 @@ def _greedy_certificate(basis, candidates, modulus):
     ValidationError unless every candidate carries an n-tuple of ints.
     """
     n = len(basis)
-    for c in candidates:
-        cls = c.cls
-        if type(cls) is not tuple or len(cls) != n or any(type(x) is not int for x in cls):
-            raise ValidationError(f"candidate class {cls!r} is not a {n}-tuple of ints")
+    _check_classes(candidates, n)
     _check_modulus(modulus)
     if len(candidates) < n:
         return True

@@ -4,11 +4,22 @@ All matrices are tuples of equal-length tuples of Python ints, so every
 computation is exact; there is no floating point anywhere in this
 module.  The Smith normal form uses a fixed pivot rule (smallest
 nonzero absolute value, lowest index first) so the transforms U, V are
-deterministic functions of the input.
+deterministic functions of the input; only ``subgroup_index``,
+``complete_to_unimodular`` and ``int_inverse`` run it.
+
+The span and extendability oracles are incremental: a state is built
+one row at a time and a candidate costs one reduction against it.  An
+echelon basis mod p decides independence over F_p; Hermite-reduced
+echelon rows keyed by pivot column decide membership in a Z-span; the
+quotient map of Z^n onto Z^n / span(rows) decides whether a row extends
+a partial basis over Z.  The public ``in_span`` and
+``is_partial_basis`` validate their input and run these kernels from
+scratch; the greedy procedures keep one state for a whole run.
 """
 
 from dataclasses import dataclass
-from operator import add, sub
+from math import gcd
+from operator import add, mul, sub
 
 
 class LatticeError(ValueError):
@@ -243,6 +254,12 @@ def det_int(A):
     n = len(A)
     if n == 0 or len(A[0]) != n:
         raise LatticeError("determinant of a non-square matrix")
+    return _det(A)
+
+
+def _det(A):
+    """``det_int`` of a nonempty square tuple of int rows, unchecked."""
+    n = len(A)
     k = 0
     for j, pk, sign in _bareiss_scan(A):
         if j != k:
@@ -315,39 +332,185 @@ def _rref_mod_p(rows, p, ncols):
 
 
 def _rank_mod_p(A, p):
-    return len(_rref_mod_p(A, p, len(A[0]) if A else 0)[1])
+    return sum(map(_EchelonModP(p).extend, A))
 
 
 def _greedy_pivots(rows, modulus):
     """Indices of the rows the greedy algorithm keeps, in order: each row
     independent of the rows before it, over Q (``modulus`` 0) or F_p.
 
-    These are the pivot columns of the transposed matrix.  ``rows`` must
-    be a nonempty list of equal-length tuples of ints; nothing is
-    checked.
+    Over Q these are the pivot columns of the transposed matrix.
+    ``rows`` must be a nonempty list of equal-length tuples of ints;
+    nothing is checked.
     """
     if modulus:
-        return _rref_mod_p(transpose(rows), modulus, len(rows))[1]
+        extend = _EchelonModP(modulus).extend
+        return [i for i, row in enumerate(rows) if extend(row)]
     return [j for j, _, _ in _bareiss_scan(transpose(rows))]
+
+
+# ---------------------------------------------------------------------------
+# incremental oracles: private and unchecked, fed tuples of ints of one
+# width (the modulus a prime)
+
+class _EchelonModP:
+    """An echelon basis over F_p, grown one row at a time.
+
+    Each kept row is monic at its pivot and zero at the pivots of the
+    rows kept before it, so one pass in insertion order reduces a row
+    to its residue modulo their span.
+    """
+
+    __slots__ = ("p", "rows")
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = []  # (pivot column, row)
+
+    def extend(self, v):
+        """Keep v's residue and return True, unless v lies in the span."""
+        p = self.p
+        r = [x % p for x in v]
+        for j, row in self.rows:
+            f = r[j]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, row)]
+        for j, x in enumerate(r):
+            if x:
+                inv = pow(x, -1, p)
+                self.rows.append((j, [a * inv % p for a in r]))
+                return True
+        return False
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b > 0, for a > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+class _HermiteRows:
+    """Echelon rows spanning a lattice over Z, keyed by pivot column.
+
+    Pivots are searched in the first ``width`` columns only; any further
+    columns ride along with the row operations, which is how ``in_span``
+    records a witness.  Each pivot is positive and every other row's
+    entry in a pivot column is reduced into [0, pivot), the Hermite
+    normal form (Cohen, "A Course in Computational Algebraic Number
+    Theory", section 2.4), which keeps the entries bounded.
+    """
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = {}  # pivot column -> row, its pivot > 0
+
+    def reduce(self, v):
+        """v minus the kept rows that clear its leading entry exactly,
+        and the leading column of what is left (None when the first
+        ``width`` entries are all zero: v lies in the span)."""
+        rows = self.rows
+        for j in range(self.width):
+            x = v[j]
+            if x:
+                row = rows.get(j)
+                if row is None:
+                    return v, j
+                q, r = divmod(x, row[j])
+                if r:
+                    return v, j
+                v = [a - q * b for a, b in zip(v, row)]
+        return v, None
+
+    def extend(self, v):
+        """Add v to the span and return True, unless it lies there."""
+        v, j = self.reduce(v)
+        if j is None:
+            return False
+        rows = self.rows
+        while j is not None:
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v if v[j] > 0 else [-a for a in v]
+                break
+            # the pivot becomes gcd(p, x); v keeps the unimodular
+            # complement, which is zero at column j
+            p, x = row[j], v[j]
+            g, a, b = _xgcd(p, x)
+            rows[j] = [a * r + b * w for r, w in zip(row, v)]
+            p, x = p // g, x // g
+            v, j = self.reduce([p * w - x * r for r, w in zip(row, v)])
+        pivots = sorted(rows)
+        for i, ja in enumerate(pivots):
+            ra = rows[ja]
+            for jb in pivots[i + 1:]:
+                rb = rows[jb]
+                q = ra[jb] // rb[jb]
+                if q:
+                    ra = [a - q * b for a, b in zip(ra, rb)]
+            rows[ja] = ra
+        return True
+
+
+class _QuotientZ:
+    """The quotient map of Z^n onto Z^n / span(kept rows), as the n-row
+    columns of a matrix Q, for rows that form a partial basis.
+
+    A row v extends the partial basis exactly when the entries of v @ Q
+    have gcd 1; column operations then bring v @ Q to a single unit
+    entry, and that column is dropped.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, n):
+        self.cols = [list(c) for c in identity(n)]
+
+    def extend(self, v):
+        """Add v to the partial basis and return True, if it extends it."""
+        cols = self.cols
+        w = [sum(map(mul, v, c)) for c in cols]
+        if gcd(*w) != 1:
+            return False
+        while True:
+            nz = [i for i, x in enumerate(w) if x]
+            if len(nz) == 1:
+                break
+            i = min(nz, key=lambda i: abs(w[i]))
+            for j in nz:
+                if j != i:
+                    q = w[j] // w[i]
+                    w[j] -= q * w[i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+        del cols[nz[0]]
+        return True
 
 
 def in_span(M, v, modulus=0):
     """Is v an integer (or mod-p) combination of M's rows?
 
     Returns (flag, witness): witness @ M == v in the given ring when the
-    flag is true, otherwise witness is None.
+    flag is true, otherwise witness is None.  Over Z, M's rows carry an
+    identity block through the Hermite reduction, so the block records
+    the combination that clears v.
     """
     _check_modulus(modulus)
     M = as_int_matrix(M)
-    v = tuple(v)
+    v = as_int_matrix((v,))[0]
     if not M:
         if any(x % modulus if modulus else x for x in v):
             return False, None
         return True, ()
-    if len(v) != len(M[0]):
+    n = len(v)
+    if n != len(M[0]):
         raise LatticeError("vector length does not match matrix columns")
     if modulus:
-        p, n = modulus, len(v)
+        p = modulus
         rows, pivots = _rref_mod_p(
             [row + e for row, e in zip(M, identity(len(M)))], p, n
         )
@@ -361,36 +524,23 @@ def in_span(M, v, modulus=0):
         if any(target):
             return False, None
         return True, tuple(coeffs)
-    snf = smith_normal_form(M)
-    w = vec_mat(v, snf.V)
-    r = snf.rank
-    y = []
-    for i in range(len(M)):
-        if i < min(len(M), len(v)) and i < r:
-            d = snf.invariant_factors[i]
-            if w[i] % d:
-                return False, None
-            y.append(w[i] // d)
-        else:
-            y.append(0)
-    if any(w[i] for i in range(r, len(v))):
+    H = _HermiteRows(n)
+    for row, e in zip(M, identity(len(M))):
+        H.extend(row + e)
+    rest, j = H.reduce(v + (0,) * len(M))
+    if j is not None:
         return False, None
-    x = vec_mat(tuple(y), snf.U)
-    return True, x
+    return True, tuple(-x for x in rest[n:])
 
 
 def is_partial_basis(M, modulus=0):
     """Can M's rows be extended to a basis (over Z: primitive sublattice)?"""
     _check_modulus(modulus)
     M = as_int_matrix(M)
-    if not M or not M[0]:
+    if not M:
         return True
-    if len(M) > len(M[0]):
-        return False
-    if modulus:
-        return _rank_mod_p(M, modulus) == len(M)
-    snf = smith_normal_form(M)
-    return all(d == 1 for d in snf.invariant_factors)
+    extend = _EchelonModP(modulus).extend if modulus else _QuotientZ(len(M[0])).extend
+    return all(map(extend, M))
 
 
 def subgroup_index(M):

@@ -7,7 +7,10 @@ lemma testing Q-independence by Smith-form rank) and one Gauss-Jordan
 pass per mod-p routine.  The library shares one copy of each; these
 keep the old code paths as the oracle it is compared against, and the
 brute-force searches are the oracle for the library's greedy
-minimality certificate.  The cycle enumeration is the earlier one on
+minimality certificate.  Over Z the span and partial-basis oracles are
+the Smith-form ones, on ``reference_zlattice.smith_normal_form``, where
+the library now keeps one incremental state per procedure run.  The
+cycle enumeration is the earlier one on
 ``Fraction`` lengths, with a ``canonical_walk`` key and a dedup dict
 per closure.
 """
@@ -25,13 +28,9 @@ from surfhom.minima import (
     sorted_lengths,
 )
 from surfhom.ribbon import ValidationError, canonical_walk, edge_of_dart, edges
-from surfhom.zlattice import (
-    _check_modulus,
-    as_int_matrix,
-    det_int,
-    smith_normal_form,
-)
-from surfhom.zlattice import in_span as library_in_span
+from surfhom.zlattice import _check_modulus, as_int_matrix, det_int
+
+from .reference_zlattice import smith_normal_form
 
 
 def rank_mod_p(A, p):
@@ -53,17 +52,38 @@ def rank_mod_p(A, p):
     return rank
 
 
+def _z_in_span(M, v):
+    """The Smith-form branch over Z: v = w V^-1, so v is in the span of
+    U^-1 D when each w_i is a multiple of d_i and w is zero past the
+    rank."""
+    U, V, factors = smith_normal_form(M)
+    w = [sum(x * row[j] for x, row in zip(v, V)) for j in range(len(v))]
+    r = sum(1 for d in factors if d)
+    y = []
+    for i in range(len(M)):
+        if i < r:
+            if w[i] % factors[i]:
+                return False, None
+            y.append(w[i] // factors[i])
+        else:
+            y.append(0)
+    if any(w[r:]):
+        return False, None
+    return True, tuple(sum(a * row[j] for a, row in zip(y, U)) for j in range(len(M)))
+
+
 def in_span(M, v, modulus=0):
-    """The mod-p branch as it stood on its own; Z goes to the library."""
+    """The mod-p branch as it stood on its own; Z on the reference Smith
+    form."""
     _check_modulus(modulus)
-    if not modulus:
-        return library_in_span(M, v, modulus)
     M = as_int_matrix(M)
     v = tuple(v)
     if not M:
-        if any(x % modulus for x in v):
+        if any(x % modulus if modulus else x for x in v):
             return False, None
         return True, ()
+    if not modulus:
+        return _z_in_span(M, v)
     p = modulus
     rows = [[x % p for x in row] + [0] * len(M) for row in M]
     for i, row in enumerate(rows):
@@ -104,7 +124,7 @@ def is_partial_basis(M, modulus=0):
         return False
     if modulus:
         return rank_mod_p(M, modulus) == len(M)
-    return all(d == 1 for d in smith_normal_form(M).invariant_factors)
+    return all(d == 1 for d in smith_normal_form(M)[2])
 
 
 def successive_minima_I(candidates, modulus=0, count=None):
@@ -198,7 +218,7 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
         if modulus:
             if not is_partial_basis(M, modulus):
                 continue
-        elif smith_normal_form(M).rank != n:
+        elif sum(1 for d in smith_normal_form(M)[2] if d) != n:
             continue
         lb = sorted_lengths(combo)
         if not all(a <= b for a, b in zip(la, lb)):

@@ -5,10 +5,15 @@ These are the earlier dense versions of ``vec_mat``, ``matmul`` and
 ``det_int``: every output entry is a full inner product read cell by
 cell with ``A[i][j]``, and Bareiss updates one cell at a time.  The
 library skips zero entries and updates whole rows; these keep the old
-code paths as the oracle it is compared against.
+code paths as the oracle it is compared against.  ``smith_normal_form``
+is the library's Smith form as it stood when it also decided ``in_span``
+and ``is_partial_basis`` over Z; the Z oracles of ``reference_minima``
+run on this copy, so they stay independent of the library's
+incremental kernels.  Its transforms can grow without bound on
+matrices with entries near 50, so keep its inputs small.
 """
 
-from surfhom.zlattice import LatticeError, as_int_matrix
+from surfhom.zlattice import LatticeError, as_int_matrix, identity
 
 
 def matmul(A, B):
@@ -47,3 +52,93 @@ def det_int(A):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def _pivot(M, start, rows, cols):
+    best = None
+    for i in range(start, rows):
+        for j in range(start, cols):
+            x = M[i][j]
+            if x and (best is None or abs(x) < abs(M[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def smith_normal_form(A):
+    """(U, V, invariant factors) with U @ A @ V diagonal."""
+    A = as_int_matrix(A)
+    if not A or not A[0]:
+        raise LatticeError("empty matrix")
+    rows, cols = len(A), len(A[0])
+    M = [list(r) for r in A]
+    U = [list(r) for r in identity(rows)]
+    V = [list(r) for r in identity(cols)]
+
+    def row_op(i, j, q):  # row i -= q * row j
+        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(j, i, q):  # col j -= q * col i
+        for r in M:
+            r[j] -= q * r[i]
+        for r in V:
+            r[j] -= q * r[i]
+
+    def row_swap(i, j):
+        M[i], M[j] = M[j], M[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for r in M:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while True:
+        piv = _pivot(M, t, rows, cols)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            row_swap(i, t)
+        if j != t:
+            col_swap(j, t)
+        while True:
+            done = True
+            for i in range(t + 1, rows):
+                if M[i][t]:
+                    q = M[i][t] // M[t][t]
+                    row_op(i, t, q)
+                    if M[i][t]:
+                        row_swap(i, t)
+                        done = False
+            for j in range(t + 1, cols):
+                if M[t][j]:
+                    q = M[t][j] // M[t][t]
+                    col_op(j, t, q)
+                    if M[t][j]:
+                        col_swap(j, t)
+                        done = False
+            if done:
+                break
+        p = M[t][t]
+        fixed = True
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if M[i][j] % p:
+                    row_op(t, i, -1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        if p < 0:
+            M[t] = [-x for x in M[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+        if t == min(rows, cols):
+            break
+    diag = tuple(M[k][k] if k < cols else 0 for k in range(min(rows, cols)))
+    return tuple(map(tuple, U)), tuple(map(tuple, V)), diag

@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfhom import minima
 from surfhom.homology import homology
@@ -19,6 +21,7 @@ from surfhom.zlattice import (
     _rank_mod_p,
     identity,
     in_span,
+    is_partial_basis,
     smith_normal_form,
 )
 
@@ -166,7 +169,9 @@ def class_case(rng, modulus):
     and the bases to check against it: one drawn outside the pool, both
     reference procedures' selections and a random non-greedy subset.
     One pool in four has rank below the class dimension n, one in five
-    is malformed; the label names the fault, or is None."""
+    is malformed; the label names the fault, or is None.  A quarter of
+    the classes are non-primitive (2 e_i, e_i + 2 e_j), and about one
+    pool in three holds a class and its double at one length."""
     n = rng.randint(1, 4)
     gens = [tuple(rng.randint(-2, 2) for _ in range(n))
             for _ in range(n if rng.random() < 0.75 else rng.randrange(n))]
@@ -182,10 +187,26 @@ def class_case(rng, modulus):
         coeffs = [rng.randint(-2, 2) for _ in gens]
         return tuple(sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n))
 
+    def non_primitive():
+        v = [0] * n
+        i = rng.randrange(n)
+        v[i] = rng.choice((2, -2))
+        if n > 1 and rng.random() < 0.5:
+            v[i] //= 2
+            v[rng.choice([j for j in range(n) if j != i])] = 2
+        return tuple(v)
+
     outside = [cycle(r) for r in random_unimodular(rng, n)]
-    pool = [cycle(vector()) for _ in range(rng.randint(n, 9))]
+    pool = [cycle(non_primitive() if rng.random() < 0.25 else vector())
+            for _ in range(rng.randint(n, 9))]
     if rng.random() < 0.3:
         pool += outside[: rng.randint(1, n)]
+    if rng.random() < 0.3:
+        # a class and its double at one length, in either order
+        i = rng.randrange(len(pool))
+        c, k = pool[i], next(serial)
+        pool.insert(i + rng.randrange(2),
+                    WeightedCycle((k,), c.length, (k,), tuple(2 * x for x in c.cls)))
     pool.sort(key=lambda c: c.length)
     bases = [
         outside,
@@ -197,6 +218,60 @@ def class_case(rng, modulus):
     if label:
         pool = malformed(rng, pool, label)
     return pool, [tuple(b) for b in bases if b], label
+
+
+class_vectors = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.tuples(*[st.integers(-3, 3)] * n),
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((-2, 2)))
+            .map(lambda t: tuple(t[2] * (j == t[0]) + (j == t[1]) for j in range(n))),
+        ),
+        max_size=10,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_vectors, st.lists(st.integers(1, 3), min_size=10, max_size=10), st.sampled_from(MODULI))
+def test_procedure_traces_match_reference_property(classes, lengths, modulus):
+    # classes like 2 e_i + e_j reach the Z oracles' hard cases (in the
+    # Q-span but not the Z-span, a span whose index falls as it grows);
+    # lengths drawn from three values make ties common
+    pool = sorted(
+        (WeightedCycle((k,), Fraction(l), (k,), cls) for k, (cls, l) in enumerate(zip(classes, lengths))),
+        key=lambda c: c.length,
+    )
+    n = len(pool[0].cls) if pool else 0
+    for count in (None, n):
+        assert minima.successive_minima_I(pool, modulus, count) == \
+            ref.successive_minima_I(pool, modulus, count)
+    for target in (None, n + 1):
+        assert minima.successive_minima_II(pool, modulus, target) == \
+            ref.successive_minima_II(pool, modulus, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(-6, 6)] * n), max_size=5),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.tuples(*[st.integers(-6, 6)] * n),
+)))
+def test_z_oracles_match_reference_property(case):
+    # the Hermite span oracle and the quotient partial-basis oracle
+    # against the Smith-form ones; a witness is checked, not compared
+    M, coeffs, other = case
+    M = tuple(M)
+    combo = tuple(sum(c * row[j] for c, row in zip(coeffs, M)) for j in range(len(other)))
+    for v in (combo, other):
+        flag, witness = in_span(M, v, 0)
+        assert flag == ref.in_span(M, v, 0)[0]
+        if flag:
+            assert len(witness) == len(M)
+            assert tuple(sum(c * row[j] for c, row in zip(witness, M))
+                         for j in range(len(v))) == v
+    assert in_span(M, combo, 0)[0]
+    assert is_partial_basis(M, 0) == ref.is_partial_basis(M, 0)
 
 
 @pytest.mark.parametrize("modulus", MODULI)
@@ -265,6 +340,8 @@ def test_short_pool_holds_only_for_a_valid_modulus():
 
 
 def test_malformed_pool_is_refused_with_its_class():
+    # the procedures read the width off the first candidate; the
+    # minimality checks off the basis
     basis = tuple(WeightedCycle((k,), Fraction(1), (k,), row) for k, row in enumerate(identity(2)))
     tr = MinimaTrace((), basis, "reached-count", 0)
     for cls in (None, (1,), (1, 0, 0), (Fraction(1, 2), 0), (1.0, 0), (True, 0), [1, 0]):
@@ -275,3 +352,7 @@ def test_malformed_pool_is_refused_with_its_class():
                 minima.verify_lemma_procI_minimal(tr, pool, modulus)
             with pytest.raises(ValidationError, match=re.escape(message)):
                 minima.is_globally_minimal(basis, pool, modulus)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                minima.successive_minima_I(pool, modulus, 2)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                minima.successive_minima_II(pool, modulus)

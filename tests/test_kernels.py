@@ -4,19 +4,23 @@ and the Miller-Rabin modulus check.
 ``vec_mat``, ``matmul`` and ``det_int`` are compared with the dense
 versions kept in ``reference_zlattice``; the symplectic inverse with a
 Smith-form ``int_inverse``; ``_is_prime`` with trial division.  The
-count guard pins that the homology path runs no Smith form, a count
-that repeats exactly on any machine.
+count guards pin that the homology path, the greedy procedures and the
+public Z span and partial-basis oracles run no Smith form, and that a
+procedure validates a fixed number of matrices however long its pool:
+counts that repeat exactly on any machine.
 """
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfhom.catalog import EXAMPLE_NAMES, load_example
+from surfhom.catalog import EXAMPLE_NAMES, candidate_pool, load_example
 from surfhom.homology import cotree_basis, homology, symplectic_basis
+from surfhom.minima import successive_minima_I, successive_minima_II
 from surfhom.ribbon import RibbonGraph, schema_to_ribbon, surface_invariants, trace_faces
 from surfhom.zlattice import (
     _MR_LIMIT,
@@ -24,7 +28,9 @@ from surfhom.zlattice import (
     _is_prime,
     det_int,
     identity,
+    in_span,
     int_inverse,
+    is_partial_basis,
     matmul,
     vec_mat,
 )
@@ -35,6 +41,7 @@ from .util import random_ribbon_graph
 # the package re-exports the function ``homology``, which hides the module
 homology_module = importlib.import_module("surfhom.homology")
 zlattice = importlib.import_module("surfhom.zlattice")
+minima_module = importlib.import_module("surfhom.minima")
 
 # mostly zeros, like fundamental-cycle vectors and one-vertex transforms
 sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))
@@ -218,6 +225,60 @@ def test_bordered_surface_needs_no_smith_form(monkeypatch):
     bordered = RibbonGraph(R.rotation, R.twin, {f[0] for f in trace_faces(R)[:2]})
     assert homology(bordered).rank == homology(R).rank + 1
     assert count_lattice_calls(monkeypatch, bordered) == {"smith_normal_form": 0, "int_inverse": 0}
+
+
+# ---------------------------------------------------------------------------
+# count guard: the procedures' oracles and the public Z oracles
+
+def count_oracle_calls(monkeypatch, run):
+    """Smith forms and ``as_int_matrix`` calls made by ``run()``."""
+    counts = {"smith_normal_form": 0, "as_int_matrix": 0}
+
+    def counted(name):
+        fn = getattr(zlattice, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        wrapper = counted(name)
+        for module in (zlattice, minima_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("modulus", (0, 2))
+def test_procedures_need_no_smith_form_and_validate_once(monkeypatch, modulus):
+    b = load_example("example4")
+    short, long = candidate_pool(b, Fraction(13, 12)), candidate_pool(b, Fraction(3))
+    assert len(long) > 2 * len(short)
+    per_pool = []
+    for pool in (short, long):
+        for proc in (successive_minima_I, successive_minima_II):
+            counts = count_oracle_calls(monkeypatch, lambda: proc(pool, modulus, 8))
+            assert counts["smith_normal_form"] == 0
+            per_pool.append(counts["as_int_matrix"])
+    # a fixed number per call, not one per candidate
+    assert per_pool[:2] == per_pool[2:] and max(per_pool) <= 2
+
+
+def test_public_z_oracles_need_no_smith_form(monkeypatch):
+    M = ((2, 0, 1), (0, 3, 1), (1, 1, 1))
+
+    def run():
+        flag, witness = in_span(M, (3, 4, 3), 0)
+        assert flag and matmul((witness,), M) == ((3, 4, 3),)
+        assert not in_span(M[:2], (1, 0, 0), 0)[0]
+        assert is_partial_basis(M[1:], 0)
+        assert not is_partial_basis(((2, 0, 0),), 0)
+
+    assert count_oracle_calls(monkeypatch, run)["smith_normal_form"] == 0
 
 
 # ---------------------------------------------------------------------------

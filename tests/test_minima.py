@@ -8,6 +8,7 @@ from surfhom.catalog import candidate_pool, load_example
 from surfhom.homology import class_vector, homology
 from surfhom.minima import (
     MinimaTrace,
+    WeightedCycle,
     WeightedGraph,
     compare_bases,
     enumerate_cycles,
@@ -104,6 +105,16 @@ def test_procedure_I_on_soulG():
 def test_procedure_I_empty():
     tr = successive_minima_I((), 0, 4)
     assert tr.selected == () and tr.events == ()
+
+
+def test_classes_of_width_zero_are_never_selected():
+    # H1 = 0 has no basis vector: the empty basis is already complete
+    pool = [WeightedCycle((k,), Fraction(1), (k,), ()) for k in range(2)]
+    for modulus in (0, 2):
+        assert successive_minima_I(pool, modulus, 1).selected == ()
+        tr = successive_minima_II(pool, modulus, 1)
+        assert tr.selected == () and tr.halting == "exhausted"
+        assert successive_minima_II(pool, modulus).halting == "complete"
 
 
 def test_empty_pool_checks_modulus():

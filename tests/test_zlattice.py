@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -212,9 +213,48 @@ def test_in_span_witness_exact():
     assert got == v
 
 
+# a 6x5 matrix on which the Smith form's transforms grow without bound:
+# its 5-row prefix already gives a U entry of 33 digits
+GROWTH = (
+    (-30, -11, 9, 34, -16),
+    (20, 52, -42, 5, 2),
+    (-32, -23, 15, 7, -30),
+    (-1, -4, 1, -6, 2),
+    (-15, 24, 6, 41, -2),
+    (17, 21, 12, 21, 35),
+)
+
+
+def cramer_in_span(M, v):
+    """Is v in the Z-span of the rows of a nonsingular square M?  The
+    unique rational solution of x @ M == v has x_i = det(M_i) / det(M),
+    M_i being M with row i replaced by v."""
+    d = det_int(M)
+    return all(det_int(M[:i] + (v,) + M[i + 1:]) % d == 0 for i in range(len(M)))
+
+
+def test_z_oracles_decide_the_growth_matrix_at_once():
+    start = time.perf_counter()
+    coeffs = (3, -2, 5, -7, 1, 4)
+    v = tuple(sum(c * row[j] for c, row in zip(coeffs, GROWTH)) for j in range(5))
+    flag, witness = in_span(GROWTH, v, 0)
+    assert flag and matmul((witness,), GROWTH) == (v,)
+    square = GROWTH[:5]
+    w = tuple(sum(c * row[j] for c, row in zip(coeffs, square)) for j in range(5))
+    for u in identity(5) + (GROWTH[5], v, w):
+        flag, witness = in_span(square, u, 0)
+        assert flag == cramer_in_span(square, u)
+        assert witness is None or matmul((witness,), square) == (u,)
+    assert is_partial_basis(square, 0) == (abs(det_int(square)) == 1)
+    assert time.perf_counter() - start < 2
+
+
 def test_in_span_dimension_mismatch():
     with pytest.raises(LatticeError):
         in_span((ALPHA,), (1, 2), 0)
+    for modulus in (0, 2):
+        with pytest.raises(LatticeError, match="non-integer entry 0.5"):
+            in_span((ALPHA,), (1, 0.5, 0, 0), modulus)
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,6 +280,10 @@ def test_partial_basis_examples():
     assert not is_partial_basis(rows(1, 2, 3, 4, 5, 6, 7, 8), 2)
     assert is_partial_basis((), 0)
     assert is_partial_basis(rows(1, 2, 3, 4, 5, 6, 7), 0)
+    # more rows than columns, also when there are no columns
+    for modulus in (0, 2):
+        assert not is_partial_basis(((),), modulus)
+        assert not is_partial_basis(((1,), (0,)), modulus)
 
 
 def test_subgroup_index_examples():
