@@ -10,10 +10,18 @@ every other non-tree edge as a row over L, because a face boundary is
 null-homologous.  Two loops of L cross exactly when their darts
 interleave in the rotation around the contracted tree T, which one walk
 around T reads off.
+
+On a closed surface the build also runs the integer symplectic
+reduction of the intersection form G, once: rows P of a basis with
+P @ G @ P^T equal to the standard form S.  The reduction succeeds only
+when G is unimodular (det(G) * det(P)^2 = 1), so it is the proof of
+unimodularity that the build asserts, and ``symplectic_basis`` reads
+its P instead of reducing again.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, neg, sub
 
 from .ribbon import (
     ValidationError,
@@ -34,7 +42,6 @@ from .zlattice import (
     identity,
     int_inverse,
     matmul,
-    transpose,
     vec_mat,
 )
 
@@ -117,6 +124,91 @@ def _interleave_sign(pos, L, a1, b1, a2, b2):
     return 0
 
 
+def _minus(x, q, y):
+    """The list x - q * y, at C speed when q is +-1."""
+    if q == 1:
+        return list(map(sub, x, y))
+    if q == -1:
+        return list(map(add, x, y))
+    return [u - q * v for u, v in zip(x, y)]
+
+
+_NOT_UNIMODULAR = "intersection form of a closed surface must be unimodular"
+
+
+def _symplectic_reduction(G):
+    """Rows P of a basis in which the antisymmetric integer form G (zero
+    diagonal) is the standard form S: P @ G @ P^T == S, exactly.
+
+    Row i of the work matrix is the augmented row [P[i] | G[i]] of the
+    basis and the reduced form.  Step k takes basis rows a = k and
+    b = k + 1 to a canonical pair.  The entry of row a smallest in
+    absolute value (first on ties) is swapped to b and its sign made +1.
+    When it is a unit, one rank-2 step per later row i, with
+    q = G[a][i] and c = G[i][b],
+        [P[i] | G[i]] <- [P[i] | G[i]] - q * [P[b] | G[b]] - c * [P[a] | G[a]]
+    clears row i against both a and b; by antisymmetry the congruence
+    needs no column update, as row i's entries at a and b become zero.
+    Otherwise a Euclid pass subtracts multiples of row b from the later
+    rows, and of column b from their columns, until the least entry of
+    row a is a unit.  Rows before a are done: no column update reaches
+    them, and the later rows are zero in their columns.
+
+    Every step is unimodular, so success means det(G) * det(P)^2 = 1:
+    the reduction proves that G is unimodular.  Any other form (odd
+    size, a zero row, a pivot that divides its row but is not a unit)
+    raises AssertionError.
+    """
+    n = len(G)
+    if n % 2:
+        raise AssertionError(_NOT_UNIMODULAR)
+    W = [list(e + r) for e, r in zip(identity(n), G)]
+    for a in range(0, n, 2):
+        b = a + 1
+        Wa = W[a]
+        while True:
+            g = Wa[n + b:]
+            units = [g.index(u) for u in (1, -1) if u in g]
+            if units:
+                j = b + min(units)
+            else:
+                j = min((t for t in range(b, n) if Wa[n + t]),
+                        key=lambda t: (abs(Wa[n + t]), t), default=None)
+                if j is None:
+                    raise AssertionError(_NOT_UNIMODULAR)
+            if j != b:
+                W[b], W[j] = W[j], W[b]
+                for r in W[a:]:
+                    r[n + b], r[n + j] = r[n + j], r[n + b]
+            p = Wa[n + b]
+            if units:
+                break
+            done = True
+            for i in range(b + 1, n):
+                if Wa[n + i]:
+                    q = Wa[n + i] // p  # basis[i] -= q * basis[b]
+                    W[i] = _minus(W[i], q, W[b])
+                    for r in W[a:]:
+                        r[n + i] -= q * r[n + b]
+                    done = done and not Wa[n + i]
+            if done:
+                raise AssertionError(_NOT_UNIMODULAR)
+        if p < 0:
+            W[b] = [-x for x in W[b]]
+            for r in W[a:]:
+                r[n + b] = -r[n + b]
+        Wb = W[b]
+        for i in range(b + 1, n):
+            Wi = W[i]
+            q, c = Wa[n + i], Wi[n + b]
+            if q:
+                Wi = _minus(Wi, q, Wb)
+            if c:
+                Wi = _minus(Wi, c, Wa)
+            W[i] = Wi
+    return tuple(tuple(r[:n]) for r in W)
+
+
 class SurfaceHomology:
     """H1 of a surface over the leftover edges of a tree-cotree
     decomposition, with its intersection form.
@@ -126,6 +218,9 @@ class SurfaceHomology:
     basis_edges        the leftover edges L: fundamental_class of the
                        i-th one is the i-th unit vector
     pairing_matrix     intersection numbers of the L loops
+    symplectic_rows    on a closed surface, the rows P of a canonical
+                       basis: P @ pairing_matrix @ P^T is the standard
+                       form S (None on a surface with boundary)
     """
 
     def __init__(self, R):
@@ -159,7 +254,7 @@ class SurfaceHomology:
 
         def put(d, row):
             self._rows[d] = row
-            self._rows[twin[d]] = tuple(-x for x in row)
+            self._rows[twin[d]] = tuple(map(neg, row))
 
         for i, e in enumerate(self.basis_edges):
             put(e, (0,) * i + (1,) + (0,) * (self.rank - i - 1))
@@ -181,15 +276,23 @@ class SurfaceHomology:
                     d = nxt[twin[d]]
                 if d == start:
                     break
+        # loop f crosses loop e when exactly one end of f lies strictly
+        # inside the ring arc from twin[e] to e: +1 when that end is twin[f]
         pos = {d: i for i, d in enumerate(ring)}
-        self.pairing_matrix = tuple(
-            tuple(_interleave_sign(pos, len(ring), twin[e], e, twin[f], f)
-                  for f in self.basis_edges)
-            for e in self.basis_edges
-        )
-        if not R.boundary_faces and self.rank:
-            if abs(_det(self.pairing_matrix)) != 1:
-                raise AssertionError("intersection form of a closed surface must be unimodular")
+        L = len(ring)
+        heads = [pos[e] for e in self.basis_edges]
+        tails = [pos[twin[e]] for e in self.basis_edges]
+        rows = []
+        for s, t in zip(tails, heads):
+            if s < t:
+                inside = [0] * (s + 1) + [1] * (t - s - 1) + [0] * (L - t)
+            else:
+                inside = [1] * t + [0] * (s - t + 1) + [1] * (L - s - 1)
+            rows.append(tuple([inside[a] - inside[b] for a, b in zip(tails, heads)]))
+        self.pairing_matrix = tuple(rows)
+        # the symplectic reduction of a closed surface's form succeeds only
+        # when the form is unimodular, so it is the proof as well
+        self.symplectic_rows = None if R.boundary_faces else _symplectic_reduction(self.pairing_matrix)
 
     # -- coordinates ------------------------------------------------------
 
@@ -340,12 +443,16 @@ def standard_symplectic(g):
 
 def _symplectic_inverse(P, G):
     """Exact inverse of a basis P whose pairing P @ G @ P^T is the
-    standard form S: as S^-1 = -S, the inverse is G @ P^T @ (-S), and
-    multiplying by -S maps each column pair (u, v) to (v, -u)."""
-    return tuple(
-        tuple(x for u, v in zip(row[::2], row[1::2]) for x in (v, -u))
-        for row in matmul(G, transpose(P))
-    )
+    standard form S: as S^-1 = -S and G^T = -G, the inverse is
+    G @ P^T @ (-S) = (P @ G)^T @ S, whose product skips the zeros of P,
+    the sparser factor.  Multiplying by S maps each column pair (u, v)
+    to (-v, u)."""
+    inverse = []
+    for col in zip(*matmul(P, G)):
+        row = list(col)
+        row[::2], row[1::2] = map(neg, col[1::2]), col[::2]
+        inverse.append(tuple(row))
+    return tuple(inverse)
 
 
 def class_of_walk(R, walk, basis, modulus=0):
@@ -365,6 +472,8 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     """
     H = homology(R)
     declared = as_int_matrix(declared_rows)
+    if not declared:
+        raise LatticeError("declared table is empty")
     n, m = len(declared), len(declared[0])
     if m != H.rank:
         raise LatticeError(f"table width {m} != homology rank {H.rank}")
@@ -391,88 +500,29 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
 
 
 def symplectic_basis(R, name="symplectic"):
-    """A canonical homology basis via integer symplectic reduction.
+    """A canonical homology basis: pairs (a_i, b_i) with <a_i, b_i> = 1
+    and every other pairing 0, so the intersection matrix is exactly the
+    standard block form S.
 
-    The output's intersection matrix is exactly the standard block form
-    S (pairs (a_i, b_i) with <a_i, b_i> = 1).  The reduction checks
-    P @ G @ P^T == S for the basis rows P and the surface's pairing G,
-    so P^-1 = G @ P^T @ (-S) exactly and no Smith form is needed to
-    invert P.
+    Its rows P are the symplectic reduction that building the surface's
+    homology already ran, once, as the proof that the intersection form
+    G is unimodular; nothing is reduced here.  As P @ G @ P^T == S,
+    P^-1 = G @ P^T @ (-S) exactly and no Smith form is needed to invert P.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
     H = homology(R)
-    n = H.rank
-    if n % 2:
-        raise AssertionError("odd first Betti number on a closed surface")
-    G = [list(r) for r in H.pairing_matrix]
-    P = [list(r) for r in identity(n)]
-
-    def row_op(i, j, q):  # basis[i] += q * basis[j]
-        P[i] = [a + q * b for a, b in zip(P[i], P[j])]
-        G[i] = [a + q * b for a, b in zip(G[i], G[j])]
-        for r in G:
-            r[i] = r[i] + q * r[j]
-
-    def swap(i, j):
-        P[i], P[j] = P[j], P[i]
-        G[i], G[j] = G[j], G[i]
-        for r in G:
-            r[i], r[j] = r[j], r[i]
-
-    def negate(i):
-        P[i] = [-a for a in P[i]]
-        G[i] = [-a for a in G[i]]
-        for r in G:
-            r[i] = -r[i]
-
-    for k in range(0, n, 2):
-        while True:
-            j = min(
-                (jj for jj in range(k + 1, n) if G[k][jj]),
-                key=lambda jj: (abs(G[k][jj]), jj),
-                default=None,
-            )
-            if j is None:
-                raise AssertionError("degenerate intersection form")
-            if j != k + 1:
-                swap(j, k + 1)
-            done = True
-            for jj in range(k + 2, n):
-                if G[k][jj]:
-                    q = G[k][jj] // G[k][k + 1]
-                    row_op(jj, k + 1, -q)
-                    if G[k][jj]:
-                        done = False
-            if done:
-                break
-        if G[k][k + 1] < 0:
-            negate(k + 1)
-        if G[k][k + 1] != 1:
-            raise AssertionError("form is not unimodular")
-        for i in range(k + 2, n):
-            if G[i][k + 1]:
-                row_op(i, k, -G[i][k + 1])
-            if G[i][k]:
-                row_op(i, k + 1, G[i][k])
-
-    Pm = tuple(map(tuple, P))
-    pairing = tuple(map(tuple, G))
-    if pairing != standard_symplectic(n // 2):
-        raise AssertionError("symplectic reduction failed")
+    P = H.symplectic_rows
+    g = H.rank // 2
     # attach representative walks where a basis row is a fundamental cycle
     by_class = {}
     for walk, cls in cotree_basis(R):
         by_class.setdefault(cls, walk)
-        by_class.setdefault(tuple(-x for x in cls), tuple(R.twin[d] for d in reversed(walk)))
-    names = []
-    walks = []
-    for i in range(n // 2):
-        names += [f"a{i + 1}", f"b{i + 1}"]
-    for row in Pm:
-        walks.append(by_class.get(row))
-    inverse = _symplectic_inverse(Pm, H.pairing_matrix)
-    return ReferenceBasis(name, tuple(names), Pm, inverse, pairing, tuple(walks))
+        by_class.setdefault(tuple(map(neg, cls)), tuple(R.twin[d] for d in reversed(walk)))
+    names = tuple(nm for i in range(1, g + 1) for nm in (f"a{i}", f"b{i}"))
+    walks = tuple(by_class.get(row) for row in P)
+    inverse = _symplectic_inverse(P, H.pairing_matrix)
+    return ReferenceBasis(name, names, P, inverse, standard_symplectic(g), walks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The Smith-form first homology that ``surfhom.homology`` replaced, kept
-as the oracle for ``tests/test_homology_differential.py``.
+"""The Smith-form first homology that ``surfhom.homology`` replaced, and
+the standalone symplectic reduction that ``symplectic_basis`` ran before
+the surface's own build took it over, kept as the oracles for
+``tests/test_homology_differential.py``.
 
 Cycles are coordinatized by the fundamental cycles of a BFS spanning
 tree (one per non-tree edge); the face relations are quotiented out
@@ -9,6 +11,7 @@ Only the vertex table is computed here, since ``surfhom.ribbon`` no
 longer offers the cached one this code read.
 """
 
+from surfhom.homology import ReferenceBasis, cotree_basis, homology, standard_symplectic
 from surfhom.ribbon import (
     ValidationError,
     edge_of_dart,
@@ -22,6 +25,7 @@ from surfhom.zlattice import (
     identity,
     matmul,
     smith_normal_form,
+    transpose,
     vec_mat,
 )
 
@@ -205,3 +209,110 @@ class SurfaceHomology:
             for j, b in enumerate(c2)
             if b
         )
+
+
+# ---------------------------------------------------------------------------
+# the symplectic basis, reduced from the library's intersection form by
+# full row and column operations and checked against S at the end
+
+def _symplectic_inverse(P, G):
+    """Exact inverse of a basis P whose pairing P @ G @ P^T is the
+    standard form S: as S^-1 = -S, the inverse is G @ P^T @ (-S), and
+    multiplying by -S maps each column pair (u, v) to (v, -u)."""
+    return tuple(
+        tuple(x for u, v in zip(row[::2], row[1::2]) for x in (v, -u))
+        for row in matmul(G, transpose(P))
+    )
+
+
+def symplectic_basis(R, name="symplectic"):
+    """A canonical homology basis via integer symplectic reduction.
+
+    The output's intersection matrix is exactly the standard block form
+    S (pairs (a_i, b_i) with <a_i, b_i> = 1).  The reduction checks
+    P @ G @ P^T == S for the basis rows P and the surface's pairing G,
+    so P^-1 = G @ P^T @ (-S) exactly and no Smith form is needed to
+    invert P.
+    """
+    if R.boundary_faces:
+        raise ValidationError("symplectic basis requires a closed surface")
+    H = homology(R)
+    n = H.rank
+    if n % 2:
+        raise AssertionError("odd first Betti number on a closed surface")
+    Pm, pairing = symplectic_reduction(H.pairing_matrix)
+    # attach representative walks where a basis row is a fundamental cycle
+    by_class = {}
+    for walk, cls in cotree_basis(R):
+        by_class.setdefault(cls, walk)
+        by_class.setdefault(tuple(-x for x in cls), tuple(R.twin[d] for d in reversed(walk)))
+    names = []
+    walks = []
+    for i in range(n // 2):
+        names += [f"a{i + 1}", f"b{i + 1}"]
+    for row in Pm:
+        walks.append(by_class.get(row))
+    inverse = _symplectic_inverse(Pm, H.pairing_matrix)
+    return ReferenceBasis(name, tuple(names), Pm, inverse, pairing, tuple(walks))
+
+
+def symplectic_reduction(form):
+    """(P, P @ form @ P^T) for the basis rows P of the reduction; raises
+    AssertionError unless the result is the standard form S."""
+    n = len(form)
+    G = [list(r) for r in form]
+    P = [list(r) for r in identity(n)]
+
+    def row_op(i, j, q):  # basis[i] += q * basis[j]
+        P[i] = [a + q * b for a, b in zip(P[i], P[j])]
+        G[i] = [a + q * b for a, b in zip(G[i], G[j])]
+        for r in G:
+            r[i] = r[i] + q * r[j]
+
+    def swap(i, j):
+        P[i], P[j] = P[j], P[i]
+        G[i], G[j] = G[j], G[i]
+        for r in G:
+            r[i], r[j] = r[j], r[i]
+
+    def negate(i):
+        P[i] = [-a for a in P[i]]
+        G[i] = [-a for a in G[i]]
+        for r in G:
+            r[i] = -r[i]
+
+    for k in range(0, n, 2):
+        while True:
+            j = min(
+                (jj for jj in range(k + 1, n) if G[k][jj]),
+                key=lambda jj: (abs(G[k][jj]), jj),
+                default=None,
+            )
+            if j is None:
+                raise AssertionError("degenerate intersection form")
+            if j != k + 1:
+                swap(j, k + 1)
+            done = True
+            for jj in range(k + 2, n):
+                if G[k][jj]:
+                    q = G[k][jj] // G[k][k + 1]
+                    row_op(jj, k + 1, -q)
+                    if G[k][jj]:
+                        done = False
+            if done:
+                break
+        if G[k][k + 1] < 0:
+            negate(k + 1)
+        if G[k][k + 1] != 1:
+            raise AssertionError("form is not unimodular")
+        for i in range(k + 2, n):
+            if G[i][k + 1]:
+                row_op(i, k, -G[i][k + 1])
+            if G[i][k]:
+                row_op(i, k + 1, G[i][k])
+
+    Pm = tuple(map(tuple, P))
+    pairing = tuple(map(tuple, G))
+    if pairing != standard_symplectic(n // 2):
+        raise AssertionError("symplectic reduction failed")
+    return Pm, pairing

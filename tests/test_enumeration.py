@@ -14,14 +14,13 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from surfhom.catalog import load_example
 from surfhom.minima import WeightedGraph, enumerate_cycles
-from surfhom.ribbon import RibbonGraph, ValidationError, canonical_walk, validate_walk
+from surfhom.ribbon import ValidationError, canonical_walk, validate_walk
 
 from . import reference_minima as ref
-from .util import random_ribbon_graph
+from .util import random_ribbon_graph, tiny_weighted_graphs
 
 DENOMINATORS = (1, 7, 8, 12)
 
@@ -101,30 +100,6 @@ def test_example4_matches_reference(bound):
 
 # ---------------------------------------------------------------------------
 # tiny graphs against a brute force
-
-@st.composite
-def tiny_weighted_graphs(draw):
-    """A connected closed ribbon graph with at most 4 edges, positive
-    lengths over small denominators and a positive bound."""
-    V = draw(st.integers(1, 3))
-    E = draw(st.integers(max(1, V - 1), 4))
-    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, V)]
-    ends += [(draw(st.integers(0, V - 1)), draw(st.integers(0, V - 1))) for _ in range(E - V + 1)]
-    rotation = [[] for _ in range(V)]
-    twin = []
-    for k, (u, v) in enumerate(ends):
-        twin += [2 * k + 1, 2 * k]
-        rotation[u].append(2 * k)
-        rotation[v].append(2 * k + 1)
-    rotation = tuple(tuple(draw(st.permutations(darts))) for darts in rotation)
-    lengths = draw(st.lists(
-        st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 7, 8, 12))),
-        min_size=E, max_size=E,
-    ))
-    G = WeightedGraph(RibbonGraph(rotation, tuple(twin)), lengths)
-    bound = sum(G.edge_length) * Fraction(draw(st.integers(1, 20)), 16)
-    return G, bound
-
 
 def brute_force(G, bound):
     """Canonical key -> length of every closed walk of length <= bound

@@ -3,6 +3,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 from surfhom.homology import (
     algebraic_intersection,
@@ -23,14 +24,17 @@ from surfhom.ribbon import (
     surface_invariants,
 )
 from surfhom.zlattice import (
+    LatticeError,
     as_int_matrix,
     det_int,
+    identity,
     is_partial_basis,
     matmul,
     smith_normal_form,
+    transpose,
 )
 
-from .util import random_ribbon_graph
+from .util import random_ribbon_graph, tiny_weighted_graphs
 
 WORD20 = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
 
@@ -136,6 +140,19 @@ def test_symplectic_basis_random():
         done += 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs())
+def test_tiny_surfaces_reduce_to_the_standard_form(case):
+    R = case[0].ribbon
+    H = homology(R)
+    G = H.pairing_matrix
+    assert G == tuple(tuple(-x for x in col) for col in zip(*G))
+    B = symplectic_basis(R)
+    assert B.matrix is H.symplectic_rows
+    assert matmul(matmul(B.matrix, G), transpose(B.matrix)) == standard_symplectic(H.rank // 2)
+    assert matmul(B.matrix, B.inverse) == identity(H.rank)
+
+
 def test_intersection_two_routes_agree():
     # the local corner count and the homological pairing are independent
     # computations; they must agree on edge-disjoint walk pairs
@@ -232,3 +249,9 @@ def test_reference_basis_from_table_torus():
     got = class_of_walk(R, (0, 1), basis)
     assert got.coords == (1, 1)
     assert basis.pairing == standard_symplectic(1)
+
+
+def test_reference_basis_from_an_empty_table_is_refused():
+    R = schema_to_ribbon("a b a' b'")
+    with pytest.raises(LatticeError, match="empty"):
+        reference_basis_from_table(R, "x", (), (), ())

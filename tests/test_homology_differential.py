@@ -1,23 +1,34 @@
-"""Differential test: the tree-cotree ``SurfaceHomology`` against the
-Smith-form one kept in ``reference_homology``, on seeded random closed,
-bordered and one-vertex surfaces.
+"""Differential tests against ``reference_homology``, on seeded random
+closed, bordered and one-vertex surfaces.
 
-The two choose different bases of H1, so they must agree up to one
-unimodular change of basis A, read off as the old classes of the new
-basis loops: every old class is the new class times A, and A carries
-the old pairing to the new one.
+The tree-cotree ``SurfaceHomology`` and the Smith-form one choose
+different bases of H1, so they must agree up to one unimodular change of
+basis A, read off as the old classes of the new basis loops: every old
+class is the new class times A, and A carries the old pairing to the
+new one.
+
+``symplectic_basis`` reads the reduction that the homology build runs,
+with one rank-2 step per row at a unit pivot; the reference reduces by
+full row and column operations.  Their bases must be equal field by
+field, and so must the reductions of forms U S U^T whose first row has
+no unit entry, which only the Euclid pass can reduce.
 """
 
 import random
 
 import pytest
 
-from surfhom.homology import SurfaceHomology
+from surfhom.homology import (
+    SurfaceHomology,
+    _symplectic_reduction,
+    standard_symplectic,
+    symplectic_basis,
+)
 from surfhom.ribbon import RibbonGraph, schema_to_ribbon, trace_faces
-from surfhom.zlattice import det_int, matmul, transpose, vec_mat
+from surfhom.zlattice import det_int, identity, matmul, transpose, vec_mat
 
 from . import reference_homology as ref
-from .util import random_ribbon_graph
+from .util import canonical_word, random_ribbon_graph
 
 PER_KIND = 300
 
@@ -70,3 +81,90 @@ def test_tree_cotree_matches_smith_form_homology(kind):
         for e in new.fundamental_edges:
             assert vec_mat(new.fundamental_class(e), A) == old.fundamental_class(e), R
         assert matmul(matmul(A, old.pairing_matrix), transpose(A)) == new.pairing_matrix, R
+
+
+def assert_same_basis(R):
+    new, old = symplectic_basis(R), ref.symplectic_basis(R)
+    assert new.matrix == old.matrix, R
+    assert new.inverse == old.inverse, R
+    assert new.pairing == old.pairing, R
+    assert new.names == old.names, R
+    assert new.walks == old.walks, R
+    assert new == old
+
+
+@pytest.mark.parametrize("kind", ["closed", "gluing-word", "one-vertex"])
+def test_symplectic_basis_matches_reference(kind):
+    rng = random.Random(f"homology-{kind}")
+    for _ in range(PER_KIND):
+        assert_same_basis(KINDS[kind](rng))
+
+
+@pytest.mark.parametrize("genus", [10, 20, 40])
+def test_symplectic_basis_of_a_canonical_word_matches_reference(genus):
+    assert_same_basis(schema_to_ribbon(canonical_word(genus)))
+
+
+def test_symplectic_basis_of_larger_random_surfaces_matches_reference():
+    rng = random.Random("symplectic-large")
+    for _ in range(20):
+        assert_same_basis(random_ribbon_graph(rng, max_edges=40, min_edges=20,
+                                              vertices=rng.randrange(2, 12)))
+
+
+def unimodular(rng, n, multipliers=(-3, -2, -1, 1, 2, 3)):
+    """A random integer matrix of determinant +-1: the identity under
+    random row additions, swaps and negations."""
+    U = [list(r) for r in identity(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice(multipliers)
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        if rng.random() < 0.3:
+            U[i], U[j] = U[j], U[i]
+        if rng.random() < 0.3:
+            U[i] = [-a for a in U[i]]
+    return tuple(map(tuple, U))
+
+
+def non_unit_forms(seed, count):
+    """Forms U S U^T with no +-1 entry in the first row."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.choice((4, 6, 8))
+        U = unimodular(rng, n)
+        form = matmul(matmul(U, standard_symplectic(n // 2)), transpose(U))
+        if 1 in form[0] or -1 in form[0]:
+            continue
+        yield form
+        count -= 1
+
+
+def test_reduction_with_non_unit_pivots_matches_reference():
+    for form in non_unit_forms(20261018, 60):
+        P = _symplectic_reduction(form)
+        Pm, pairing = ref.symplectic_reduction(form)
+        assert P == Pm, form
+        assert matmul(matmul(P, form), transpose(P)) == pairing
+
+
+def test_reduction_of_forms_with_huge_entries_matches_reference():
+    # entries far beyond machine words, reduced by a Euclid pass or not
+    rng = random.Random(7)
+    for n in (2, 4, 6, 8, 10):
+        U = unimodular(rng, n, multipliers=(-10 ** 6, -7, 5, 10 ** 9))
+        form = matmul(matmul(U, standard_symplectic(n // 2)), transpose(U))
+        assert max(abs(x) for r in form for x in r) > 2 ** 64 or n == 2
+        assert _symplectic_reduction(form) == ref.symplectic_reduction(form)[0]
+
+
+@pytest.mark.parametrize("form", [
+    ((0, 2), (-2, 0)),
+    ((0, 0), (0, 0)),
+    ((0, 1, 0), (-1, 0, 0), (0, 0, 0)),
+    ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 3), (0, 0, -3, 0)),
+    ((0, 2, 4, 0), (-2, 0, 0, 1), (-4, 0, 0, 1), (0, -1, -1, 0)),
+])
+def test_reduction_refuses_a_form_that_is_not_unimodular(form):
+    with pytest.raises(AssertionError, match="must be unimodular"):
+        _symplectic_reduction(form)

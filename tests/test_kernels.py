@@ -5,9 +5,10 @@ and the Miller-Rabin modulus check.
 versions kept in ``reference_zlattice``; the symplectic inverse with a
 Smith-form ``int_inverse``; ``_is_prime`` with trial division.  The
 count guards pin that the homology path, the greedy procedures and the
-public Z span and partial-basis oracles run no Smith form, and that a
-procedure validates a fixed number of matrices however long its pool:
-counts that repeat exactly on any machine.
+public Z span and partial-basis oracles run no Smith form, that a closed
+surface is reduced to symplectic form once and takes no determinant,
+and that a procedure validates a fixed number of matrices however long
+its pool: counts that repeat exactly on any machine.
 """
 
 import importlib
@@ -36,7 +37,7 @@ from surfhom.zlattice import (
 )
 
 from . import reference_zlattice as ref
-from .util import random_ribbon_graph
+from .util import canonical_word, random_ribbon_graph
 
 # the package re-exports the function ``homology``, which hides the module
 homology_module = importlib.import_module("surfhom.homology")
@@ -174,10 +175,6 @@ def test_catalog_inverses_match_int_inverse(name):
 # ---------------------------------------------------------------------------
 # count guard: Smith forms and Smith-form inverses on the homology path
 
-def canonical_word(g):
-    return " ".join(f"a{h} b{h} a{h}' b{h}'" for h in range(1, g + 1))
-
-
 def count_lattice_calls(monkeypatch, R):
     """Smith forms and int_inverse calls made by homology, the symplectic
     basis (closed surfaces only) and the cotree classes of a fresh copy
@@ -225,6 +222,26 @@ def test_bordered_surface_needs_no_smith_form(monkeypatch):
     bordered = RibbonGraph(R.rotation, R.twin, {f[0] for f in trace_faces(R)[:2]})
     assert homology(bordered).rank == homology(R).rank + 1
     assert count_lattice_calls(monkeypatch, bordered) == {"smith_normal_form": 0, "int_inverse": 0}
+
+
+def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
+    # the symplectic reduction is the build's unimodularity proof, and
+    # symplectic_basis reads its rows instead of reducing again
+    counts = {"_det": 0, "det_int": 0, "_symplectic_reduction": 0}
+    for name in counts:
+        fn = getattr(zlattice, name, None) or getattr(homology_module, name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (zlattice, homology_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    for R in (schema_to_ribbon(canonical_word(20)), random_closed_surfaces(30)[0]):
+        R = RibbonGraph(R.rotation, R.twin)
+        assert symplectic_basis(R).matrix is symplectic_basis(R).matrix
+    assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 2}
 
 
 # ---------------------------------------------------------------------------
