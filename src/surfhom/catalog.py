@@ -524,17 +524,19 @@ def candidate_pool(bundle, bound):
     its class in the bundle's reference coordinates; cycles matching a
     catalog curve carry its name.  Named cycles are cross-checked
     against the declared table."""
-    from .homology import class_vector
     from .minima import enumerate_cycles
 
     if bundle.weights is None:
         raise ValueError(f"{bundle.name} carries no edge lengths")
+    # the enumerated classes are in the coordinates of the closed
+    # surface's homology, which the reference basis is declared over
+    assert bundle.weights.ribbon is bundle.closed
     names = {}
     for n in bundle.curve_order:
         names[bundle.cycle(n).key] = n
     pool = []
     for c in enumerate_cycles(bundle.weights, bound):
-        cls = bundle.reference.express(class_vector(bundle.closed, c.darts))
+        cls = bundle.reference.express(c.cls)
         name = names.get(c.key)
         if name is not None:
             declared = bundle.declared[bundle.curve_order.index(name)]

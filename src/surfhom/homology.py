@@ -19,9 +19,11 @@ unimodularity that the build asserts, and ``symplectic_basis`` reads
 its P instead of reducing again.
 """
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add, neg, sub
+from sys import byteorder
 
 from .ribbon import (
     ValidationError,
@@ -88,9 +90,8 @@ def _spanning_tree(darts_of, root):
     return order, parent
 
 
-def _tree_path(R, parent, u, v):
+def _tree_path(twin, vof, parent, u, v):
     """Dart walk from u to v inside the spanning tree."""
-    vof = R.vertex_of
 
     def to_root(x):
         out = []
@@ -106,7 +107,7 @@ def _tree_path(R, parent, u, v):
         up_u.pop()
         up_v.pop()
     # from u up to the common ancestor, then down to v
-    walk = [R.twin[d] for d in up_u] + list(reversed(up_v))
+    walk = [twin[d] for d in up_u] + list(reversed(up_v))
     return tuple(walk)
 
 
@@ -132,6 +133,9 @@ def _minus(x, q, y):
         return list(map(add, x, y))
     return [u - q * v for u, v in zip(x, y)]
 
+
+# byte width -> typecode of the signed array of that width
+_SIGNED_CODE = {array(c).itemsize: c for c in "bhiq"}
 
 _NOT_UNIMODULAR = "intersection form of a closed surface must be unimodular"
 
@@ -221,11 +225,20 @@ class SurfaceHomology:
     symplectic_rows    on a closed surface, the rows P of a canonical
                        basis: P @ pairing_matrix @ P^T is the standard
                        form S (None on a surface with boundary)
+    twin, vertex_of    the surface's dart tables, all that walks need;
+                       the surface itself is not kept, so R and its
+                       homology are freed together as soon as R is
+                       dropped
+
+    The classes of the walks that ``enumerate_cycles`` builds on the
+    surface are kept by walk, so ``class_of_walk`` of an equal tuple is
+    one lookup.
     """
 
     def __init__(self, R):
-        self.R = R
-        twin, vof = R.twin, R.vertex_of
+        self.twin, self.vertex_of = twin, vof = R.twin, R.vertex_of
+        self._walk_class = {}
+        self._packing = None  # packed rows, built by the first enumeration
         vertex_darts = [[(d, vof[twin[d]]) for d in cyc] for cyc in R.rotation]
         _, self.parent = _spanning_tree(vertex_darts, 0)
         tree = {d for p in self.parent.values() if p is not None for d in (p, twin[p])}
@@ -309,18 +322,81 @@ class SurfaceHomology:
         return tuple(map(sum, zip(*rows))) if rows else (0,) * self.rank
 
     def class_of_walk(self, walk):
-        """H1 class of a closed walk, in the surface's own coordinates."""
-        return self.class_of_chain(validate_walk(self.R, walk))
+        """H1 class of a closed walk, in the surface's own coordinates.
+
+        A tuple equal to a walk enumerated on this surface is valid by
+        construction, and its class is read from the enumeration's
+        table; every other walk is validated first."""
+        cls = self._walk_class.get(walk) if type(walk) is tuple else None
+        if cls is None:
+            cls = self.class_of_chain(validate_walk(self, walk))
+        return cls
+
+    def _classes_of_valid_walks(self, walks):
+        """The classes of edge-simple walks built valid on this surface,
+        kept for ``class_of_walk``: each is the sum of its darts' rows
+        (zero for tree darts), taken once per distinct walk.
+
+        The rows are summed packed, each into one integer whose w-byte
+        digit i, read as signed, is coordinate i.  Packing is linear,
+        and w leaves room for the largest coordinate an edge-simple walk
+        can reach, so the packed sum is the packed class exactly."""
+        if self._packing is None:
+            self._packing = self._pack_rows()
+        packed, unpack = self._packing
+        table = self._walk_class
+        memo = {}
+        out = []
+        for walk in walks:
+            cls = table.get(walk)
+            if cls is None:
+                s = sum(map(packed.__getitem__, walk))
+                cls = memo.get(s)
+                if cls is None:
+                    cls = memo[s] = unpack(s)
+                table[walk] = cls
+            out.append(cls)
+        return out
+
+    def _pack_rows(self):
+        """Each dart's packed row and the map from a packed sum back to
+        its class.
+
+        Every row entry is -1, 0 or 1 (a cotree row is the sum of the L
+        darts leaving its subtree of faces), so a coordinate of an
+        edge-simple walk is at most the number of edges and 8-byte
+        digits always suffice.  Adding the bias, 2^(8w-1) in every
+        digit, makes each digit of a sum nonnegative, so no digit
+        borrows from the next; xor with the bias then leaves each digit
+        in two's complement, which an array of w-byte signed ints reads
+        off."""
+        twin = self.twin
+        rows = [(e, r) for e, r in self._rows.items() if r is not None and e < twin[e]]
+        reach = max((sum(map(abs, col)) for col in zip(*(r for _, r in rows))), default=0)
+        w = next(w for w in sorted(_SIGNED_CODE) if reach < 1 << (8 * w - 1))
+        k, code, size = 8 * w, _SIGNED_CODE[w], w * self.rank
+        bias = sum(1 << (k * i + k - 1) for i in range(self.rank))
+        packed = [0] * len(twin)
+        for e, r in rows:
+            packed[e] = p = sum(x << (k * i) for i, x in enumerate(r))
+            packed[twin[e]] = -p
+
+        def unpack(s):
+            return tuple(array(code, ((s + bias) ^ bias).to_bytes(size, byteorder)))
+
+        return packed, unpack
 
     def fundamental_class(self, e):
         """Class of the fundamental cycle attached to non-tree edge e."""
         return self._rows[e]
 
     def fundamental_walk(self, e):
-        vof = self.R.vertex_of
-        t = self.R.twin[e]
-        path = _tree_path(self.R, self.parent, vof[t], vof[e])
-        return validate_walk(self.R, (e,) + path)
+        """The fundamental cycle of non-tree dart e: e, then the tree
+        path back to its start, a valid closed walk by construction."""
+        if self._rows.get(e) is None:
+            raise ValidationError(f"dart {e!r} is not on a non-tree edge")
+        vof = self.vertex_of
+        return (e,) + _tree_path(self.twin, vof, self.parent, vof[self.twin[e]], vof[e])
 
     def pair(self, c1, c2):
         """Intersection number of two classes."""

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from .homology import homology
 from .ribbon import (
     ValidationError,
     canonical_walk,
@@ -50,6 +51,20 @@ class WeightedGraph:
             raise ValidationError("edge lengths must be positive")
         object.__setattr__(self, "edge_length", lengths)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(E)})
+        # the search tables of enumerate_cycles: the lengths scaled to
+        # integers by their least common denominator D, one bit per
+        # edge and, per vertex, its outgoing darts lightest first as
+        # (scaled length, dart, edge bit, head vertex)
+        twin, vof = self.ribbon.twin, self.ribbon.vertex_of
+        D = lcm(*(l.denominator for l in lengths))
+        weight = [0] * len(twin)
+        bit = [0] * len(twin)
+        for i, (e, l) in enumerate(zip(E, lengths)):
+            weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
+            bit[e] = bit[twin[e]] = 1 << i
+        out = tuple(sorted((weight[d], d, bit[d], vof[twin[d]]) for d in rot)
+                    for rot in self.ribbon.rotation)
+        object.__setattr__(self, "_search", (E, D, tuple(weight), out))
 
     def length_of_dart(self, d):
         return self.edge_length[self._index[edge_of_dart(self.ribbon, d)]]
@@ -61,7 +76,12 @@ class WeightedGraph:
 @dataclass(frozen=True)
 class WeightedCycle:
     """A closed walk with its exact length; ``key`` is the canonical
-    rotation/reflection encoding used for deduplication and tie order."""
+    rotation/reflection encoding used for deduplication and tie order.
+
+    ``cls`` is the walk's H1 class in whatever coordinates its maker
+    chose: ``enumerate_cycles`` gives every cycle its class in the
+    coordinates of ``homology(R)``, ``make_cycle`` the one it is given,
+    if any."""
 
     darts: tuple
     length: Fraction
@@ -70,8 +90,14 @@ class WeightedCycle:
     name: str = None
 
     def with_class(self, cls, name=None):
+        """This cycle with class ``cls`` and, when given, ``name``: the
+        cycle itself when it carries that class already and no name is
+        given."""
+        cls = tuple(cls)
+        if name is None and cls == self.cls:
+            return self
         return WeightedCycle(
-            self.darts, self.length, self.key, tuple(cls), self.name if name is None else name
+            self.darts, self.length, self.key, cls, self.name if name is None else name
         )
 
 
@@ -87,33 +113,30 @@ def make_cycle(G, walk, cls=None, name=None):
 
 
 def enumerate_cycles(G, bound):
-    """All cycles of length <= bound, up to rotation and reflection.
+    """All cycles of length <= bound, up to rotation and reflection,
+    each with its H1 class in the coordinates of ``homology(R)``, which
+    this builds when R has none yet.
 
     Exhaustive backtracking with partial-length pruning, run on
-    integers: every edge length is scaled once by the least common
-    denominator D of the lengths, and a partial length L/D is kept
-    exactly when L <= floor(bound * D).  A cycle is reached only from
-    its least edge, as the walk that starts with that edge's smaller
-    dart; that dart occurs nowhere else in the walk or in its reversal,
-    so the walk is its own canonical encoding and no cycle is reached
-    twice.  Results sorted by (length, canonical encoding).
+    integers: every edge length is scaled, once per graph, by the least
+    common denominator D of the lengths, and a partial length L/D is
+    kept exactly when L <= floor(bound * D).  Each vertex's darts are
+    tried lightest first, so the first one too long for the room left
+    ends the scan.  A cycle is reached only from its least edge, as the
+    walk that starts with that edge's smaller dart; that dart occurs
+    nowhere else in the walk or in its reversal, so the walk is its own
+    canonical encoding and no cycle is reached twice.  Results sorted
+    by (length, canonical encoding).  The classes are summed after the
+    sort, once per distinct walk on R, and R's homology keeps them for
+    ``class_of_walk``.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValidationError("bound must be positive")
     R = G.ribbon
     twin, vof = R.twin, R.vertex_of
-    D = lcm(*(l.denominator for l in G.edge_length))
+    all_edges, D, weight, out = G._search
     limit = bound.numerator * D // bound.denominator
-    all_edges = edges(R)
-    weight = [0] * len(twin)
-    bit = [0] * len(twin)
-    for i, (e, l) in enumerate(zip(all_edges, G.edge_length)):
-        weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
-        bit[e] = bit[twin[e]] = 1 << i
-    # per vertex: (dart, edge bit, scaled length, head vertex) of each outgoing dart
-    out = [tuple((d, bit[d], weight[d], vof[twin[d]]) for d in rot) for rot in R.rotation]
-
     found = []
     for i, start in enumerate(all_edges):
         if weight[start] > limit:
@@ -126,16 +149,20 @@ def enumerate_cycles(G, bound):
             walk, used, length, at = stack.pop()
             if at == home:
                 found.append((length, walk))
-            for d, b, w, head in out[at]:
-                if not used & b and length + w <= limit:
+            room = limit - length
+            for w, d, b, head in out[at]:
+                if w > room:
+                    break
+                if not used & b:
                     stack.append((walk + (d,), used | b, length + w, head))
     found.sort()
+    classes = homology(R)._classes_of_valid_walks([walk for _, walk in found])
     cycles = []
     last = None
-    for L, walk in found:
+    for (L, walk), cls in zip(found, classes):
         if L != last:
             last, exact = L, Fraction(L, D)
-        cycles.append(WeightedCycle(walk, exact, walk))
+        cycles.append(WeightedCycle(walk, exact, walk, cls))
     return tuple(cycles)
 
 

@@ -293,7 +293,10 @@ def schema_to_ribbon(word):
 
 def validate_walk(R, walk):
     """Check the closed-walk invariants: incidence, no immediate
-    reversal, no undirected edge used twice."""
+    reversal, no undirected edge used twice.
+
+    Only R's ``twin`` and ``vertex_of`` tables are read, so a surface's
+    ``SurfaceHomology``, which keeps them, validates its walks too."""
     if not walk:
         raise ValidationError("empty walk")
     vof, twin = R.vertex_of, R.twin

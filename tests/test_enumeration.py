@@ -1,12 +1,16 @@
 """Cycle enumeration on integer lengths.
 
 ``enumerate_cycles`` is compared with the ``Fraction`` enumeration kept
-in ``reference_minima`` on seeded random graphs, one-vertex bouquets and
-example4, at bounds that fall on a cycle length, between lengths and
-off the common denominator of the lengths; and, on tiny graphs drawn by
-Hypothesis, with a brute force over every oriented dart sequence.
+in ``reference_minima`` on seeded random graphs, one-vertex bouquets,
+bordered surfaces and example4, at bounds that fall on a cycle length,
+between lengths and off the common denominator of the lengths; and, on
+tiny graphs drawn by Hypothesis, with a brute force over every oriented
+dart sequence.  Every enumerated class is checked against the class of
+the validated walk, and the homology's table of enumerated walks
+against the validating path of ``class_of_walk``.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -16,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 
 from surfhom.catalog import load_example
+from surfhom.homology import homology
 from surfhom.minima import WeightedGraph, enumerate_cycles
-from surfhom.ribbon import ValidationError, canonical_walk, validate_walk
+from surfhom.ribbon import RibbonGraph, ValidationError, canonical_walk, trace_faces, validate_walk
 
 from . import reference_minima as ref
 from .util import random_ribbon_graph, tiny_weighted_graphs
@@ -31,9 +36,19 @@ def summary(cycles):
     return [(c.darts, c.length, c.key) for c in cycles]
 
 
+def assert_classes_are_walk_classes(G, cycles):
+    """Each cycle carries the class of its validated walk, in the
+    coordinates of the surface's homology."""
+    R = G.ribbon
+    H = homology(R)
+    for c in cycles:
+        assert c.cls == H.class_of_chain(validate_walk(R, c.darts)), c
+
+
 def assert_matches_reference(G, bound):
     new = enumerate_cycles(G, bound)
     assert summary(new) == summary(ref.enumerate_cycles(G, bound))
+    assert_classes_are_walk_classes(G, new)
     return new
 
 
@@ -93,9 +108,88 @@ def test_one_vertex_bouquets_match_reference():
         assert_matches_reference(G, sum(G.edge_length) * Fraction(rng.randint(1, 8), 8))
 
 
+def test_bordered_surfaces_match_reference():
+    rng = random.Random(10)
+    emitted = 0
+    for _, G in weighted_graphs(10, 25):
+        R = G.ribbon
+        faces = [f[0] for f in trace_faces(R)]
+        bordered = RibbonGraph(R.rotation, R.twin, rng.sample(faces, rng.randrange(1, len(faces) + 1)))
+        G = WeightedGraph(bordered, G.edge_length)
+        emitted += len(assert_matches_reference(G, sum(G.edge_length) * Fraction(3, 4)))
+    assert emitted > 100
+
+
 @pytest.mark.parametrize("bound", [Fraction(13, 12), Fraction(2), Fraction(3)])
 def test_example4_matches_reference(bound):
     assert_matches_reference(load_example("example4").weights, bound)
+
+
+# ---------------------------------------------------------------------------
+# the table of enumerated walks behind class_of_walk
+
+homology_module = importlib.import_module("surfhom.homology")
+
+
+def counting_validations(monkeypatch):
+    """A list that grows by one entry per walk ``class_of_walk`` validates."""
+    seen = []
+
+    def counted(R, walk):
+        seen.append(walk)
+        return validate_walk(R, walk)
+
+    monkeypatch.setattr(homology_module, "validate_walk", counted)
+    return seen
+
+
+def test_enumerated_walks_skip_validation_and_others_do_not(monkeypatch):
+    _, G = next(weighted_graphs(11, 1, vertices=1))
+    R = G.ribbon
+    cycles = enumerate_cycles(G, sum(G.edge_length) / 2)
+    H = homology(R)
+    seen = counting_validations(monkeypatch)
+    assert [H.class_of_walk(c.darts) for c in cycles] == [c.cls for c in cycles]
+    assert seen == []
+    # a list is never looked up, an invalid tuple still raises
+    walk = cycles[-1].darts
+    assert H.class_of_walk(list(walk)) == cycles[-1].cls
+    with pytest.raises(ValidationError, match="immediate reversal"):
+        H.class_of_walk((walk[0], R.twin[walk[0]]))
+    assert seen == [list(walk), (walk[0], R.twin[walk[0]])]
+    # walks enumerated on a copy of R, past the bound R was enumerated
+    # at, are validated on R
+    copy = WeightedGraph(RibbonGraph(R.rotation, R.twin), G.edge_length)
+    foreign = [c for c in enumerate_cycles(copy, sum(G.edge_length)) if c.darts not in H._walk_class]
+    assert foreign
+    for c in foreign:
+        del seen[:]
+        assert H.class_of_walk(c.darts) == c.cls
+        assert seen == [c.darts]
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_classes_at_every_packing_width(monkeypatch, width):
+    # the rows of these small graphs fit one byte per coordinate; pack
+    # them wider, as on a graph with 128 or more edges
+    code = homology_module._SIGNED_CODE[width]
+    monkeypatch.setattr(homology_module, "_SIGNED_CODE", {width: code})
+    for _, G in weighted_graphs(13, 30):
+        assert_classes_are_walk_classes(G, enumerate_cycles(G, sum(G.edge_length)))
+
+
+def test_enumerating_again_keeps_one_entry_per_cycle():
+    _, G = next(weighted_graphs(12, 1, vertices=2))
+    total = sum(G.edge_length)
+    short = enumerate_cycles(G, total / 2)
+    table = homology(G.ribbon)._walk_class
+    assert len(table) == len(short)
+    long = enumerate_cycles(G, total)
+    assert len(long) > len(short)
+    assert len(table) == len(long) == len({c.darts for c in long})
+    # a cycle found again carries the class object the table keeps
+    by_walk = {c.darts: c.cls for c in long}
+    assert all(by_walk[c.darts] is c.cls for c in short)
 
 
 # ---------------------------------------------------------------------------
@@ -128,5 +222,7 @@ def test_tiny_graphs_match_brute_force(case):
     for c in cycles:
         assert c.key == canonical_walk(c.darts, twin) == c.darts
         assert c.length == G.walk_length(c.darts)
+    assert_classes_are_walk_classes(G, cycles)
+    assert summary(cycles) == summary(ref.enumerate_cycles(G, bound))
     order = [(c.length, c.key) for c in cycles]
     assert all(a < b for a, b in zip(order, order[1:]))

@@ -17,6 +17,7 @@ from surfhom.homology import (
     standard_symplectic,
     symplectic_basis,
 )
+from surfhom.minima import WeightedGraph, enumerate_cycles
 from surfhom.ribbon import (
     ValidationError,
     complement_components,
@@ -116,6 +117,32 @@ def test_homology_is_kept_on_the_graph_and_freed_with_it():
     del R, H
     gc.collect()
     assert ref() is None
+
+
+def test_graph_and_homology_are_freed_without_the_cycle_collector():
+    # the homology keeps the dart tables it reads, not R, so no
+    # reference cycle holds R once the caller drops it
+    gc.disable()
+    try:
+        R = schema_to_ribbon(WORD20)
+        H = homology(R)
+        basis, reversal = cotree_basis(R), (0, R.twin[0])
+        ref = weakref.ref(R)
+        del R
+        assert ref() is None
+        # H outlives R, and still validates the walks it is given
+        assert [H.class_of_walk(w) for w, _ in basis] == [c for _, c in basis]
+        with pytest.raises(ValidationError, match="immediate reversal"):
+            H.class_of_walk(reversal)
+
+        R = random_ribbon_graph(random.Random(5), max_edges=6)
+        cycles = enumerate_cycles(WeightedGraph(R, [1] * R.n_edges), R.n_edges)
+        assert cycles
+        ref = weakref.ref(R)
+        del R
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_symplectic_basis_torus_and_word20():

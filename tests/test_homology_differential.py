@@ -24,7 +24,7 @@ from surfhom.homology import (
     standard_symplectic,
     symplectic_basis,
 )
-from surfhom.ribbon import RibbonGraph, schema_to_ribbon, trace_faces
+from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, trace_faces, validate_walk
 from surfhom.zlattice import det_int, identity, matmul, transpose, vec_mat
 
 from . import reference_homology as ref
@@ -74,6 +74,9 @@ def test_tree_cotree_matches_smith_form_homology(kind):
         new, old = SurfaceHomology(R), ref.SurfaceHomology(R)
         assert new.rank == old.rank, R
         assert new.fundamental_edges == old.fundamental_edges, R
+        # built from the spanning tree, never re-validated by the library
+        for e in new.fundamental_edges:
+            assert validate_walk(R, new.fundamental_walk(e)) == old.fundamental_walk(e), R
         if not new.rank:
             continue
         A = tuple(old.class_of_walk(new.fundamental_walk(e)) for e in new.basis_edges)
@@ -81,6 +84,17 @@ def test_tree_cotree_matches_smith_form_homology(kind):
         for e in new.fundamental_edges:
             assert vec_mat(new.fundamental_class(e), A) == old.fundamental_class(e), R
         assert matmul(matmul(A, old.pairing_matrix), transpose(A)) == new.pairing_matrix, R
+
+
+def test_fundamental_walk_refuses_a_tree_dart():
+    R = random_ribbon_graph(random.Random(3), max_edges=8, min_edges=6)
+    H = SurfaceHomology(R)
+    tree = [d for d in range(R.n_darts) if d not in H.fundamental_edges
+            and R.twin[d] not in H.fundamental_edges]
+    assert tree
+    for d in tree + [R.n_darts]:
+        with pytest.raises(ValidationError, match="not on a non-tree edge"):
+            H.fundamental_walk(d)
 
 
 def assert_same_basis(R):

@@ -7,8 +7,9 @@ Smith-form ``int_inverse``; ``_is_prime`` with trial division.  The
 count guards pin that the homology path, the greedy procedures and the
 public Z span and partial-basis oracles run no Smith form, that a closed
 surface is reduced to symplectic form once and takes no determinant,
-and that a procedure validates a fixed number of matrices however long
-its pool: counts that repeat exactly on any machine.
+that a pool of enumerated cycles validates no walk, and that a
+procedure validates a fixed number of matrices however long its pool:
+counts that repeat exactly on any machine.
 """
 
 import importlib
@@ -21,8 +22,14 @@ from hypothesis import strategies as st
 
 from surfhom.catalog import EXAMPLE_NAMES, candidate_pool, load_example
 from surfhom.homology import cotree_basis, homology, symplectic_basis
-from surfhom.minima import successive_minima_I, successive_minima_II
-from surfhom.ribbon import RibbonGraph, schema_to_ribbon, surface_invariants, trace_faces
+from surfhom.minima import WeightedGraph, enumerate_cycles, successive_minima_I, successive_minima_II
+from surfhom.ribbon import (
+    RibbonGraph,
+    schema_to_ribbon,
+    surface_invariants,
+    trace_faces,
+    validate_walk,
+)
 from surfhom.zlattice import (
     _MR_LIMIT,
     LatticeError,
@@ -242,6 +249,28 @@ def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
         R = RibbonGraph(R.rotation, R.twin)
         assert symplectic_basis(R).matrix is symplectic_basis(R).matrix
     assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 2}
+
+
+# ---------------------------------------------------------------------------
+# count guard: enumerated cycles carry their classes
+
+def test_pool_of_enumerated_cycles_needs_no_validation(monkeypatch):
+    # the small-batch benchmark's pool: every cycle comes back as itself,
+    # its class read from the enumeration's table, no walk validated
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_walk(*args)
+
+    monkeypatch.setattr(homology_module, "validate_walk", counted)
+    R = RibbonGraph(((0, 2, 4, 1, 6, 3, 8, 5, 7, 9),), tuple(d ^ 1 for d in range(10)))
+    G = WeightedGraph(R, [Fraction(k, 8) for k in (3, 5, 7, 11, 13)])
+    cycles = enumerate_cycles(G, 2 * sum(G.edge_length))
+    H = homology(R)
+    pool = [c.with_class(H.class_of_walk(c.darts)) for c in cycles]
+    assert len(pool) > 100 and all(p is c for p, c in zip(pool, cycles))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
