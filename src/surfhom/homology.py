@@ -137,6 +137,23 @@ def _minus(x, q, y):
 # byte width -> typecode of the signed array of that width
 _SIGNED_CODE = {array(c).itemsize: c for c in "bhiq"}
 
+
+class _Unpacked(dict):
+    """Packed sum -> class: a missing sum s is unpacked and kept, digit
+    by digit from the bytes of (s + bias) ^ bias as w-byte signed ints
+    (``SurfaceHomology._pack_rows``)."""
+
+    __slots__ = ("code", "size", "bias")
+
+    def __init__(self, code, size, bias):
+        self.code, self.size, self.bias = code, size, bias
+
+    def __missing__(self, s):
+        digits = ((s + self.bias) ^ self.bias).to_bytes(self.size, byteorder)
+        cls = self[s] = tuple(array(self.code, digits))
+        return cls
+
+
 _NOT_UNIMODULAR = "intersection form of a closed surface must be unimodular"
 
 
@@ -230,15 +247,18 @@ class SurfaceHomology:
                        homology are freed together as soon as R is
                        dropped
 
-    The classes of the walks that ``enumerate_cycles`` builds on the
-    surface are kept by walk, so ``class_of_walk`` of an equal tuple is
-    one lookup.
+    The walks built on the surface, valid by construction, are kept in
+    a walk -> class table, so ``class_of_walk`` of an equal tuple is one
+    lookup: every cycle ``enumerate_cycles`` returns and every
+    fundamental cycle of ``cotree_basis``.  ``enumerate_cycles`` sums
+    its classes packed, each into one integer (``_pack_rows``).
     """
 
     def __init__(self, R):
         self.twin, self.vertex_of = twin, vof = R.twin, R.vertex_of
         self._walk_class = {}
         self._packing = None  # packed rows, built by the first enumeration
+        self._cotree = None  # cotree_basis, built by its first call
         vertex_darts = [[(d, vof[twin[d]]) for d in cyc] for cyc in R.rotation]
         _, self.parent = _spanning_tree(vertex_darts, 0)
         tree = {d for p in self.parent.values() if p is not None for d in (p, twin[p])}
@@ -324,52 +344,34 @@ class SurfaceHomology:
     def class_of_walk(self, walk):
         """H1 class of a closed walk, in the surface's own coordinates.
 
-        A tuple equal to a walk enumerated on this surface is valid by
-        construction, and its class is read from the enumeration's
-        table; every other walk is validated first."""
+        A tuple equal to a walk in the table of walks built on this
+        surface is valid by construction, and its class is read from
+        the table; every other walk is validated first."""
         cls = self._walk_class.get(walk) if type(walk) is tuple else None
         if cls is None:
             cls = self.class_of_chain(validate_walk(self, walk))
         return cls
 
-    def _classes_of_valid_walks(self, walks):
-        """The classes of edge-simple walks built valid on this surface,
-        kept for ``class_of_walk``: each is the sum of its darts' rows
-        (zero for tree darts), taken once per distinct walk.
-
-        The rows are summed packed, each into one integer whose w-byte
-        digit i, read as signed, is coordinate i.  Packing is linear,
-        and w leaves room for the largest coordinate an edge-simple walk
-        can reach, so the packed sum is the packed class exactly."""
-        if self._packing is None:
-            self._packing = self._pack_rows()
-        packed, unpack = self._packing
-        table = self._walk_class
-        memo = {}
-        out = []
-        for walk in walks:
-            cls = table.get(walk)
-            if cls is None:
-                s = sum(map(packed.__getitem__, walk))
-                cls = memo.get(s)
-                if cls is None:
-                    cls = memo[s] = unpack(s)
-                table[walk] = cls
-            out.append(cls)
-        return out
-
     def _pack_rows(self):
-        """Each dart's packed row and the map from a packed sum back to
-        its class.
+        """Each dart's packed row and the table from a packed sum to its
+        class, built once per surface.
 
-        Every row entry is -1, 0 or 1 (a cotree row is the sum of the L
-        darts leaving its subtree of faces), so a coordinate of an
-        edge-simple walk is at most the number of edges and 8-byte
+        A dart's packed row is one integer whose w-byte digit i, read as
+        signed, is coordinate i of its row.  Packing is linear, so the
+        packed class of a walk is the sum of its darts' packed rows, and
+        w leaves room for the largest coordinate an edge-simple walk can
+        reach.  Every row entry is -1, 0 or 1 (a cotree row is the sum
+        of the L darts leaving its subtree of faces), so a coordinate of
+        an edge-simple walk is at most the number of edges and 8-byte
         digits always suffice.  Adding the bias, 2^(8w-1) in every
         digit, makes each digit of a sum nonnegative, so no digit
         borrows from the next; xor with the bias then leaves each digit
         in two's complement, which an array of w-byte signed ints reads
-        off."""
+        off.  The table unpacks each sum the first time it is read and
+        keeps the class, so every later read of that sum returns the
+        same class object."""
+        if self._packing is not None:
+            return self._packing
         twin = self.twin
         rows = [(e, r) for e, r in self._rows.items() if r is not None and e < twin[e]]
         reach = max((sum(map(abs, col)) for col in zip(*(r for _, r in rows))), default=0)
@@ -380,11 +382,8 @@ class SurfaceHomology:
         for e, r in rows:
             packed[e] = p = sum(x << (k * i) for i, x in enumerate(r))
             packed[twin[e]] = -p
-
-        def unpack(s):
-            return tuple(array(code, ((s + bias) ^ bias).to_bytes(size, byteorder)))
-
-        return packed, unpack
+        self._packing = packed, _Unpacked(code, size, bias)
+        return self._packing
 
     def fundamental_class(self, e):
         """Class of the fundamental cycle attached to non-tree edge e."""
@@ -397,6 +396,19 @@ class SurfaceHomology:
             raise ValidationError(f"dart {e!r} is not on a non-tree edge")
         vof = self.vertex_of
         return (e,) + _tree_path(self.twin, vof, self.parent, vof[self.twin[e]], vof[e])
+
+    def _cotree_pairs(self):
+        """(fundamental walk, class) per non-tree edge, built once; each
+        walk enters the walk -> class table, and one already there keeps
+        its class object."""
+        if self._cotree is None:
+            table = self._walk_class
+            pairs = []
+            for e in self.fundamental_edges:
+                walk = self.fundamental_walk(e)
+                pairs.append((walk, table.setdefault(walk, self._rows[e])))
+            self._cotree = tuple(pairs)
+        return self._cotree
 
     def pair(self, c1, c2):
         """Intersection number of two classes."""
@@ -422,12 +434,10 @@ def cotree_basis(R):
     """One fundamental cycle per non-tree edge, with its H1 class.
 
     The walks generate the surface's first homology (and, for a closed
-    surface, map onto all of Z^2g).
+    surface, map onto all of Z^2g).  R's homology builds the pairs once
+    and keeps each walk's class for ``class_of_walk``.
     """
-    H = homology(R)
-    return tuple(
-        (H.fundamental_walk(e), H.fundamental_class(e)) for e in H.fundamental_edges
-    )
+    return homology(R)._cotree_pairs()
 
 
 def class_vector(R, walk):

@@ -10,10 +10,12 @@ dart of its least edge, which makes the walk its own canonical encoding.
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import lcm
+from operator import attrgetter
 
 from .homology import homology
 from .ribbon import (
@@ -73,7 +75,7 @@ class WeightedGraph:
         return sum((self.length_of_dart(d) for d in walk), Fraction(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedCycle:
     """A closed walk with its exact length; ``key`` is the canonical
     rotation/reflection encoding used for deduplication and tie order.
@@ -101,6 +103,38 @@ class WeightedCycle:
         )
 
 
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# slots=True makes a new class, but the frozen __setattr__/__delattr__ it
+# copies test type(self) against the class it replaced, so a name that
+# is not a field raises TypeError (CPython 3.10 to 3.13); these refuse
+# every name, as the frozen class without slots does
+WeightedCycle.__setattr__ = _refuse_assignment
+WeightedCycle.__delattr__ = _refuse_deletion
+
+# the slot setters of WeightedCycle, in field order
+_CYCLE_SETTERS = tuple(getattr(WeightedCycle, f.name).__set__ for f in fields(WeightedCycle))
+
+
+def _cycles(*columns):
+    """A tuple of WeightedCycles, one per entry of the first column;
+    ``columns`` are iterables of the fields' values in field order.
+
+    Each field is set for all cycles at once through its slot setter,
+    which by-passes the frozen ``__init__``: the cycles equal those the
+    constructor builds from the same values."""
+    cycles = tuple(map(object.__new__, repeat(WeightedCycle, len(columns[0]))))
+    for setter, values in zip(_CYCLE_SETTERS, columns, strict=True):
+        deque(map(setter, cycles, values), 0)
+    return cycles
+
+
 def make_cycle(G, walk, cls=None, name=None):
     validate_walk(G.ribbon, walk)
     return WeightedCycle(
@@ -126,9 +160,15 @@ def enumerate_cycles(G, bound):
     walk that starts with that edge's smaller dart; that dart occurs
     nowhere else in the walk or in its reversal, so the walk is its own
     canonical encoding and no cycle is reached twice.  Results sorted
-    by (length, canonical encoding).  The classes are summed after the
-    sort, once per distinct walk on R, and R's homology keeps them for
-    ``class_of_walk``.
+    by (length, canonical encoding).
+
+    Each search entry also carries the packed class of its partial walk
+    (``SurfaceHomology._pack_rows``), one integer add per step, and
+    after the sort R's homology unpacks each packed class it has not
+    met before.  It keeps the class of every returned walk for
+    ``class_of_walk``; a walk it holds already keeps its class object.
+    The cycles are built field by field through the slots of
+    ``WeightedCycle``.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -137,6 +177,10 @@ def enumerate_cycles(G, bound):
     twin, vof = R.twin, R.vertex_of
     all_edges, D, weight, out = G._search
     limit = bound.numerator * D // bound.denominator
+    H = homology(R)
+    packed, class_of_sum = H._pack_rows()
+    # each search entry also carries its dart's packed row
+    out = [[(w, d, b, head, packed[d]) for w, d, b, head in rot] for rot in out]
     found = []
     for i, start in enumerate(all_edges):
         if weight[start] > limit:
@@ -144,26 +188,25 @@ def enumerate_cycles(G, bound):
         home = vof[start]
         # edges up to and including the start edge start out used, so
         # the walk takes no edge below its first one
-        stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]])]
+        stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]], packed[start])]
         while stack:
-            walk, used, length, at = stack.pop()
+            walk, used, length, at, s = stack.pop()
             if at == home:
-                found.append((length, walk))
+                found.append((length, walk, s))
             room = limit - length
-            for w, d, b, head in out[at]:
+            for w, d, b, head, p in out[at]:
                 if w > room:
                     break
                 if not used & b:
-                    stack.append((walk + (d,), used | b, length + w, head))
+                    stack.append((walk + (d,), used | b, length + w, head, s + p))
+    if not found:
+        return ()
     found.sort()
-    classes = homology(R)._classes_of_valid_walks([walk for _, walk in found])
-    cycles = []
-    last = None
-    for (L, walk), cls in zip(found, classes):
-        if L != last:
-            last, exact = L, Fraction(L, D)
-        cycles.append(WeightedCycle(walk, exact, walk, cls))
-    return tuple(cycles)
+    lengths, walks, sums = zip(*found)
+    del found  # freed before the cycles are built
+    exact = {L: Fraction(L, D) for L in set(lengths)}  # one per distinct length
+    classes = map(H._walk_class.setdefault, walks, map(class_of_sum.__getitem__, sums))
+    return _cycles(walks, map(exact.__getitem__, lengths), walks, classes, repeat(None))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +234,14 @@ class MinimaTrace:
 
 def _check_classes(candidates, n):
     """Raise ValidationError naming the first candidate class that is not
-    an n-tuple of ints.  The entry types of all classes are checked at
-    once; only a failure walks the classes one by one."""
-    if all(type(c.cls) is tuple and len(c.cls) == n for c in candidates) and \
-            {type(x) for c in candidates for x in c.cls} <= {int}:
+    an n-tuple of ints.  The types, the lengths and the entry types of
+    all classes are each read at once; only a failure walks the classes
+    one by one."""
+    classes = list(map(attrgetter("cls"), candidates))
+    if set(map(type, classes)) <= {tuple} and set(map(len, classes)) <= {n} and \
+            set(map(type, chain.from_iterable(classes))) <= {int}:
         return
-    for c in candidates:
-        cls = c.cls
+    for cls in classes:
         if type(cls) is not tuple or len(cls) != n or any(type(x) is not int for x in cls):
             raise ValidationError(f"candidate class {cls!r} is not a {n}-tuple of ints")
 

@@ -4,8 +4,8 @@ All matrices are tuples of equal-length tuples of Python ints, so every
 computation is exact; there is no floating point anywhere in this
 module.  The Smith normal form uses a fixed pivot rule (smallest
 nonzero absolute value, lowest index first) so the transforms U, V are
-deterministic functions of the input; only ``subgroup_index``,
-``complete_to_unimodular`` and ``int_inverse`` run it.
+deterministic functions of the input; only ``complete_to_unimodular``
+and ``int_inverse`` run it.
 
 The span and extendability oracles are incremental: a state is built
 one row at a time and a candidate costs one reduction against it.  An
@@ -18,7 +18,7 @@ scratch; the greedy procedures keep one state for a whole run.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, sub
 
 
@@ -544,18 +544,21 @@ def is_partial_basis(M, modulus=0):
 
 
 def subgroup_index(M):
-    """Index of the row span in the full lattice, or None for infinite."""
+    """Index of the row span in the full lattice, or None for infinite.
+
+    The Hermite echelon rows of the span are triangular, so when every
+    column has a pivot the index is the product of the pivots; a column
+    without one leaves the index infinite."""
     M = as_int_matrix(M)
     if not M or not M[0]:
         return None
     cols = len(M[0])
-    snf = smith_normal_form(M)
-    if snf.rank < cols:
+    H = _HermiteRows(cols)
+    for row in M:
+        H.extend(row)
+    if len(H.rows) < cols:
         return None
-    idx = 1
-    for d in snf.invariant_factors:
-        idx *= d
-    return idx
+    return prod(row[j] for j, row in H.rows.items())
 
 
 def complete_to_unimodular(M, ambient_cols=None):

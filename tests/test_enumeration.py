@@ -7,9 +7,12 @@ between lengths and off the common denominator of the lengths; and, on
 tiny graphs drawn by Hypothesis, with a brute force over every oriented
 dart sequence.  Every enumerated class is checked against the class of
 the validated walk, and the homology's table of enumerated walks
-against the validating path of ``class_of_walk``.
+against the validating path of ``class_of_walk``.  The cycles, built
+through the slots of ``WeightedCycle``, are checked against the ones
+its constructor builds.
 """
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 
 from surfhom.catalog import load_example
 from surfhom.homology import homology
-from surfhom.minima import WeightedGraph, enumerate_cycles
+from surfhom.minima import WeightedCycle, WeightedGraph, enumerate_cycles
 from surfhom.ribbon import RibbonGraph, ValidationError, canonical_walk, trace_faces, validate_walk
 
 from . import reference_minima as ref
@@ -123,6 +126,37 @@ def test_bordered_surfaces_match_reference():
 @pytest.mark.parametrize("bound", [Fraction(13, 12), Fraction(2), Fraction(3)])
 def test_example4_matches_reference(bound):
     assert_matches_reference(load_example("example4").weights, bound)
+
+
+def test_six_loop_bouquet_gives_all_its_cycles():
+    # k of the six loops, in a cyclic order with an orientation each, up
+    # to rotation and reversal: sum of C(6, k) (k-1)! 2^(k-1) = 7,060
+    rng = random.Random(14)
+    darts = list(range(12))
+    rng.shuffle(darts)
+    R = RibbonGraph((tuple(darts),), tuple(d ^ 1 for d in range(12)))
+    G = WeightedGraph(R, [Fraction(rng.randint(6, 30), 8) for _ in range(6)])
+    cycles = enumerate_cycles(G, 2 * sum(G.edge_length))
+    assert len(cycles) == len({c.darts for c in cycles}) == 7060
+    assert_classes_are_walk_classes(G, cycles)
+
+
+def test_enumerated_cycles_are_constructor_cycles():
+    emitted = []
+    for _, G in weighted_graphs(15, 20):
+        emitted += enumerate_cycles(G, sum(G.edge_length))
+    assert len(emitted) > 100
+    for c in emitted:
+        built = WeightedCycle(c.darts, c.length, c.key, c.cls)
+        assert type(c) is WeightedCycle and c.name is None
+        assert c == built and hash(c) == hash(built) and repr(c) == repr(built)
+        assert c.with_class(c.cls) is c
+    c = emitted[0]
+    for name in ("darts", "length", "key", "cls", "name", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(c, name)
 
 
 # ---------------------------------------------------------------------------

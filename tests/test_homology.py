@@ -23,6 +23,7 @@ from surfhom.ribbon import (
     complement_components,
     schema_to_ribbon,
     surface_invariants,
+    trace_faces,
 )
 from surfhom.zlattice import (
     LatticeError,
@@ -94,8 +95,6 @@ def test_cotree_generates_closed_surface():
 
 
 def test_face_boundary_is_null_homologous():
-    from surfhom.ribbon import trace_faces
-
     R = schema_to_ribbon(WORD20)
     H = homology(R)
     for f in trace_faces(R):
@@ -178,6 +177,22 @@ def test_tiny_surfaces_reduce_to_the_standard_form(case):
     assert B.matrix is H.symplectic_rows
     assert matmul(matmul(B.matrix, G), transpose(B.matrix)) == standard_symplectic(H.rank // 2)
     assert matmul(B.matrix, B.inverse) == identity(H.rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs())
+def test_tiny_surfaces_faces_genus_and_face_chains(case):
+    R = case[0].ribbon
+    faces = trace_faces(R)
+    # every dart lies on exactly one face
+    assert sorted(d for f in faces for d in f) == list(range(R.n_darts))
+    H = homology(R)
+    inv = surface_invariants(R)
+    assert inv.faces == len(faces)
+    assert inv.genus == H.rank / 2
+    # a face boundary is null-homologous
+    for f in faces:
+        assert H.class_of_chain(f) == (0,) * H.rank
 
 
 def test_intersection_two_routes_agree():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from surfhom.zlattice import (
     smith_normal_form,
     subgroup_index,
 )
+
+from . import reference_zlattice as ref
 
 # declared coordinate rows used across the genus-2 and genus-4 catalog surfaces
 ALPHA = (1, 0, 0, 0)
@@ -290,6 +293,39 @@ def test_subgroup_index_examples():
     assert subgroup_index((ALPHA, BETA, GAMMA, DELTA_H)) == 2
     assert subgroup_index(rows(2, 3, 4, 5, 6, 7, 8, 9)) == 1
     assert subgroup_index(((1, 0, 0, 0),)) is None
+
+
+def smith_index(M):
+    """The index of M's row span read off the reference Smith form: the
+    product of the invariant factors, None when fewer than one nonzero
+    factor per column."""
+    _, _, diag = ref.smith_normal_form(M)
+    if len(diag) < len(M[0]) or 0 in diag:
+        return None
+    return prod(diag)
+
+
+def test_subgroup_index_matches_the_smith_form():
+    rng = random.Random(20261018)
+    finite = 0
+    for _ in range(400):
+        r, c = rng.randrange(1, 6), rng.randrange(1, 5)
+        M = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        # scale a row now and then, so indices above 1 are common
+        M[rng.randrange(r)] = [rng.choice((1, 2, 3)) * x for x in M[rng.randrange(r)]]
+        M = as_int_matrix(M)
+        index = subgroup_index(M)
+        assert index == smith_index(M), M
+        finite += index is not None and index > 1
+    assert finite > 50
+
+
+def test_subgroup_index_decides_the_growth_matrix_at_once():
+    start = time.perf_counter()
+    # the gcd of the 5x5 minors of GROWTH, and det of its first five rows
+    assert subgroup_index(GROWTH) == 39119
+    assert subgroup_index(GROWTH[:5]) == abs(det_int(GROWTH[:5])) == 4068376
+    assert time.perf_counter() - start < 2
 
 
 def test_complete_to_unimodular():
