@@ -65,12 +65,10 @@ from .ribbon import (
     validate_walk,
 )
 from .zlattice import (
-    SmithForm,
     complete_to_unimodular,
     det_int,
     in_span,
     is_partial_basis,
-    smith_normal_form,
     subgroup_index,
 )
 

@@ -21,7 +21,6 @@ its P instead of reducing again.
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add, neg, sub
 from sys import byteorder
 
@@ -39,10 +38,9 @@ from .zlattice import (
     _det,
     _EchelonModP,
     _QuotientZ,
+    _unimodular_solve,
     as_int_matrix,
-    det_int,
     identity,
-    int_inverse,
     matmul,
     vec_mat,
 )
@@ -552,27 +550,21 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
 
     ``declared_rows[i]`` is the declared coordinate vector of
     ``walks[i]`` with respect to the (unknown) basis; the basis is
-    solved from a unimodular subset of the rows and then every row and
-    the symplectic pairing are verified, so a wrong surface encoding
-    cannot slip through.
+    solved as X @ computed, X being a left inverse of the declared rows
+    over Z, and then every row and the symplectic pairing are verified,
+    so a wrong surface encoding cannot slip through.
     """
     H = homology(R)
     declared = as_int_matrix(declared_rows)
-    if not declared:
+    if not declared or not declared[0]:
         raise LatticeError("declared table is empty")
-    n, m = len(declared), len(declared[0])
+    m = len(declared[0])
     if m != H.rank:
         raise LatticeError(f"table width {m} != homology rank {H.rank}")
     computed = tuple(H.class_of_walk(w) for w in walks)
-    B = None
-    for idx in combinations(range(n), m):
-        sub = tuple(declared[i] for i in idx)
-        if abs(det_int(sub)) != 1:
-            continue
-        B = matmul(int_inverse(sub), tuple(computed[i] for i in idx))
-        break
+    B = _unimodular_solve(declared, computed)
     if B is None:
-        raise LatticeError("declared table contains no unimodular row subset")
+        raise LatticeError("declared rows do not span the coordinate lattice")
     if matmul(declared, B) != computed:
         raise LatticeError("surface encoding does not reproduce the declared table")
     if abs(_det(B)) != 1:
@@ -593,7 +585,7 @@ def symplectic_basis(R, name="symplectic"):
     Its rows P are the symplectic reduction that building the surface's
     homology already ran, once, as the proof that the intersection form
     G is unimodular; nothing is reduced here.  As P @ G @ P^T == S,
-    P^-1 = G @ P^T @ (-S) exactly and no Smith form is needed to invert P.
+    P^-1 = G @ P^T @ (-S) exactly, so inverting P takes no elimination.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")

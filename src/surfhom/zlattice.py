@@ -1,11 +1,9 @@
-"""Exact integer lattice arithmetic: Smith normal form, spans, indices.
+"""Exact integer lattice arithmetic: determinants, spans, indices,
+inverses and unimodular completions.
 
 All matrices are tuples of equal-length tuples of Python ints, so every
 computation is exact; there is no floating point anywhere in this
-module.  The Smith normal form uses a fixed pivot rule (smallest
-nonzero absolute value, lowest index first) so the transforms U, V are
-deterministic functions of the input; only ``complete_to_unimodular``
-and ``int_inverse`` run it.
+module.
 
 The span and extendability oracles are incremental: a state is built
 one row at a time and a candidate costs one reduction against it.  An
@@ -14,10 +12,12 @@ echelon rows keyed by pivot column decide membership in a Z-span; the
 quotient map of Z^n onto Z^n / span(rows) decides whether a row extends
 a partial basis over Z.  The public ``in_span`` and
 ``is_partial_basis`` validate their input and run these kernels from
-scratch; the greedy procedures keep one state for a whole run.
+scratch; the greedy procedures keep one state for a whole run.  The
+same Hermite rows, carrying a second block through the reduction,
+solve X @ A == I over Z, which gives ``int_inverse`` and the rows of
+``complete_to_unimodular``.
 """
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, mul, sub
 
@@ -82,124 +82,6 @@ def vec_mat(v, A):
     if len(v) != len(A):
         raise LatticeError("vector length does not match matrix rows")
     return _combine(v, A, len(A[0])) if A else ()
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """U @ A @ V == D with |det U| = |det V| = 1, D diagonal with
-    d1 | d2 | ... and trailing zeros last.  V_inv is V's exact inverse."""
-
-    U: tuple
-    D: tuple
-    V: tuple
-    V_inv: tuple
-    invariant_factors: tuple
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.invariant_factors if d)
-
-
-def _pivot(M, start, rows, cols):
-    """Smallest |entry| != 0 at or below/right of start; lowest index wins."""
-    best = None
-    for i in range(start, rows):
-        for j in range(start, cols):
-            x = M[i][j]
-            if x and (best is None or abs(x) < abs(M[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def smith_normal_form(A):
-    """Smith normal form with both transforms, fully deterministic."""
-    A = as_int_matrix(A)
-    if not A or not A[0]:
-        raise LatticeError("empty matrix")
-    rows, cols = len(A), len(A[0])
-    M = [list(r) for r in A]
-    U = [list(r) for r in identity(rows)]
-    V = [list(r) for r in identity(cols)]
-    Vi = [list(r) for r in identity(cols)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(j, i, q):  # col j -= q * col i ; V_inv gets the inverse op
-        for r in M:
-            r[j] -= q * r[i]
-        for r in V:
-            r[j] -= q * r[i]
-        Vi[i] = [a + q * b for a, b in zip(Vi[i], Vi[j])]
-
-    def row_swap(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for r in M:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    t = 0
-    while True:
-        piv = _pivot(M, t, rows, cols)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            row_swap(i, t)
-        if j != t:
-            col_swap(j, t)
-        # clear row and column t, restarting when a remainder shrinks the pivot
-        while True:
-            done = True
-            for i in range(t + 1, rows):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    row_op(i, t, q)
-                    if M[i][t]:
-                        row_swap(i, t)
-                        done = False
-            for j in range(t + 1, cols):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    col_op(j, t, q)
-                    if M[t][j]:
-                        col_swap(j, t)
-                        done = False
-            if done:
-                break
-        # make the pivot divide everything below-right
-        p = M[t][t]
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if M[i][j] % p:
-                    row_op(t, i, -1)  # add row i to row t and redo the clearing
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        if p < 0:
-            M[t] = [-x for x in M[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-        if t == min(rows, cols):
-            break
-    diag = tuple(M[k][k] if k < cols else 0 for k in range(min(rows, cols)))
-    return SmithForm(
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in M),
-        tuple(tuple(r) for r in V),
-        tuple(tuple(r) for r in Vi),
-        diag,
-    )
 
 
 def _bareiss_scan(A):
@@ -561,37 +443,60 @@ def subgroup_index(M):
     return prod(row[j] for j, row in H.rows.items())
 
 
+def _unimodular_solve(A, B):
+    """X @ B for an X with X @ A == I, or None when A's rows do not
+    span Z^cols(A).
+
+    The rows ``[A_i | B_i]`` are Hermite-reduced on A's columns, so the
+    B block records each reduced row's combination of B's rows.  A's
+    block reduces to I exactly when its rows span Z^cols(A): every
+    column then has a pivot, the pivots multiply to the index 1, and the
+    entries above them are reduced into [0, 1).  ``A`` must be a
+    nonempty tuple of int rows of nonzero width, each B_i a tuple.
+    """
+    m = len(A[0])
+    H = _HermiteRows(m)
+    for a, b in zip(A, B):
+        H.extend(a + b)
+    rows = H.rows
+    if len(rows) < m or any(rows[j][j] != 1 for j in range(m)):
+        return None
+    return tuple(tuple(rows[j][m:]) for j in range(m))
+
+
 def complete_to_unimodular(M, ambient_cols=None):
     """Rows completing a partial basis to a square matrix of det +-1.
 
-    An empty matrix needs ``ambient_cols`` to know the ambient rank; any
-    unimodular completion satisfies the contract, so it gets the identity.
+    M's rows are fed to the quotient map Q of Z^n onto Z^n / span(M);
+    the completion is rows C with C @ Q == I, which the map sends to a
+    basis of the quotient, so M and C together span Z^n.  An empty
+    matrix needs ``ambient_cols`` to know the ambient rank; any
+    unimodular completion satisfies the contract, so it gets the
+    identity.
     """
     M = as_int_matrix(M)
     if not M or not M[0]:
         if ambient_cols is None:
             raise LatticeError("cannot complete an empty matrix of unknown width")
         return identity(ambient_cols)
-    snf = smith_normal_form(M)
-    if len(M) > len(M[0]) or any(d != 1 for d in snf.invariant_factors):
+    n = len(M[0])
+    Q = _QuotientZ(n)
+    if not all(map(Q.extend, M)):
         raise LatticeError("rows are not a partial basis")
-    added = snf.V_inv[snf.rank:]
-    stacked = M + tuple(added)
-    if abs(det_int(stacked)) != 1:
+    added = _unimodular_solve(transpose(Q.cols), identity(n)) if Q.cols else ()
+    if abs(det_int(M + added)) != 1:
         raise AssertionError("completion failed to be unimodular")
-    return tuple(added)
+    return added
 
 
 def int_inverse(A):
-    """Exact inverse of a unimodular integer matrix.
-
-    With U A V = I the inverse is V U, both exactly integral.
-    """
+    """Exact inverse of a unimodular integer matrix: the X with
+    X @ A == I, which is also A's right inverse."""
     A = as_int_matrix(A)
     n = len(A)
     if n == 0 or len(A[0]) != n:
         raise LatticeError("inverse of a non-square matrix")
-    snf = smith_normal_form(A)
-    if any(d != 1 for d in snf.invariant_factors):
+    inverse = _unimodular_solve(A, identity(n))
+    if inverse is None:
         raise LatticeError("matrix is not unimodular")
-    return matmul(snf.V, snf.U)
+    return inverse

@@ -24,10 +24,11 @@ from surfhom.zlattice import (
     det_int,
     identity,
     matmul,
-    smith_normal_form,
     transpose,
     vec_mat,
 )
+
+from .reference_zlattice import smith_normal_form
 
 
 def _vertex_table(R):

@@ -8,8 +8,9 @@ pass per mod-p routine.  The library shares one copy of each; these
 keep the old code paths as the oracle it is compared against, and the
 brute-force searches are the oracle for the library's greedy
 minimality certificate.  Over Z the span and partial-basis oracles are
-the Smith-form ones, on ``reference_zlattice.smith_normal_form``, where
-the library now keeps one incremental state per procedure run.  The
+the Smith-form ones, on ``reference_zlattice.smith_normal_form``, the
+only Smith form left in the repository, where the library keeps one
+incremental Hermite or quotient-map state per procedure run.  The
 cycle enumeration is the earlier one on
 ``Fraction`` lengths, with a ``canonical_walk`` key and a dedup dict
 per closure.
@@ -56,7 +57,8 @@ def _z_in_span(M, v):
     """The Smith-form branch over Z: v = w V^-1, so v is in the span of
     U^-1 D when each w_i is a multiple of d_i and w is zero past the
     rank."""
-    U, V, factors = smith_normal_form(M)
+    snf = smith_normal_form(M)
+    U, V, factors = snf.U, snf.V, snf.invariant_factors
     w = [sum(x * row[j] for x, row in zip(v, V)) for j in range(len(v))]
     r = sum(1 for d in factors if d)
     y = []
@@ -124,7 +126,7 @@ def is_partial_basis(M, modulus=0):
         return False
     if modulus:
         return rank_mod_p(M, modulus) == len(M)
-    return all(d == 1 for d in smith_normal_form(M)[2])
+    return all(d == 1 for d in smith_normal_form(M).invariant_factors)
 
 
 def successive_minima_I(candidates, modulus=0, count=None):
@@ -218,7 +220,7 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
         if modulus:
             if not is_partial_basis(M, modulus):
                 continue
-        elif sum(1 for d in smith_normal_form(M)[2] if d) != n:
+        elif sum(1 for d in smith_normal_form(M).invariant_factors if d) != n:
             continue
         lb = sorted_lengths(combo)
         if not all(a <= b for a, b in zip(la, lb)):

@@ -5,13 +5,20 @@ These are the earlier dense versions of ``vec_mat``, ``matmul`` and
 ``det_int``: every output entry is a full inner product read cell by
 cell with ``A[i][j]``, and Bareiss updates one cell at a time.  The
 library skips zero entries and updates whole rows; these keep the old
-code paths as the oracle it is compared against.  ``smith_normal_form``
-is the library's Smith form as it stood when it also decided ``in_span``
-and ``is_partial_basis`` over Z; the Z oracles of ``reference_minima``
-run on this copy, so they stay independent of the library's
-incremental kernels.  Its transforms can grow without bound on
+code paths as the oracle it is compared against.
+
+``smith_normal_form`` is the Smith form the library carried until its
+last callers, ``int_inverse`` and ``complete_to_unimodular``, moved to
+a Hermite solve; it is kept here, with the exact inverse ``V_inv`` of
+its column transform, as the only Smith form in the repository.  The
+Z oracles of ``reference_minima``, the Smith-form homology of
+``reference_homology`` and the rank and index checks of the tests run
+on it, as does ``int_inverse`` (V @ U), so they stay independent of the
+library's Hermite kernels.  Its transforms can grow without bound on
 matrices with entries near 50, so keep its inputs small.
 """
+
+from dataclasses import dataclass
 
 from surfhom.zlattice import LatticeError, as_int_matrix, identity
 
@@ -54,7 +61,24 @@ def det_int(A):
     return sign * M[n - 1][n - 1]
 
 
+@dataclass(frozen=True)
+class SmithForm:
+    """U @ A @ V == D with |det U| = |det V| = 1, D diagonal with
+    d1 | d2 | ... and trailing zeros last.  V_inv is V's exact inverse."""
+
+    U: tuple
+    D: tuple
+    V: tuple
+    V_inv: tuple
+    invariant_factors: tuple
+
+    @property
+    def rank(self):
+        return sum(1 for d in self.invariant_factors if d)
+
+
 def _pivot(M, start, rows, cols):
+    """Smallest |entry| != 0 at or below/right of start; lowest index wins."""
     best = None
     for i in range(start, rows):
         for j in range(start, cols):
@@ -65,7 +89,7 @@ def _pivot(M, start, rows, cols):
 
 
 def smith_normal_form(A):
-    """(U, V, invariant factors) with U @ A @ V diagonal."""
+    """Smith normal form with both transforms, fully deterministic."""
     A = as_int_matrix(A)
     if not A or not A[0]:
         raise LatticeError("empty matrix")
@@ -73,16 +97,18 @@ def smith_normal_form(A):
     M = [list(r) for r in A]
     U = [list(r) for r in identity(rows)]
     V = [list(r) for r in identity(cols)]
+    Vi = [list(r) for r in identity(cols)]
 
     def row_op(i, j, q):  # row i -= q * row j
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
-    def col_op(j, i, q):  # col j -= q * col i
+    def col_op(j, i, q):  # col j -= q * col i ; V_inv gets the inverse op
         for r in M:
             r[j] -= q * r[i]
         for r in V:
             r[j] -= q * r[i]
+        Vi[i] = [a + q * b for a, b in zip(Vi[i], Vi[j])]
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -93,6 +119,7 @@ def smith_normal_form(A):
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     t = 0
     while True:
@@ -104,6 +131,7 @@ def smith_normal_form(A):
             row_swap(i, t)
         if j != t:
             col_swap(j, t)
+        # clear row and column t, restarting when a remainder shrinks the pivot
         while True:
             done = True
             for i in range(t + 1, rows):
@@ -122,12 +150,13 @@ def smith_normal_form(A):
                         done = False
             if done:
                 break
+        # make the pivot divide everything below-right
         p = M[t][t]
         fixed = True
         for i in range(t + 1, rows):
             for j in range(t + 1, cols):
                 if M[i][j] % p:
-                    row_op(t, i, -1)
+                    row_op(t, i, -1)  # add row i to row t and redo the clearing
                     fixed = False
                     break
             if not fixed:
@@ -141,4 +170,23 @@ def smith_normal_form(A):
         if t == min(rows, cols):
             break
     diag = tuple(M[k][k] if k < cols else 0 for k in range(min(rows, cols)))
-    return tuple(map(tuple, U)), tuple(map(tuple, V)), diag
+    return SmithForm(
+        tuple(tuple(r) for r in U),
+        tuple(tuple(r) for r in M),
+        tuple(tuple(r) for r in V),
+        tuple(tuple(r) for r in Vi),
+        diag,
+    )
+
+
+def int_inverse(A):
+    """Exact inverse of a unimodular integer matrix: with U A V = I the
+    inverse is V U, both exactly integral."""
+    A = as_int_matrix(A)
+    n = len(A)
+    if n == 0 or len(A[0]) != n:
+        raise LatticeError("inverse of a non-square matrix")
+    snf = smith_normal_form(A)
+    if any(d != 1 for d in snf.invariant_factors):
+        raise LatticeError("matrix is not unimodular")
+    return matmul(snf.V, snf.U)

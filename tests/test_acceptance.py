@@ -43,12 +43,13 @@ from surfhom.zlattice import (
     as_int_matrix,
     det_int,
     identity,
+    int_inverse,
     is_partial_basis,
     matmul,
-    smith_normal_form,
     subgroup_index,
 )
 
+from .reference_zlattice import smith_normal_form
 from .util import random_ribbon_graph
 
 
@@ -282,6 +283,7 @@ def test_criterion_8_cross_cutting_invariants():
         assert matmul(matmul(snf.U, A), snf.V) == snf.D
         assert abs(det_int(snf.U)) == 1 and abs(det_int(snf.V)) == 1
         assert matmul(snf.V, snf.V_inv) == identity(cols_n)
+        assert int_inverse(snf.V) == snf.V_inv
         facs = [d for d in snf.invariant_factors if d]
         assert all(b % a == 0 for a, b in zip(facs, facs[1:]))
 

@@ -22,10 +22,10 @@ from surfhom.zlattice import (
     identity,
     in_span,
     is_partial_basis,
-    smith_normal_form,
 )
 
 from . import reference_minima as ref
+from .reference_zlattice import smith_normal_form
 from .util import random_ribbon_graph
 
 MODULI = (0, 2, 3)

@@ -19,6 +19,7 @@ from surfhom.homology import (
 )
 from surfhom.minima import WeightedGraph, enumerate_cycles
 from surfhom.ribbon import (
+    RibbonGraph,
     ValidationError,
     complement_components,
     schema_to_ribbon,
@@ -32,10 +33,10 @@ from surfhom.zlattice import (
     identity,
     is_partial_basis,
     matmul,
-    smith_normal_form,
     transpose,
 )
 
+from .reference_zlattice import smith_normal_form
 from .util import random_ribbon_graph, tiny_weighted_graphs
 
 WORD20 = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
@@ -297,3 +298,14 @@ def test_reference_basis_from_an_empty_table_is_refused():
     R = schema_to_ribbon("a b a' b'")
     with pytest.raises(LatticeError, match="empty"):
         reference_basis_from_table(R, "x", (), (), ())
+    # a width-0 table on a sphere, one loop at one vertex
+    sphere = RibbonGraph(((0, 1),), (1, 0))
+    assert homology(sphere).rank == 0
+    with pytest.raises(LatticeError, match="empty"):
+        reference_basis_from_table(sphere, "x", (), ((),), [(0,)])
+
+
+def test_reference_basis_from_rows_that_do_not_span_is_refused():
+    R = schema_to_ribbon("a b a' b'")
+    with pytest.raises(LatticeError):
+        reference_basis_from_table(R, "x", ("a1", "b1"), ((1, 1), (2, 2)), [(0,), (1,)])

@@ -2,14 +2,16 @@
 and the Miller-Rabin modulus check.
 
 ``vec_mat``, ``matmul`` and ``det_int`` are compared with the dense
-versions kept in ``reference_zlattice``; the symplectic inverse with a
-Smith-form ``int_inverse``; ``_is_prime`` with trial division.  The
-count guards pin that the homology path, the greedy procedures and the
-public Z span and partial-basis oracles run no Smith form, that a closed
+versions kept in ``reference_zlattice``; the symplectic inverse with
+that module's Smith-form ``int_inverse``, so the comparison stays
+independent of the library's Hermite solve; ``_is_prime`` with trial
+division.  The library has no Smith form left, and a guard pins that
+neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The count
+guards pin that the homology path inverts no matrix, that a closed
 surface is reduced to symplectic form once and takes no determinant,
 that a pool of enumerated cycles validates no walk, and that a
-procedure validates a fixed number of matrices however long its pool:
-counts that repeat exactly on any machine.
+procedure or a public Z oracle validates a fixed number of matrices
+however long its pool: counts that repeat exactly on any machine.
 """
 
 import importlib
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surfhom
 from surfhom.catalog import EXAMPLE_NAMES, candidate_pool, load_example
 from surfhom.homology import cotree_basis, homology, symplectic_basis
 from surfhom.minima import WeightedGraph, enumerate_cycles, successive_minima_I, successive_minima_II
@@ -37,7 +40,6 @@ from surfhom.zlattice import (
     det_int,
     identity,
     in_span,
-    int_inverse,
     is_partial_basis,
     matmul,
     vec_mat,
@@ -167,26 +169,35 @@ def random_closed_surfaces(n, seed=20231018):
 @pytest.mark.parametrize("R", random_closed_surfaces(30))
 def test_symplectic_inverse_matches_int_inverse(R):
     S = symplectic_basis(R)
-    assert S.inverse == int_inverse(S.matrix)
+    assert S.inverse == ref.int_inverse(S.matrix)
     assert matmul(S.matrix, S.inverse) == identity(len(S.matrix))
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_catalog_inverses_match_int_inverse(name):
     b = load_example(name)
-    assert b.reference.inverse == int_inverse(b.reference.matrix)
+    assert b.reference.inverse == ref.int_inverse(b.reference.matrix)
     S = symplectic_basis(b.closed)
-    assert S.inverse == int_inverse(S.matrix)
+    assert S.inverse == ref.int_inverse(S.matrix)
 
 
 # ---------------------------------------------------------------------------
-# count guard: Smith forms and Smith-form inverses on the homology path
+# the library offers no Smith form
+
+def test_library_has_no_smith_form():
+    for module in (surfhom, zlattice):
+        for name in ("smith_normal_form", "SmithForm"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+# ---------------------------------------------------------------------------
+# count guard: no matrix inverse on the homology path
 
 def count_lattice_calls(monkeypatch, R):
-    """Smith forms and int_inverse calls made by homology, the symplectic
-    basis (closed surfaces only) and the cotree classes of a fresh copy
-    of R, whose homology is not yet built."""
-    counts = {"smith_normal_form": 0, "int_inverse": 0}
+    """int_inverse calls made by homology, the symplectic basis (closed
+    surfaces only) and the cotree classes of a fresh copy of R, whose
+    homology is not yet built."""
+    counts = {"int_inverse": 0}
 
     def counted(name):
         fn = getattr(zlattice, name)
@@ -213,14 +224,14 @@ def count_lattice_calls(monkeypatch, R):
 
 def test_one_vertex_surface_needs_no_smith_form(monkeypatch):
     R = schema_to_ribbon(canonical_word(20))
-    assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 0, "int_inverse": 0}
+    assert count_lattice_calls(monkeypatch, R) == {"int_inverse": 0}
 
 
 def test_multi_vertex_surface_needs_no_smith_form(monkeypatch):
     # two or more faces: the cotree, not a Smith form, removes the face relations
     R = next(R for R in random_closed_surfaces(30)
              if surface_invariants(R).vertices > 1 and surface_invariants(R).faces > 1)
-    assert count_lattice_calls(monkeypatch, R) == {"smith_normal_form": 0, "int_inverse": 0}
+    assert count_lattice_calls(monkeypatch, R) == {"int_inverse": 0}
 
 
 def test_bordered_surface_needs_no_smith_form(monkeypatch):
@@ -228,7 +239,7 @@ def test_bordered_surface_needs_no_smith_form(monkeypatch):
              if surface_invariants(R).vertices > 1 and surface_invariants(R).faces > 2)
     bordered = RibbonGraph(R.rotation, R.twin, {f[0] for f in trace_faces(R)[:2]})
     assert homology(bordered).rank == homology(R).rank + 1
-    assert count_lattice_calls(monkeypatch, bordered) == {"smith_normal_form": 0, "int_inverse": 0}
+    assert count_lattice_calls(monkeypatch, bordered) == {"int_inverse": 0}
 
 
 def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
@@ -277,8 +288,8 @@ def test_pool_of_enumerated_cycles_needs_no_validation(monkeypatch):
 # count guard: the procedures' oracles and the public Z oracles
 
 def count_oracle_calls(monkeypatch, run):
-    """Smith forms and ``as_int_matrix`` calls made by ``run()``."""
-    counts = {"smith_normal_form": 0, "as_int_matrix": 0}
+    """``as_int_matrix`` calls made by ``run()``."""
+    counts = {"as_int_matrix": 0}
 
     def counted(name):
         fn = getattr(zlattice, name)
@@ -308,7 +319,6 @@ def test_procedures_need_no_smith_form_and_validate_once(monkeypatch, modulus):
     for pool in (short, long):
         for proc in (successive_minima_I, successive_minima_II):
             counts = count_oracle_calls(monkeypatch, lambda: proc(pool, modulus, 8))
-            assert counts["smith_normal_form"] == 0
             per_pool.append(counts["as_int_matrix"])
     # a fixed number per call, not one per candidate
     assert per_pool[:2] == per_pool[2:] and max(per_pool) <= 2
@@ -324,7 +334,8 @@ def test_public_z_oracles_need_no_smith_form(monkeypatch):
         assert is_partial_basis(M[1:], 0)
         assert not is_partial_basis(((2, 0, 0),), 0)
 
-    assert count_oracle_calls(monkeypatch, run)["smith_normal_form"] == 0
+    # each call validates each of its arguments once and nothing more
+    assert count_oracle_calls(monkeypatch, run) == {"as_int_matrix": 6}
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from surfhom.zlattice import (
     int_inverse,
     is_partial_basis,
     matmul,
-    smith_normal_form,
     subgroup_index,
 )
 
 from . import reference_zlattice as ref
+from .reference_zlattice import smith_normal_form
 
 # declared coordinate rows used across the genus-2 and genus-4 catalog surfaces
 ALPHA = (1, 0, 0, 0)
@@ -299,7 +299,7 @@ def smith_index(M):
     """The index of M's row span read off the reference Smith form: the
     product of the invariant factors, None when fewer than one nonzero
     factor per column."""
-    _, _, diag = ref.smith_normal_form(M)
+    diag = smith_normal_form(M).invariant_factors
     if len(diag) < len(M[0]) or 0 in diag:
         return None
     return prod(diag)
@@ -328,6 +328,21 @@ def test_subgroup_index_decides_the_growth_matrix_at_once():
     assert time.perf_counter() - start < 2
 
 
+def test_inverse_and_completion_decide_the_growth_matrix_at_once():
+    start = time.perf_counter()
+    with pytest.raises(LatticeError, match="not unimodular"):
+        int_inverse(GROWTH[:5])
+    # k = 6 has more rows than columns, so it is refused
+    for k in range(1, 7):
+        M = GROWTH[:k]
+        if is_partial_basis(M, 0):
+            assert abs(det_int(M + complete_to_unimodular(M))) == 1
+        else:
+            with pytest.raises(LatticeError):
+                complete_to_unimodular(M)
+    assert time.perf_counter() - start < 2
+
+
 def test_complete_to_unimodular():
     M = rows(1, 2, 3, 4, 5, 6, 7)
     added = complete_to_unimodular(M)
@@ -339,18 +354,56 @@ def test_complete_to_unimodular():
         complete_to_unimodular(rows(1, 2, 3, 4, 5, 6, 7, 8))
 
 
+def test_complete_a_primitive_row_that_no_unit_vector_extends():
+    # the quotient map of (3, -2) sends e1 to 2 and e2 to 3, so neither
+    # unit vector completes it, though the row is primitive
+    M = ((3, -2),)
+    added = complete_to_unimodular(M)
+    assert len(added) == 1
+    assert abs(det_int(M + added)) == 1
+
+
+def random_unimodular(rng, n):
+    """A product of 12 random elementary row operations on the identity."""
+    M = [list(r) for r in identity(n)]
+    for _ in range(12):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randrange(-2, 3)
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+    return as_int_matrix(M)
+
+
+def test_completion_is_refused_exactly_off_partial_bases():
+    rng = random.Random(20261018)
+    refused = 0
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        W = random_unimodular(rng, n)
+        for k in range(1, n + 1):
+            added = complete_to_unimodular(W[:k])
+            assert len(added) == n - k and abs(det_int(W[:k] + added)) == 1
+        # scale a row or repeat one now and then, so refusals are common
+        M = [list(r) for r in W[:rng.randrange(1, n + 1)]]
+        M[rng.randrange(len(M))] = [rng.choice((1, 2, 3)) * x for x in M[rng.randrange(len(M))]]
+        M = as_int_matrix(M)
+        factors = smith_normal_form(M).invariant_factors
+        primitive = len(factors) == len(M) and all(d == 1 for d in factors)
+        assert is_partial_basis(M, 0) == primitive
+        if primitive:
+            assert abs(det_int(M + complete_to_unimodular(M))) == 1
+        else:
+            refused += 1
+            with pytest.raises(LatticeError):
+                complete_to_unimodular(M)
+    assert refused > 30
+
+
 def test_unimodular_row_subsets_are_partial_bases():
     rng = random.Random(7)
     for _ in range(25):
         n = rng.randrange(2, 5)
-        # random unimodular matrix: product of elementary operations
-        M = [list(r) for r in identity(n)]
-        for _ in range(12):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                q = rng.randrange(-2, 3)
-                M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-        M = as_int_matrix(M)
+        M = random_unimodular(rng, n)
         assert abs(det_int(M)) == 1
         k = rng.randrange(n + 1)
         subset = tuple(M[i] for i in sorted(rng.sample(range(n), k)))
@@ -362,6 +415,7 @@ def test_int_inverse():
     M = rows(2, 3, 4, 5, 6, 7, 8, 9)
     Minv = int_inverse(M)
     assert matmul(M, Minv) == identity(8)
+    assert Minv == ref.int_inverse(M)
     with pytest.raises(LatticeError):
         int_inverse((ALPHA, BETA, GAMMA, DELTA_G))
 
