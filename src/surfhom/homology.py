@@ -17,12 +17,22 @@ P @ G @ P^T equal to the standard form S.  The reduction succeeds only
 when G is unimodular (det(G) * det(P)^2 = 1), so it is the proof of
 unimodularity that the build asserts, and ``symplectic_basis`` reads
 its P instead of reducing again.
+
+Rows that are only ever combined, never read entry by entry, are packed
+into one integer each (``_Packing``): a vector's entries become signed
+digits of a fixed byte width, so adding multiples of rows is big-integer
+arithmetic.  The reduction packs its basis rows P at 8-byte digits and
+keeps a bound per row; past the width it resets the bounds to the rows'
+true maxima first and doubles the width only if that is not enough.
+The inverse of P packs G's rows at the least width that holds every
+entry of P @ G, from the exact bound sum_j |P[i][j]| * max |G|.  The
+packed classes of enumerated cycles use the same helper.
 """
 
-from array import array
+import struct
 from dataclasses import dataclass
-from operator import add, neg, sub
-from sys import byteorder
+from itertools import chain, compress
+from operator import add, mul, neg, sub
 
 from .ribbon import (
     ValidationError,
@@ -40,7 +50,6 @@ from .zlattice import (
     _QuotientZ,
     _unimodular_solve,
     as_int_matrix,
-    identity,
     matmul,
     vec_mat,
 )
@@ -132,46 +141,117 @@ def _minus(x, q, y):
     return [u - q * v for u, v in zip(x, y)]
 
 
-# byte width -> typecode of the signed array of that width
-_SIGNED_CODE = {array(c).itemsize: c for c in "bhiq"}
+# byte width -> struct code of the little-endian signed int of that width
+_SIGNED_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _digit_bytes(bound):
+    """Bytes per digit that hold every integer of absolute value up to
+    ``bound``: the least width with a struct code that does, else the
+    widest one doubled until it does."""
+    w = min((w for w in _SIGNED_CODE if bound < 1 << (8 * w - 1)), default=max(_SIGNED_CODE))
+    while bound >> (8 * w - 1):
+        w *= 2
+    return w
+
+
+class _Packing:
+    """Integer vectors of ``count`` entries, each packed into one int.
+
+    A packed vector is the sum of its entries, entry i shifted by i
+    digits of ``size`` bytes.  Packing is linear: integer sums and
+    multiples of packed vectors are the packed sums and multiples, as
+    long as every entry of the result fits in a signed digit.  Adding
+    the bias, 2^(8 size - 1) in every digit, makes every digit
+    nonnegative, so no digit borrows from the next; xor with the bias
+    then leaves each digit in two's complement, which ``struct`` reads
+    off as little-endian signed ints (``int.from_bytes`` digit by digit
+    for a width without a struct code).  Packing runs the same steps
+    backwards."""
+
+    __slots__ = ("size", "count", "bias", "code", "row")
+
+    def __init__(self, size, count):
+        self.size, self.count = size, count
+        self.bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        self.code = _SIGNED_CODE.get(size)
+        self.row = self.code and f"<{count}{self.code}"  # struct format of one row
+
+    def pack(self, rows):
+        """The packed int of each row, a sequence of ``count`` ints."""
+        if self.code:
+            data = struct.pack(f"<{len(rows) * self.count}{self.code}", *chain.from_iterable(rows))
+        else:
+            data = b"".join([x.to_bytes(self.size, "little", signed=True)
+                             for x in chain.from_iterable(rows)])
+        bias, nbytes = self.bias, self.size * self.count
+        return [(int.from_bytes(data[i * nbytes:i * nbytes + nbytes], "little") ^ bias) - bias
+                for i in range(len(rows))]
+
+    def unpack(self, packed):
+        """The entries of the packed ints, one after another, in one flat
+        tuple: of m rows, row r is the slice [r * count:(r + 1) * count]
+        and column j the strided slice [j::count]."""
+        bias, nbytes = self.bias, self.size * self.count
+        data = b"".join([((s + bias) ^ bias).to_bytes(nbytes, "little") for s in packed])
+        if self.code:
+            return struct.unpack(f"<{len(data) // self.size}{self.code}", data)
+        w = self.size
+        return tuple([int.from_bytes(data[i:i + w], "little", signed=True)
+                      for i in range(0, len(data), w)])
+
+    def unpack_one(self, s):
+        """The entries of one packed int."""
+        if not self.row:
+            return self.unpack((s,))
+        data = ((s + self.bias) ^ self.bias).to_bytes(self.size * self.count, "little")
+        return struct.unpack(self.row, data)
 
 
 class _Unpacked(dict):
-    """Packed sum -> class: a missing sum s is unpacked and kept, digit
-    by digit from the bytes of (s + bias) ^ bias as w-byte signed ints
+    """Packed sum -> class: a missing sum is unpacked and kept
     (``SurfaceHomology._pack_rows``)."""
 
-    __slots__ = ("code", "size", "bias")
+    __slots__ = ("unpack",)
 
-    def __init__(self, code, size, bias):
-        self.code, self.size, self.bias = code, size, bias
+    def __init__(self, packing):
+        self.unpack = packing.unpack_one
 
     def __missing__(self, s):
-        digits = ((s + self.bias) ^ self.bias).to_bytes(self.size, byteorder)
-        cls = self[s] = tuple(array(self.code, digits))
+        cls = self[s] = self.unpack(s)
         return cls
 
 
 _NOT_UNIMODULAR = "intersection form of a closed surface must be unimodular"
+
+# digit width in bytes at which the reduction packs its basis rows
+_START_BYTES = 8
 
 
 def _symplectic_reduction(G):
     """Rows P of a basis in which the antisymmetric integer form G (zero
     diagonal) is the standard form S: P @ G @ P^T == S, exactly.
 
-    Row i of the work matrix is the augmented row [P[i] | G[i]] of the
-    basis and the reduced form.  Step k takes basis rows a = k and
-    b = k + 1 to a canonical pair.  The entry of row a smallest in
-    absolute value (first on ties) is swapped to b and its sign made +1.
-    When it is a unit, one rank-2 step per later row i, with
-    q = G[a][i] and c = G[i][b],
-        [P[i] | G[i]] <- [P[i] | G[i]] - q * [P[b] | G[b]] - c * [P[a] | G[a]]
+    Row i of the work matrix is the basis row P[i] with its reduced form
+    row F[i].  Step k takes basis rows a = k and b = k + 1 to a canonical
+    pair.  The entry of row a smallest in absolute value (first on ties)
+    is swapped to b and its sign made +1.  When it is a unit, one rank-2
+    step per later row i, with q = F[a][i] and c = F[i][b],
+        [P[i] | F[i]] <- [P[i] | F[i]] - q * [P[b] | F[b]] - c * [P[a] | F[a]]
     clears row i against both a and b; by antisymmetry the congruence
     needs no column update, as row i's entries at a and b become zero.
     Otherwise a Euclid pass subtracts multiples of row b from the later
     rows, and of column b from their columns, until the least entry of
     row a is a unit.  Rows before a are done: no column update reaches
     them, and the later rows are zero in their columns.
+
+    The pivot search reads F, so its rows are lists.  P is only ever
+    combined, so each of its rows is one int (``_Packing``, starting at
+    ``_START_BYTES``-byte digits) and a rank-2 step on it is two big-int
+    multiply-adds.  Each row keeps a bound on the absolute values of its
+    entries.  When a step would push a bound past the digit width, every
+    row is unpacked and its bound reset to its true maximum, and only if
+    the step still overflows does the width double.
 
     Every step is unimodular, so success means det(G) * det(P)^2 = 1:
     the reduction proves that G is unimodular.  Any other form (odd
@@ -181,51 +261,86 @@ def _symplectic_reduction(G):
     n = len(G)
     if n % 2:
         raise AssertionError(_NOT_UNIMODULAR)
-    W = [list(e + r) for e, r in zip(identity(n), G)]
+    F = [list(r) for r in G]
+    packing = _Packing(_START_BYTES, n)
+    bits = 8 * packing.size
+    P = [1 << i for i in range(0, bits * n, bits)]
+    bound = [1] * n
+    top = 1 << (bits - 1)
+
+    def fit(i, q, j, c, k):
+        """The bound of P[i] - q * P[j] - c * P[k], after making room for
+        it: past the width every bound is reset to its row's true
+        maximum, and the width doubles only if the new bound still
+        overflows."""
+        nonlocal packing, top
+        nb = bound[i] + abs(q) * bound[j] + abs(c) * bound[k]
+        if nb >= top:
+            flat = packing.unpack(P)
+            bound[:] = [max(map(abs, flat[r * n:r * n + n])) for r in range(n)]
+            nb = bound[i] + abs(q) * bound[j] + abs(c) * bound[k]
+            if nb >= top:
+                size = packing.size
+                while nb >> (8 * size - 1):
+                    size *= 2
+                packing = _Packing(size, n)
+                P[:] = packing.pack([flat[r * n:r * n + n] for r in range(n)])
+                top = 1 << (8 * size - 1)
+        return nb
+
     for a in range(0, n, 2):
         b = a + 1
-        Wa = W[a]
+        Fa = F[a]
         while True:
-            g = Wa[n + b:]
+            g = Fa[b:]
             units = [g.index(u) for u in (1, -1) if u in g]
             if units:
                 j = b + min(units)
             else:
-                j = min((t for t in range(b, n) if Wa[n + t]),
-                        key=lambda t: (abs(Wa[n + t]), t), default=None)
+                j = min((t for t in range(b, n) if Fa[t]),
+                        key=lambda t: (abs(Fa[t]), t), default=None)
                 if j is None:
                     raise AssertionError(_NOT_UNIMODULAR)
             if j != b:
-                W[b], W[j] = W[j], W[b]
-                for r in W[a:]:
-                    r[n + b], r[n + j] = r[n + j], r[n + b]
-            p = Wa[n + b]
+                F[b], F[j] = F[j], F[b]
+                P[b], P[j] = P[j], P[b]
+                bound[b], bound[j] = bound[j], bound[b]
+                for r in F[a:]:
+                    r[b], r[j] = r[j], r[b]
+            p = Fa[b]
             if units:
                 break
             done = True
             for i in range(b + 1, n):
-                if Wa[n + i]:
-                    q = Wa[n + i] // p  # basis[i] -= q * basis[b]
-                    W[i] = _minus(W[i], q, W[b])
-                    for r in W[a:]:
-                        r[n + i] -= q * r[n + b]
-                    done = done and not Wa[n + i]
+                if Fa[i]:
+                    q = Fa[i] // p  # basis[i] -= q * basis[b]
+                    bound[i] = fit(i, q, b, 0, a)
+                    P[i] -= q * P[b]
+                    F[i] = _minus(F[i], q, F[b])
+                    for r in F[a:]:
+                        r[i] -= q * r[b]
+                    done = done and not Fa[i]
             if done:
                 raise AssertionError(_NOT_UNIMODULAR)
         if p < 0:
-            W[b] = [-x for x in W[b]]
-            for r in W[a:]:
-                r[n + b] = -r[n + b]
-        Wb = W[b]
+            P[b] = -P[b]
+            F[b] = [-x for x in F[b]]
+            for r in F[a:]:
+                r[b] = -r[b]
+        Fb = F[b]
         for i in range(b + 1, n):
-            Wi = W[i]
-            q, c = Wa[n + i], Wi[n + b]
-            if q:
-                Wi = _minus(Wi, q, Wb)
-            if c:
-                Wi = _minus(Wi, c, Wa)
-            W[i] = Wi
-    return tuple(tuple(r[:n]) for r in W)
+            Fi = F[i]
+            q, c = Fa[i], Fi[b]
+            if q or c:
+                nb = bound[i] + abs(q) * bound[b] + abs(c) * bound[a]
+                bound[i] = nb if nb < top else fit(i, q, b, c, a)
+                P[i] = P[i] - q * P[b] - c * P[a]
+                if q:
+                    Fi = _minus(Fi, q, Fb)
+                if c:
+                    Fi = _minus(Fi, c, Fa)
+                F[i] = Fi
+    return tuple(map(packing.unpack_one, P))
 
 
 class SurfaceHomology:
@@ -354,33 +469,26 @@ class SurfaceHomology:
         """Each dart's packed row and the table from a packed sum to its
         class, built once per surface.
 
-        A dart's packed row is one integer whose w-byte digit i, read as
-        signed, is coordinate i of its row.  Packing is linear, so the
+        A dart's packed row is its row packed by ``_Packing``, so the
         packed class of a walk is the sum of its darts' packed rows, and
-        w leaves room for the largest coordinate an edge-simple walk can
-        reach.  Every row entry is -1, 0 or 1 (a cotree row is the sum
-        of the L darts leaving its subtree of faces), so a coordinate of
-        an edge-simple walk is at most the number of edges and 8-byte
-        digits always suffice.  Adding the bias, 2^(8w-1) in every
-        digit, makes each digit of a sum nonnegative, so no digit
-        borrows from the next; xor with the bias then leaves each digit
-        in two's complement, which an array of w-byte signed ints reads
-        off.  The table unpacks each sum the first time it is read and
-        keeps the class, so every later read of that sum returns the
-        same class object."""
+        the digit width leaves room for the largest coordinate an
+        edge-simple walk can reach.  Every row entry is -1, 0 or 1 (a
+        cotree row is the sum of the L darts leaving its subtree of
+        faces), so a coordinate of an edge-simple walk is at most the
+        number of edges and 8-byte digits always suffice.  The table
+        unpacks each sum the first time it is read and keeps the class,
+        so every later read of that sum returns the same class object."""
         if self._packing is not None:
             return self._packing
         twin = self.twin
         rows = [(e, r) for e, r in self._rows.items() if r is not None and e < twin[e]]
         reach = max((sum(map(abs, col)) for col in zip(*(r for _, r in rows))), default=0)
-        w = next(w for w in sorted(_SIGNED_CODE) if reach < 1 << (8 * w - 1))
-        k, code, size = 8 * w, _SIGNED_CODE[w], w * self.rank
-        bias = sum(1 << (k * i + k - 1) for i in range(self.rank))
+        packing = _Packing(_digit_bytes(reach), self.rank)
         packed = [0] * len(twin)
-        for e, r in rows:
-            packed[e] = p = sum(x << (k * i) for i, x in enumerate(r))
+        for (e, _), p in zip(rows, packing.pack([r for _, r in rows])):
+            packed[e] = p
             packed[twin[e]] = -p
-        self._packing = packed, _Unpacked(code, size, bias)
+        self._packing = packed, _Unpacked(packing)
         return self._packing
 
     def fundamental_class(self, e):
@@ -528,15 +636,30 @@ def standard_symplectic(g):
 def _symplectic_inverse(P, G):
     """Exact inverse of a basis P whose pairing P @ G @ P^T is the
     standard form S: as S^-1 = -S and G^T = -G, the inverse is
-    G @ P^T @ (-S) = (P @ G)^T @ S, whose product skips the zeros of P,
-    the sparser factor.  Multiplying by S maps each column pair (u, v)
-    to (-v, u)."""
-    inverse = []
-    for col in zip(*matmul(P, G)):
-        row = list(col)
-        row[::2], row[1::2] = map(neg, col[1::2]), col[::2]
-        inverse.append(tuple(row))
-    return tuple(inverse)
+    G @ P^T @ (-S) = (P @ G)^T @ S.  Multiplying by S maps each column
+    pair (u, v) of P @ G to (-v, u), so row k of P @ G, negated when k
+    is odd and swapped with its partner, is column k of the inverse.
+
+    G's rows are packed (``_Packing``) at a width that holds every entry
+    of P @ G, whose absolute values are at most the sum of |P[i][j]|
+    over j times the largest |G| entry.  Row i of the product is the sum
+    of the packed rows of G over the nonzero entries of P[i]; all rows
+    are unpacked in one pass, and row k of the inverse is the strided
+    column k of the result."""
+    n = len(P)
+    largest = max(map(abs, set(chain.from_iterable(G))), default=0)
+    reach = max((sum(map(abs, compress(r, r))) for r in P), default=0) * largest
+    packing = _Packing(_digit_bytes(reach), n)
+    rows = packing.pack(G)
+
+    def product(r):
+        return sum(map(mul, compress(r, r), compress(rows, r)))
+
+    columns = []
+    for k in range(0, n, 2):
+        columns += (-product(P[k + 1]), product(P[k]))
+    flat = packing.unpack(columns)
+    return tuple(flat[k::n] for k in range(n))
 
 
 def class_of_walk(R, walk, basis, modulus=0):

@@ -13,9 +13,9 @@ import heapq
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, is_not, lt
 
 from .homology import homology
 from .ribbon import (
@@ -254,13 +254,12 @@ def _check_candidates(candidates):
     if candidates:
         cls = candidates[0].cls
         _check_classes(candidates, len(cls) if type(cls) is tuple else 0)
-    last = None
-    for c in candidates:
-        # the enumeration shares one length object per distinct length
-        if c.length is not last:
-            if last is not None and c.length < last:
-                raise ValidationError("candidates must be sorted by length")
-            last = c.length
+    # the enumeration shares one length object per distinct length, so
+    # only the first length of each run of one object is compared
+    lengths = list(map(attrgetter("length"), candidates))
+    firsts = list(compress(lengths, map(is_not, lengths, chain((None,), lengths))))
+    if any(map(lt, firsts[1:], firsts)):
+        raise ValidationError("candidates must be sorted by length")
     return candidates
 
 

@@ -101,6 +101,11 @@ class RibbonGraph:
 
 
 def validate_ribbon(R):
+    """Check the rotation system's invariants and set R's ``vertex_of``.
+
+    The connectivity search walks each vertex's rotation once, one step
+    per dart, and faces are traced only when there are boundary faces to
+    look up among them."""
     n = len(R.twin)
     if n == 0:
         raise ValidationError("ribbon graph has no darts")
@@ -118,24 +123,25 @@ def validate_ribbon(R):
         raise ValidationError("rotation cycles do not partition the darts")
     if R.edge_labels is not None and len(R.edge_labels) != n // 2:
         raise ValidationError("edge_labels length != number of edges")
-    # connectivity over darts through twin and shared vertices
     vert = [None] * n
     for v, cyc in enumerate(R.rotation):
         for d in cyc:
             vert[d] = v
-    reached = {0}
+    # connectivity of the vertices through the twins of their darts
+    reached = [False] * len(R.rotation)
+    reached[0] = True
     stack = [0]
     while stack:
-        d = stack.pop()
-        for nxt in (R.twin[d], *R.rotation[vert[d]]):
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    if len(reached) != n:
+        for u in map(vert.__getitem__, map(R.twin.__getitem__, R.rotation[stack.pop()])):
+            if not reached[u]:
+                reached[u] = True
+                stack.append(u)
+    if not all(reached):
         raise ValidationError("underlying graph is not connected")
-    faces = {min(f) for f in _trace_faces_raw(R.rotation, R.twin)}
-    if not R.boundary_faces <= faces:
-        raise ValidationError("boundary_faces refers to unknown faces")
+    if R.boundary_faces:
+        faces = {min(f) for f in _trace_faces_raw(R.rotation, R.twin)}
+        if not R.boundary_faces <= faces:
+            raise ValidationError("boundary_faces refers to unknown faces")
     object.__setattr__(R, "vertex_of", tuple(vert))
 
 

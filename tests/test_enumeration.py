@@ -16,7 +16,7 @@ import dataclasses
 import importlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import lcm
 
 import pytest
@@ -210,6 +210,30 @@ def test_classes_at_every_packing_width(monkeypatch, width):
     monkeypatch.setattr(homology_module, "_SIGNED_CODE", {width: code})
     for _, G in weighted_graphs(13, 30):
         assert_classes_are_walk_classes(G, enumerate_cycles(G, sum(G.edge_length)))
+
+
+@pytest.mark.parametrize("bound, size", [(0, 1), (127, 1), (128, 2), (2 ** 63 - 1, 8),
+                                         (2 ** 63, 16), (2 ** 127, 32)])
+def test_digit_width_holds_the_bound(bound, size):
+    assert homology_module._digit_bytes(bound) == size
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])
+def test_packing_round_trips_and_is_linear(size):
+    rng = random.Random(size)
+    top = 1 << (8 * size - 1)
+    packing = homology_module._Packing(size, 5)
+    rows = [tuple(rng.randrange(-top // 4, top // 4) for _ in range(5)) for _ in range(6)]
+    rows.append((top - 1, -top, 0, 1, -1))
+    packed = packing.pack(rows)
+    assert packing.unpack(packed) == tuple(chain.from_iterable(rows))
+    assert all(packing.unpack([p]) == r for p, r in zip(packed, rows))
+    # a combination of packed rows is the packed combination while its
+    # entries fit in a digit
+    a, b = rows[0], rows[1]
+    assert packing.unpack([packed[0] - 2 * packed[1]]) == tuple(x - 2 * y for x, y in zip(a, b))
+    empty = homology_module._Packing(size, 0)
+    assert empty.pack([(), ()]) == [0, 0] and empty.unpack([0, 0]) == ()
 
 
 def test_enumerating_again_keeps_one_entry_per_cycle():

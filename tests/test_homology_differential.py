@@ -14,23 +14,28 @@ field, and so must the reductions of forms U S U^T whose first row has
 no unit entry, which only the Euclid pass can reduce.
 """
 
+import importlib
 import random
 
 import pytest
 
 from surfhom.homology import (
     SurfaceHomology,
+    _symplectic_inverse,
     _symplectic_reduction,
+    homology,
     standard_symplectic,
     symplectic_basis,
 )
 from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, trace_faces, validate_walk
-from surfhom.zlattice import det_int, identity, matmul, transpose, vec_mat
+from surfhom.zlattice import det_int, identity, int_inverse, matmul, transpose, vec_mat
 
 from . import reference_homology as ref
 from .util import canonical_word, random_ribbon_graph
 
 PER_KIND = 300
+
+homology_module = importlib.import_module("surfhom.homology")
 
 
 def one_vertex(rng):
@@ -126,6 +131,17 @@ def test_symplectic_basis_of_larger_random_surfaces_matches_reference():
                                               vertices=rng.randrange(2, 12)))
 
 
+def test_symplectic_basis_of_a_400_edge_surface_matches_reference():
+    # the size of a genus-99 surface on 200 vertices, where each packed
+    # basis row holds 198 entries
+    R = random_ribbon_graph(random.Random("symplectic-E400"), max_edges=400, min_edges=400,
+                            vertices=200)
+    H = homology(R)
+    assert R.n_edges == 400 and H.rank >= 190
+    assert H.symplectic_rows == ref.symplectic_reduction(H.pairing_matrix)[0]
+    assert_same_basis(R)
+
+
 def unimodular(rng, n, multipliers=(-3, -2, -1, 1, 2, 3)):
     """A random integer matrix of determinant +-1: the identity under
     random row additions, swaps and negations."""
@@ -182,3 +198,63 @@ def test_reduction_of_forms_with_huge_entries_matches_reference():
 def test_reduction_refuses_a_form_that_is_not_unimodular(form):
     with pytest.raises(AssertionError, match="must be unimodular"):
         _symplectic_reduction(form)
+
+
+def random_surface_forms(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        R = random_ribbon_graph(rng, max_edges=40, min_edges=20, vertices=rng.randrange(2, 12))
+        yield homology(R).pairing_matrix
+
+
+def huge_entry_forms():
+    rng = random.Random(7)
+    for n in (2, 4, 6, 8, 10):
+        U = unimodular(rng, n, multipliers=(-10 ** 6, -7, 5, 10 ** 9))
+        yield matmul(matmul(U, standard_symplectic(n // 2)), transpose(U))
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_reduction_at_a_small_starting_width_matches_reference(monkeypatch, start):
+    # packed from one or two bytes per entry, the basis rows pass the
+    # digit width again and again: either the reset bounds fit, or the
+    # width doubles, up to digits wider than any struct code
+    monkeypatch.setattr(homology_module, "_START_BYTES", start)
+    widths, resets = [], []
+
+    class Spy(homology_module._Packing):
+        __slots__ = ()
+
+        def __init__(self, size, count):
+            widths.append(size)
+            super().__init__(size, count)
+
+        def unpack(self, packed):  # the reduction unpacks only to reset bounds
+            resets.append(self.size)
+            return super().unpack(packed)
+
+    monkeypatch.setattr(homology_module, "_Packing", Spy)
+    forms = [*non_unit_forms(20261018, 30), *random_surface_forms(5, 20), *huge_entry_forms()]
+    reset_only = widened = widest = 0
+    for form in forms:
+        del widths[:], resets[:]
+        assert _symplectic_reduction(form) == ref.symplectic_reduction(form)[0], form
+        assert widths[0] == start
+        widened += len(widths) > 1
+        reset_only += len(widths) == 1 and bool(resets)
+        widest = max(widest, *widths)
+    assert widened and reset_only
+    assert widest > 8
+
+
+def test_inverse_of_a_basis_with_entries_past_machine_words_matches_reference():
+    rng = random.Random(11)
+    for n in (2, 4, 6, 8, 10):
+        P = unimodular(rng, n, multipliers=(-10 ** 6, -7, 5, 10 ** 9))
+        assert max(abs(x) for r in P for x in r) > 2 ** 63 or n == 2
+        # the form in which P is a canonical basis: P^-1 S P^-T
+        Q = int_inverse(P)
+        G = matmul(matmul(Q, standard_symplectic(n // 2)), transpose(Q))
+        inverse = _symplectic_inverse(P, G)
+        assert inverse == ref._symplectic_inverse(P, G) == Q
+        assert matmul(P, inverse) == identity(n)

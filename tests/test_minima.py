@@ -167,6 +167,55 @@ def test_unsorted_candidates_rejected():
         successive_minima_I(list(reversed(cycles)), 0, 2)
 
 
+def ordered_by_old_loop(candidates):
+    """The per-candidate loop that checked the length order before: each
+    length that is a new object is compared with the last new one."""
+    last = None
+    for c in candidates:
+        if c.length is not last:
+            if last is not None and c.length < last:
+                return False
+            last = c.length
+    return True
+
+
+def test_length_order_is_checked_per_distinct_length_object():
+    G = torus_graph()
+    base = attach_all(G, enumerate_cycles(G, Fraction(2)))[0]
+    shared = {v: Fraction(v) for v in ("1/3", "1/2", "1")}
+    rng = random.Random(20261018)
+    refused = 0
+    for _ in range(400):
+        # equal lengths are the same object or distinct Fractions
+        values = sorted(rng.choice(list(shared)) for _ in range(rng.randrange(1, 9)))
+        if rng.random() < 0.5:
+            i, j = rng.randrange(len(values)), rng.randrange(len(values))
+            values[i], values[j] = values[j], values[i]
+        lengths = [shared[v] if rng.random() < 0.5 else Fraction(v) for v in values]
+        pool = [WeightedCycle(base.darts, l, base.key, base.cls) for l in lengths]
+        if ordered_by_old_loop(pool):
+            assert minima._check_candidates(pool) == tuple(pool)
+        else:
+            refused += 1
+            with pytest.raises(ValidationError, match="^candidates must be sorted by length$"):
+                minima._check_candidates(pool)
+    assert 50 < refused < 350
+
+
+@pytest.mark.parametrize("lengths", [
+    ("1/2", "1/2", "1/3"),          # equal, distinct objects, then smaller
+    ("1", "1", "1", "1/2", "1"),    # a decrease inside a run of equal lengths
+    ("1/3", "1", "1/2", "1/2"),
+])
+def test_unsorted_pools_of_distinct_equal_lengths_are_refused(lengths):
+    G = torus_graph()
+    base = attach_all(G, enumerate_cycles(G, Fraction(2)))[0]
+    pool = [WeightedCycle(base.darts, Fraction(l), base.key, base.cls) for l in lengths]
+    assert len({id(c.length) for c in pool}) == len(pool)
+    with pytest.raises(ValidationError, match="^candidates must be sorted by length$"):
+        successive_minima_I(pool, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # the partial order
 

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfhom.homology import homology
 from surfhom.ribbon import (
     RibbonGraph,
+    _trace_faces_raw,
     ValidationError,
     add_loop,
     canonical_walk,
@@ -18,9 +23,13 @@ from surfhom.ribbon import (
     surface_invariants,
     trace_faces,
     validate_gluing_word,
+    validate_ribbon,
     validate_walk,
     walk_from_edge_set,
 )
+
+from . import reference_ribbon as ref
+from .util import tiny_weighted_graphs
 
 # the 20-gon side word whose quotient is the genus-3 catalog surface
 WORD20 = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
@@ -233,3 +242,89 @@ def test_capped_strips_marks():
     inv = surface_invariants(marked)
     assert inv.boundary_count == 1 and inv.faces == 0
     assert capped(marked).boundary_faces == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# linear-time validation against the old quadratic one
+
+def outcome(validate, rotation, twin, boundary_faces=frozenset(), edge_labels=None):
+    """("ok", vertex_of) or the message of the ValidationError that
+    validate raised, on an unvalidated record with the fields of a
+    RibbonGraph."""
+    R = SimpleNamespace(rotation=rotation, twin=twin, boundary_faces=frozenset(boundary_faces),
+                        edge_labels=edge_labels)
+    try:
+        validate(R)
+    except ValidationError as exc:
+        return "refused", str(exc)
+    return "ok", R.vertex_of
+
+
+@st.composite
+def rotation_systems(draw):
+    """A rotation system, valid or not: one to three connected pieces of
+    random edges, then at most one corruption of its darts, twins,
+    rotation, labels or boundary marks."""
+    rotation, twin = [], []
+    for _ in range(draw(st.sampled_from((1, 1, 1, 2, 3)))):
+        V = draw(st.integers(1, 3))
+        E = draw(st.integers(max(1, V - 1), 4))
+        ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, V)]
+        ends += [(draw(st.integers(0, V - 1)), draw(st.integers(0, V - 1))) for _ in range(E - V + 1)]
+        at = [[] for _ in range(V)]
+        for u, v in ends:
+            d = len(twin)
+            twin += [d + 1, d]
+            at[u].append(d)
+            at[v].append(d + 1)
+        rotation += [list(draw(st.permutations(darts))) for darts in at]
+    n = len(twin)
+    faces = sorted(min(f) for f in _trace_faces_raw(rotation, twin))
+    marked = draw(st.lists(st.sampled_from(faces), max_size=3))
+    labels = None
+    edit = draw(st.sampled_from(["none", "twin", "fixed", "drop", "dup", "range", "empty",
+                                 "float", "odd", "labels", "boundary", "nothing"]))
+    v = draw(st.integers(0, len(rotation) - 1))
+    if edit == "twin":
+        twin[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n))
+    elif edit == "fixed":
+        d = draw(st.integers(0, n - 1))
+        twin[d] = d
+    elif edit == "drop":
+        rotation[v].pop()
+    elif edit == "dup":
+        rotation[v].append(draw(st.integers(0, n - 1)))
+    elif edit == "range":
+        rotation[v][0] = draw(st.sampled_from([-1, n, n + 5]))
+    elif edit == "empty":
+        rotation.insert(v, [])
+    elif edit == "float":
+        rotation[v][0] = float(rotation[v][0])
+    elif edit == "odd":
+        twin.append(n)
+        rotation[v].append(n)
+    elif edit == "labels":
+        labels = tuple(f"e{i}" for i in range(n // 2 + draw(st.sampled_from([-1, 0, 1]))))
+    elif edit == "boundary":
+        marked.append(draw(st.integers(-1, n + 1)))
+    elif edit == "nothing":
+        rotation, twin = [], []
+    return tuple(map(tuple, rotation)), tuple(twin), marked, labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotation_systems())
+def test_validation_matches_the_quadratic_one(case):
+    assert outcome(validate_ribbon, *case) == outcome(ref.validate_ribbon, *case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs(), st.data())
+def test_validation_of_tiny_graphs_matches_the_quadratic_one(case, data):
+    R = case[0].ribbon
+    faces = [f[0] for f in trace_faces(R)]
+    marked = data.draw(st.lists(st.sampled_from(faces + [R.n_darts]), max_size=3))
+    args = (R.rotation, R.twin, marked, R.edge_labels)
+    assert outcome(validate_ribbon, *args) == outcome(ref.validate_ribbon, *args)
+    if R.n_darts not in marked:
+        assert outcome(validate_ribbon, *args) == ("ok", R.vertex_of)
