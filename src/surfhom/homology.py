@@ -169,13 +169,13 @@ class _Packing:
     for a width without a struct code).  Packing runs the same steps
     backwards."""
 
-    __slots__ = ("size", "count", "bias", "code", "row")
+    __slots__ = ("size", "count", "bias", "code", "row_format")
 
     def __init__(self, size, count):
         self.size, self.count = size, count
         self.bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
         self.code = _SIGNED_CODE.get(size)
-        self.row = self.code and f"<{count}{self.code}"  # struct format of one row
+        self.row_format = self.code and f"<{count}{self.code}"
 
     def pack(self, rows):
         """The packed int of each row, a sequence of ``count`` ints."""
@@ -202,10 +202,10 @@ class _Packing:
 
     def unpack_one(self, s):
         """The entries of one packed int."""
-        if not self.row:
+        if not self.row_format:
             return self.unpack((s,))
         data = ((s + self.bias) ^ self.bias).to_bytes(self.size * self.count, "little")
-        return struct.unpack(self.row, data)
+        return struct.unpack(self.row_format, data)
 
 
 class _Unpacked(dict):
@@ -271,8 +271,8 @@ def _symplectic_reduction(G):
     def fit(i, q, j, c, k):
         """The bound of P[i] - q * P[j] - c * P[k], after making room for
         it: past the width every bound is reset to its row's true
-        maximum, and the width doubles only if the new bound still
-        overflows."""
+        maximum, and only if the new bound still overflows does the
+        width double, as often as it needs (``_digit_bytes``)."""
         nonlocal packing, top
         nb = bound[i] + abs(q) * bound[j] + abs(c) * bound[k]
         if nb >= top:
@@ -280,12 +280,9 @@ def _symplectic_reduction(G):
             bound[:] = [max(map(abs, flat[r * n:r * n + n])) for r in range(n)]
             nb = bound[i] + abs(q) * bound[j] + abs(c) * bound[k]
             if nb >= top:
-                size = packing.size
-                while nb >> (8 * size - 1):
-                    size *= 2
-                packing = _Packing(size, n)
+                packing = _Packing(_digit_bytes(nb), n)
                 P[:] = packing.pack([flat[r * n:r * n + n] for r in range(n)])
-                top = 1 << (8 * size - 1)
+                top = 1 << (8 * packing.size - 1)
         return nb
 
     for a in range(0, n, 2):
