@@ -16,7 +16,10 @@ reduction of the intersection form G, once: rows P of a basis with
 P @ G @ P^T equal to the standard form S.  The reduction succeeds only
 when G is unimodular (det(G) * det(P)^2 = 1), so it is the proof of
 unimodularity that the build asserts, and ``symplectic_basis`` reads
-its P instead of reducing again.
+its P instead of reducing again.  The reduction moves no column: it
+chooses each pair through a permutation of the rows and computes the
+form row P[x] @ G of each row once it is final, so F = P @ G holds at
+the end and P^-1 = F^T @ S is read off F with no further product.
 
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
@@ -24,15 +27,16 @@ digits of a fixed byte width, so adding multiples of rows is big-integer
 arithmetic.  The reduction packs its basis rows P at 8-byte digits and
 keeps a bound per row; past the width it resets the bounds to the rows'
 true maxima first and doubles the width only if that is not enough.
-The inverse of P packs G's rows at the least width that holds every
-entry of P @ G, from the exact bound sum_j |P[i][j]| * max |G|.  The
-packed classes of enumerated cycles use the same helper.
+A row r times G (``_RowTimes``) is the sum of G's packed rows over r's
+nonzeros, at the least width that holds every entry of the product,
+from the exact bound sum_j |r_j| * max |G|.  The packed classes of
+enumerated cycles use ``_Packing`` too.
 """
 
 import struct
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import add, mul, neg, sub
+from operator import mul, neg, or_
 
 from .ribbon import (
     ValidationError,
@@ -132,15 +136,6 @@ def _interleave_sign(pos, L, a1, b1, a2, b2):
     return 0
 
 
-def _minus(x, q, y):
-    """The list x - q * y, at C speed when q is +-1."""
-    if q == 1:
-        return list(map(sub, x, y))
-    if q == -1:
-        return list(map(add, x, y))
-    return [u - q * v for u, v in zip(x, y)]
-
-
 # byte width -> struct code of the little-endian signed int of that width
 _SIGNED_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
 
@@ -222,6 +217,45 @@ class _Unpacked(dict):
         return cls
 
 
+class _RowTimes:
+    """The product r @ G of an integer row r with a fixed integer matrix
+    G: the sum of G's packed rows (``_Packing``) over the nonzero entries
+    of r, unpacked.  Its entries are at most sum_j |r_j| times the
+    largest |G| entry in absolute value; G is packed at the first call,
+    at the least width that holds that bound, and packed again, wider,
+    when a later row needs more."""
+
+    __slots__ = ("G", "largest", "packing", "rows", "top")
+
+    def __init__(self, G):
+        self.G = G
+        self.largest = self.packing = self.rows = None
+        self.top = 0
+
+    def __call__(self, r):
+        nz = list(compress(r, r))
+        if self.largest is None:
+            self.largest = max(map(abs, set(chain.from_iterable(self.G))), default=0)
+        reach = sum(map(abs, nz)) * self.largest
+        if reach >= self.top:
+            self.packing = _Packing(_digit_bytes(reach), len(self.G))
+            self.rows = self.packing.pack(self.G)
+            self.top = 1 << (8 * self.packing.size - 1)
+        return self.packing.unpack_one(sum(map(mul, nz, compress(self.rows, r))))
+
+
+def _inverse_from_form_rows(F):
+    """The inverse of a basis P with P @ G @ P^T == S, from the rows
+    F = P @ G.  As S^-1 = -S and G^T = -G, the inverse is
+    G @ P^T @ (-S) = F^T @ S: multiplying by S maps each column pair
+    (u, v) of F^T to (-v, u), so row k of F, negated when k is odd and
+    swapped with its partner, is column k of the inverse."""
+    columns = []
+    for k in range(0, len(F), 2):
+        columns += (map(neg, F[k + 1]), F[k])
+    return tuple(zip(*columns))
+
+
 _NOT_UNIMODULAR = "intersection form of a closed surface must be unimodular"
 
 # digit width in bytes at which the reduction packs its basis rows
@@ -230,28 +264,37 @@ _START_BYTES = 8
 
 def _symplectic_reduction(G):
     """Rows P of a basis in which the antisymmetric integer form G (zero
-    diagonal) is the standard form S: P @ G @ P^T == S, exactly.
+    diagonal) is the standard form S, P @ G @ P^T == S exactly, and the
+    rows P @ G: the pair (P, P @ G).
 
-    Row i of the work matrix is the basis row P[i] with its reduced form
-    row F[i].  Step k takes basis rows a = k and b = k + 1 to a canonical
-    pair.  The entry of row a smallest in absolute value (first on ties)
-    is swapped to b and its sign made +1.  When it is a unit, one rank-2
-    step per later row i, with q = F[a][i] and c = F[i][b],
-        [P[i] | F[i]] <- [P[i] | F[i]] - q * [P[b] | F[b]] - c * [P[a] | F[a]]
-    clears row i against both a and b; by antisymmetry the congruence
-    needs no column update, as row i's entries at a and b become zero.
-    Otherwise a Euclid pass subtracts multiples of row b from the later
-    rows, and of column b from their columns, until the least entry of
-    row a is a unit.  Rows before a are done: no column update reaches
-    them, and the later rows are zero in their columns.
+    Step k takes basis rows a = k and b = k + 1 to a canonical pair.
+    Entry (x, t) of the reduced form, the pairing of rows x and t, is
+    F[x] . P[t], where F[x] = P[x] @ G is computed (``_RowTimes``) once
+    row x has joined its pair and stops changing.  The later row whose
+    entry with a is least in absolute value (a unit first, first on
+    ties) moves to b, and row b is negated if that entry is negative.
+    When it is a unit, one rank-2 step per later row i, with q = (a, i)
+    and c = (i, b) = -(b, i),
+        P[i] <- P[i] - q * P[b] - c * P[a]
+    makes row i pair to zero with both a and b.  Otherwise a Euclid
+    pass subtracts multiples of row b from the later rows until a's
+    least entry is a unit.
 
-    The pivot search reads F, so its rows are lists.  P is only ever
-    combined, so each of its rows is one int (``_Packing``, starting at
-    ``_START_BYTES``-byte digits) and a rank-2 step on it is two big-int
-    multiply-adds.  Each row keeps a bound on the absolute values of its
-    entries.  When a step would push a bound past the digit width, every
-    row is unpacked and its bound reset to its true maximum, and only if
-    the step still overflows does the width double.
+    A later row t that began as the unit vector e_c and has since only
+    taken multiples of earlier pairs' rows pairs with a and with b,
+    which pair to zero with those, as F[a][c] and F[b][c]: ``order[t]``
+    holds c, and only a row that a Euclid pass changed (``order[t]`` is
+    None) is dotted with P[t] in full.  Rows move and change only as
+    whole rows, and no column is ever moved, so F = P @ G at the end, and
+    P^-1 can be read off F (``_inverse_from_form_rows``).
+
+    A row of P is only ever combined until it joins its pair, so each
+    is one int (``_Packing``, starting at ``_START_BYTES``-byte digits)
+    and a rank-2 step is two big-int multiply-adds.  Each row keeps a
+    bound on the absolute values of its entries.  When a step would
+    push a bound past the digit width, every row is unpacked and its
+    bound reset to its true maximum, and only if the step still
+    overflows does the width double.
 
     Every step is unimodular, so success means det(G) * det(P)^2 = 1:
     the reduction proves that G is unimodular.  Any other form (odd
@@ -261,12 +304,15 @@ def _symplectic_reduction(G):
     n = len(G)
     if n % 2:
         raise AssertionError(_NOT_UNIMODULAR)
-    F = [list(r) for r in G]
     packing = _Packing(_START_BYTES, n)
     bits = 8 * packing.size
     P = [1 << i for i in range(0, bits * n, bits)]
     bound = [1] * n
     top = 1 << (bits - 1)
+    order = list(range(n))  # None for a row a Euclid pass changed
+    euclid = False  # whether any Euclid pass ran
+    rows, F = [None] * n, [None] * n  # final rows of P, unpacked, and P @ G
+    times = _RowTimes(G)
 
     def fit(i, q, j, c, k):
         """The bound of P[i] - q * P[j] - c * P[k], after making room for
@@ -285,59 +331,67 @@ def _symplectic_reduction(G):
                 top = 1 << (8 * packing.size - 1)
         return nb
 
+    def settle(x):
+        """Row x joins its pair, and no step changes it after that.  A row
+        that is still a unit vector +-e_c has the form row +-G[c]."""
+        c = order[x]
+        if c is not None and abs(P[x]) == 1 << (8 * packing.size * c):
+            s = -1 if P[x] < 0 else 1
+            rows[x] = (0,) * c + (s,) + (0,) * (n - 1 - c)
+            F[x] = G[c] if s == 1 else tuple(map(neg, G[c]))
+        else:
+            rows[x] = packing.unpack_one(P[x])
+            F[x] = times(rows[x])
+
+    def entries(x, lo):
+        """The reduced form's entries of row x at rows lo, ..., n - 1."""
+        Fx, at = F[x], order[lo:]
+        if not euclid:
+            return [Fx[c] for c in at]
+        return [Fx[c] if c is not None else sum(map(mul, Fx, packing.unpack_one(P[t])))
+                for t, c in enumerate(at, lo)]
+
     for a in range(0, n, 2):
         b = a + 1
-        Fa = F[a]
+        settle(a)
         while True:
-            g = Fa[b:]
+            g = entries(a, b)
             units = [g.index(u) for u in (1, -1) if u in g]
             if units:
                 j = b + min(units)
             else:
-                j = min((t for t in range(b, n) if Fa[t]),
-                        key=lambda t: (abs(Fa[t]), t), default=None)
+                j = min((t for t in range(b, n) if g[t - b]),
+                        key=lambda t: (abs(g[t - b]), t), default=None)
                 if j is None:
                     raise AssertionError(_NOT_UNIMODULAR)
             if j != b:
-                F[b], F[j] = F[j], F[b]
                 P[b], P[j] = P[j], P[b]
                 bound[b], bound[j] = bound[j], bound[b]
-                for r in F[a:]:
-                    r[b], r[j] = r[j], r[b]
-            p = Fa[b]
+                order[b], order[j] = order[j], order[b]
+                g[0], g[j - b] = g[j - b], g[0]
+            p = g[0]
             if units:
                 break
-            done = True
+            euclid = done = True
             for i in range(b + 1, n):
-                if Fa[i]:
-                    q = Fa[i] // p  # basis[i] -= q * basis[b]
+                if g[i - b]:
+                    q = g[i - b] // p  # basis[i] -= q * basis[b]
                     bound[i] = fit(i, q, b, 0, a)
                     P[i] -= q * P[b]
-                    F[i] = _minus(F[i], q, F[b])
-                    for r in F[a:]:
-                        r[i] -= q * r[b]
-                    done = done and not Fa[i]
+                    order[i] = None
+                    done = done and not g[i - b] - q * p
             if done:
                 raise AssertionError(_NOT_UNIMODULAR)
         if p < 0:
             P[b] = -P[b]
-            F[b] = [-x for x in F[b]]
-            for r in F[a:]:
-                r[b] = -r[b]
-        Fb = F[b]
-        for i in range(b + 1, n):
-            Fi = F[i]
-            q, c = Fa[i], Fi[b]
-            if q or c:
-                nb = bound[i] + abs(q) * bound[b] + abs(c) * bound[a]
-                bound[i] = nb if nb < top else fit(i, q, b, c, a)
-                P[i] = P[i] - q * P[b] - c * P[a]
-                if q:
-                    Fi = _minus(Fi, q, Fb)
-                if c:
-                    Fi = _minus(Fi, c, Fa)
-                F[i] = Fi
-    return tuple(map(packing.unpack_one, P))
+        settle(b)
+        h = entries(b, b + 1)
+        for i in compress(range(b + 1, n), map(or_, g[1:], h)):
+            q, c = g[i - b], -h[i - b - 1]
+            nb = bound[i] + abs(q) * bound[b] + abs(c) * bound[a]
+            bound[i] = nb if nb < top else fit(i, q, b, c, a)
+            P[i] = P[i] - q * P[b] - c * P[a]
+    return tuple(rows), tuple(F)
 
 
 class SurfaceHomology:
@@ -351,7 +405,9 @@ class SurfaceHomology:
     pairing_matrix     intersection numbers of the L loops
     symplectic_rows    on a closed surface, the rows P of a canonical
                        basis: P @ pairing_matrix @ P^T is the standard
-                       form S (None on a surface with boundary)
+                       form S (None on a surface with boundary); the
+                       reduction's rows P @ pairing_matrix are kept
+                       beside it
     twin, vertex_of    the surface's dart tables, all that walks need;
                        the surface itself is not kept, so R and its
                        homology are freed together as soon as R is
@@ -435,7 +491,9 @@ class SurfaceHomology:
         self.pairing_matrix = tuple(rows)
         # the symplectic reduction of a closed surface's form succeeds only
         # when the form is unimodular, so it is the proof as well
-        self.symplectic_rows = None if R.boundary_faces else _symplectic_reduction(self.pairing_matrix)
+        self.symplectic_rows = self._form_rows = None
+        if not R.boundary_faces:
+            self.symplectic_rows, self._form_rows = _symplectic_reduction(self.pairing_matrix)
 
     # -- coordinates ------------------------------------------------------
 
@@ -632,31 +690,9 @@ def standard_symplectic(g):
 
 def _symplectic_inverse(P, G):
     """Exact inverse of a basis P whose pairing P @ G @ P^T is the
-    standard form S: as S^-1 = -S and G^T = -G, the inverse is
-    G @ P^T @ (-S) = (P @ G)^T @ S.  Multiplying by S maps each column
-    pair (u, v) of P @ G to (-v, u), so row k of P @ G, negated when k
-    is odd and swapped with its partner, is column k of the inverse.
-
-    G's rows are packed (``_Packing``) at a width that holds every entry
-    of P @ G, whose absolute values are at most the sum of |P[i][j]|
-    over j times the largest |G| entry.  Row i of the product is the sum
-    of the packed rows of G over the nonzero entries of P[i]; all rows
-    are unpacked in one pass, and row k of the inverse is the strided
-    column k of the result."""
-    n = len(P)
-    largest = max(map(abs, set(chain.from_iterable(G))), default=0)
-    reach = max((sum(map(abs, compress(r, r))) for r in P), default=0) * largest
-    packing = _Packing(_digit_bytes(reach), n)
-    rows = packing.pack(G)
-
-    def product(r):
-        return sum(map(mul, compress(r, r), compress(rows, r)))
-
-    columns = []
-    for k in range(0, n, 2):
-        columns += (-product(P[k + 1]), product(P[k]))
-    flat = packing.unpack(columns)
-    return tuple(flat[k::n] for k in range(n))
+    standard form S, read off the rows P @ G (``_inverse_from_form_rows``),
+    each summed from G's packed rows (``_RowTimes``)."""
+    return _inverse_from_form_rows(list(map(_RowTimes(G), P)))
 
 
 def class_of_walk(R, walk, basis, modulus=0):
@@ -705,7 +741,9 @@ def symplectic_basis(R, name="symplectic"):
     Its rows P are the symplectic reduction that building the surface's
     homology already ran, once, as the proof that the intersection form
     G is unimodular; nothing is reduced here.  As P @ G @ P^T == S,
-    P^-1 = G @ P^T @ (-S) exactly, so inverting P takes no elimination.
+    P^-1 = (P @ G)^T @ S exactly.  The reduction moves no column, so it
+    keeps the rows P @ G, and P^-1 is read off them: inverting P here
+    takes neither an elimination nor a product.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
@@ -719,7 +757,7 @@ def symplectic_basis(R, name="symplectic"):
         by_class.setdefault(tuple(map(neg, cls)), tuple(R.twin[d] for d in reversed(walk)))
     names = tuple(nm for i in range(1, g + 1) for nm in (f"a{i}", f"b{i}"))
     walks = tuple(by_class.get(row) for row in P)
-    inverse = _symplectic_inverse(P, H.pairing_matrix)
+    inverse = _inverse_from_form_rows(H._form_rows)
     return ReferenceBasis(name, names, P, inverse, standard_symplectic(g), walks)
 
 

@@ -234,12 +234,14 @@ class MinimaTrace:
 
 def _check_classes(candidates, n):
     """Raise ValidationError naming the first candidate class that is not
-    an n-tuple of ints.  The types, the lengths and the entry types of
-    all classes are each read at once; only a failure walks the classes
-    one by one."""
+    an n-tuple of ints.  The types of all classes are read at once, then
+    the lengths and the entry types of each distinct class object, as
+    candidates share them; only a failure walks the classes one by
+    one."""
     classes = list(map(attrgetter("cls"), candidates))
-    if set(map(type, classes)) <= {tuple} and set(map(len, classes)) <= {n} and \
-            set(map(type, chain.from_iterable(classes))) <= {int}:
+    distinct = dict(zip(map(id, classes), classes)).values()
+    if set(map(type, classes)) <= {tuple} and set(map(len, distinct)) <= {n} and \
+            set(map(type, chain.from_iterable(distinct))) <= {int}:
         return
     for cls in classes:
         if type(cls) is not tuple or len(cls) != n or any(type(x) is not int for x in cls):

@@ -11,7 +11,9 @@ new one.
 with one rank-2 step per row at a unit pivot; the reference reduces by
 full row and column operations.  Their bases must be equal field by
 field, and so must the reductions of forms U S U^T whose first row has
-no unit entry, which only the Euclid pass can reduce.
+no unit entry, which only the Euclid pass can reduce.  The reduction
+moves no column and reads its inverse off the form rows P @ G; that
+inverse must equal the reference's product G @ P^T @ (-S).
 """
 
 import importlib
@@ -21,6 +23,7 @@ import pytest
 
 from surfhom.homology import (
     SurfaceHomology,
+    _inverse_from_form_rows,
     _symplectic_inverse,
     _symplectic_reduction,
     homology,
@@ -172,7 +175,7 @@ def non_unit_forms(seed, count):
 
 def test_reduction_with_non_unit_pivots_matches_reference():
     for form in non_unit_forms(20261018, 60):
-        P = _symplectic_reduction(form)
+        P, _ = _symplectic_reduction(form)
         Pm, pairing = ref.symplectic_reduction(form)
         assert P == Pm, form
         assert matmul(matmul(P, form), transpose(P)) == pairing
@@ -185,7 +188,7 @@ def test_reduction_of_forms_with_huge_entries_matches_reference():
         U = unimodular(rng, n, multipliers=(-10 ** 6, -7, 5, 10 ** 9))
         form = matmul(matmul(U, standard_symplectic(n // 2)), transpose(U))
         assert max(abs(x) for r in form for x in r) > 2 ** 64 or n == 2
-        assert _symplectic_reduction(form) == ref.symplectic_reduction(form)[0]
+        assert _symplectic_reduction(form)[0] == ref.symplectic_reduction(form)[0]
 
 
 @pytest.mark.parametrize("form", [
@@ -200,10 +203,14 @@ def test_reduction_refuses_a_form_that_is_not_unimodular(form):
         _symplectic_reduction(form)
 
 
-def random_surface_forms(seed, count):
+def random_surfaces(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
-        R = random_ribbon_graph(rng, max_edges=40, min_edges=20, vertices=rng.randrange(2, 12))
+        yield random_ribbon_graph(rng, max_edges=40, min_edges=20, vertices=rng.randrange(2, 12))
+
+
+def random_surface_forms(seed, count):
+    for R in random_surfaces(seed, count):
         yield homology(R).pairing_matrix
 
 
@@ -220,25 +227,32 @@ def test_reduction_at_a_small_starting_width_matches_reference(monkeypatch, star
     # digit width again and again: either the reset bounds fit, or the
     # width doubles, up to digits wider than any struct code
     monkeypatch.setattr(homology_module, "_START_BYTES", start)
-    widths, resets = [], []
+    made, formed, resets = [], [], []
 
     class Spy(homology_module._Packing):
         __slots__ = ()
 
         def __init__(self, size, count):
-            widths.append(size)
+            made.append(self)
             super().__init__(size, count)
 
-        def unpack(self, packed):  # the reduction unpacks only to reset bounds
-            resets.append(self.size)
+        def pack(self, rows):  # the packing of G's rows, for the form rows P @ G
+            if rows is form:
+                formed.append(self)
+            return super().pack(rows)
+
+        def unpack(self, packed):  # the reduction unpacks all rows only to reset bounds
+            if len(packed) > 1:
+                resets.append(self.size)
             return super().unpack(packed)
 
-    monkeypatch.setattr(homology_module, "_Packing", Spy)
     forms = [*non_unit_forms(20261018, 30), *random_surface_forms(5, 20), *huge_entry_forms()]
+    monkeypatch.setattr(homology_module, "_Packing", Spy)
     reset_only = widened = widest = 0
     for form in forms:
-        del widths[:], resets[:]
-        assert _symplectic_reduction(form) == ref.symplectic_reduction(form)[0], form
+        del made[:], formed[:], resets[:]
+        assert _symplectic_reduction(form)[0] == ref.symplectic_reduction(form)[0], form
+        widths = [p.size for p in made if p not in formed]
         assert widths[0] == start
         widened += len(widths) > 1
         reset_only += len(widths) == 1 and bool(resets)
@@ -258,3 +272,20 @@ def test_inverse_of_a_basis_with_entries_past_machine_words_matches_reference():
         inverse = _symplectic_inverse(P, G)
         assert inverse == ref._symplectic_inverse(P, G) == Q
         assert matmul(P, inverse) == identity(n)
+
+
+def test_inverse_read_off_the_reduction_matches_reference():
+    # the inverse that symplectic_basis returns is read off the form rows
+    # P @ G of the reduction; the reference multiplies G @ P^T @ (-S)
+    for R in [*random_surfaces(5, 20), *(schema_to_ribbon(canonical_word(g)) for g in (1, 2, 10, 20))]:
+        B, G = symplectic_basis(R), homology(R).pairing_matrix
+        assert B.inverse == ref._symplectic_inverse(B.matrix, G), R
+        assert matmul(B.matrix, B.inverse) == identity(len(G)), R
+    # forms that only a Euclid pass reduces, and forms with huge entries:
+    # the reduction's rows are P @ G, and the inverse read off them
+    for form in [*non_unit_forms(20261018, 60), *huge_entry_forms()]:
+        P, F = _symplectic_reduction(form)
+        assert F == matmul(P, form), form
+        inverse = _inverse_from_form_rows(F)
+        assert inverse == ref._symplectic_inverse(P, form), form
+        assert matmul(P, inverse) == identity(len(form)), form

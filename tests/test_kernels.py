@@ -9,6 +9,7 @@ division.  The library has no Smith form left, and a guard pins that
 neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The count
 guards pin that the homology path inverts no matrix, that a closed
 surface is reduced to symplectic form once and takes no determinant,
+that its symplectic basis takes its inverse from that reduction,
 that a pool of enumerated cycles validates no walk, and that a
 procedure or a public Z oracle validates a fixed number of matrices
 however long its pool: counts that repeat exactly on any machine.
@@ -260,6 +261,27 @@ def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
         R = RibbonGraph(R.rotation, R.twin)
         assert symplectic_basis(R).matrix is symplectic_basis(R).matrix
     assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 2}
+
+
+def test_symplectic_basis_reads_its_inverse_off_the_reduction(monkeypatch):
+    # the build's reduction keeps the form rows P @ G, so P^-1 = (P @ G)^T @ S
+    # takes no product of P with G; no closed surface here needs a Euclid pass
+    calls = []
+    monkeypatch.setattr(homology_module, "_symplectic_inverse", lambda P, G: calls.append(P))
+    for R in (schema_to_ribbon(canonical_word(20)), *random_closed_surfaces(30)[:10]):
+        B = symplectic_basis(RibbonGraph(R.rotation, R.twin))
+        assert matmul(B.matrix, B.inverse) == identity(len(B.matrix))
+    assert calls == []
+
+
+def test_canonical_word_reduction_multiplies_no_row_by_the_form(monkeypatch):
+    # every basis row of a canonical word's reduction stays a signed unit
+    # vector +-e_c, whose form row is +-G[c]: no row is multiplied by G
+    calls = []
+    monkeypatch.setattr(homology_module._RowTimes, "__call__", lambda self, r: calls.append(r))
+    for g in (1, 5, 20):
+        assert homology(schema_to_ribbon(canonical_word(g))).symplectic_rows
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,22 @@ def test_det_matches_laplace(A):
     assert det_int(A) == det_laplace(A)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_det_matches_sympy(A):
+    # sympy is a test oracle only, never a dependency of the library
+    sympy = pytest.importorskip("sympy")
+    assert det_int(as_int_matrix(A)) == sympy.Matrix(A).det()
+
+
 # ---------------------------------------------------------------------------
 # span membership
 
