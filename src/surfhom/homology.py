@@ -29,8 +29,10 @@ keeps a bound per row; past the width it resets the bounds to the rows'
 true maxima first and doubles the width only if that is not enough.
 A row r times G (``_RowTimes``) is the sum of G's packed rows over r's
 nonzeros, at the least width that holds every entry of the product,
-from the exact bound sum_j |r_j| * max |G|.  The packed classes of
-enumerated cycles use ``_Packing`` too.
+from the exact bound sum_j |r_j| * max |G|.  The build packs each
+dart's class once, at digits that hold any edge-simple walk's class, so
+the class of an enumerated cycle is a sum of its darts' packed rows,
+and one ``_Unpacked`` table per surface unpacks each distinct sum once.
 """
 
 import struct
@@ -55,6 +57,7 @@ from .zlattice import (
     _unimodular_solve,
     as_int_matrix,
     matmul,
+    transpose,
     vec_mat,
 )
 
@@ -204,8 +207,9 @@ class _Packing:
 
 
 class _Unpacked(dict):
-    """Packed sum -> class: a missing sum is unpacked and kept
-    (``SurfaceHomology._pack_rows``)."""
+    """Packed sum -> class: a missing sum is unpacked and kept, so every
+    read of one sum returns the same class object
+    (``SurfaceHomology._class``)."""
 
     __slots__ = ("unpack",)
 
@@ -416,14 +420,18 @@ class SurfaceHomology:
     The walks built on the surface, valid by construction, are kept in
     a walk -> class table, so ``class_of_walk`` of an equal tuple is one
     lookup: every cycle ``enumerate_cycles`` returns and every
-    fundamental cycle of ``cotree_basis``.  ``enumerate_cycles`` sums
-    its classes packed, each into one integer (``_pack_rows``).
+    fundamental cycle of ``cotree_basis``.  Each dart's class is kept
+    packed into one integer (``_packed``, 0 for a tree dart), at digits
+    wide enough for the classes of edge-simple walks: every coordinate
+    of a dart's class is -1, 0 or 1 (a cotree dart's is the sum of the L
+    darts leaving its subtree of faces), so a walk's is at most the
+    number of edges.  ``enumerate_cycles`` sums these rows, and
+    ``_class`` unpacks each sum the first time it is read.
     """
 
     def __init__(self, R):
         self.twin, self.vertex_of = twin, vof = R.twin, R.vertex_of
         self._walk_class = {}
-        self._packing = None  # packed rows, built by the first enumeration
         self._cotree = None  # cotree_basis, built by its first call
         vertex_darts = [[(d, vof[twin[d]]) for d in cyc] for cyc in R.rotation]
         _, self.parent = _spanning_tree(vertex_darts, 0)
@@ -446,20 +454,21 @@ class SurfaceHomology:
         self.basis_edges = tuple(e for e in self.fundamental_edges if e not in cotree)
         self.rank = len(self.basis_edges)
 
-        # class of each non-tree dart: units on L, then, leaves first, the
+        # each dart's class, packed (``_Packing``) into one int at digits
+        # that hold the coordinates of any edge-simple walk: a unit on
+        # each L dart and minus it on its twin, then, leaves first, the
         # dart from a face into its parent is minus the rest of its face
-        # (a face boundary is null-homologous); tree darts have no class
-        self._rows = dict.fromkeys(tree)
-
-        def put(d, row):
-            self._rows[d] = row
-            self._rows[twin[d]] = tuple(map(neg, row))
-
+        # (a face boundary is null-homologous); tree darts are 0
+        packing = _Packing(_digit_bytes(R.n_edges), self.rank)
+        self._packed = packed = dict.fromkeys(range(len(twin)), 0)
+        self._class = _Unpacked(packing)
         for i, e in enumerate(self.basis_edges):
-            put(e, (0,) * i + (1,) + (0,) * (self.rank - i - 1))
+            packed[e] = 1 << (8 * packing.size * i)
+            packed[twin[e]] = -packed[e]
         for f in reversed(order[1:]):
-            up = twin[crossing[f]]
-            put(crossing[f], self.class_of_chain(d for d, _ in face_darts[f] if d != up))
+            down = crossing[f]
+            packed[down] = sum(packed[d] for d, _ in face_darts[f] if d != twin[down])
+            packed[twin[down]] = -packed[down]
 
         # the rotation at the one vertex left after contracting T
         nxt = {}
@@ -501,12 +510,13 @@ class SurfaceHomology:
         """H1 class of the 1-chain that runs once along each given dart.
 
         Any chain is accepted, so a face boundary (which may use an edge
-        twice) maps to zero; tree darts contribute nothing."""
+        twice) maps to zero; tree darts contribute nothing.  The darts'
+        classes are summed as tuples, so a chain of any length is exact."""
         try:
-            rows = [self._rows[d] for d in darts]
+            packed = [self._packed[d] for d in darts]
         except KeyError as exc:
             raise ValidationError(f"dart {exc.args[0]!r} not in graph") from None
-        rows = [r for r in rows if r is not None]
+        rows = [self._class[p] for p in packed if p]
         return tuple(map(sum, zip(*rows))) if rows else (0,) * self.rank
 
     def class_of_walk(self, walk):
@@ -520,40 +530,23 @@ class SurfaceHomology:
             cls = self.class_of_chain(validate_walk(self, walk))
         return cls
 
-    def _pack_rows(self):
-        """Each dart's packed row and the table from a packed sum to its
-        class, built once per surface.
-
-        A dart's packed row is its row packed by ``_Packing``, so the
-        packed class of a walk is the sum of its darts' packed rows, and
-        the digit width leaves room for the largest coordinate an
-        edge-simple walk can reach.  Every row entry is -1, 0 or 1 (a
-        cotree row is the sum of the L darts leaving its subtree of
-        faces), so a coordinate of an edge-simple walk is at most the
-        number of edges and 8-byte digits always suffice.  The table
-        unpacks each sum the first time it is read and keeps the class,
-        so every later read of that sum returns the same class object."""
-        if self._packing is not None:
-            return self._packing
-        twin = self.twin
-        rows = [(e, r) for e, r in self._rows.items() if r is not None and e < twin[e]]
-        reach = max((sum(map(abs, col)) for col in zip(*(r for _, r in rows))), default=0)
-        packing = _Packing(_digit_bytes(reach), self.rank)
-        packed = [0] * len(twin)
-        for (e, _), p in zip(rows, packing.pack([r for _, r in rows])):
-            packed[e] = p
-            packed[twin[e]] = -p
-        self._packing = packed, _Unpacked(packing)
-        return self._packing
+    def _on_tree(self, d):
+        """Whether dart d lies on an edge of the spanning tree T: d is the
+        parent dart of the vertex it leads to, or its twin is."""
+        parent, twin, vof = self.parent, self.twin, self.vertex_of
+        return parent[vof[twin[d]]] == d or parent[vof[d]] == twin[d]
 
     def fundamental_class(self, e):
-        """Class of the fundamental cycle attached to non-tree edge e."""
-        return self._rows[e]
+        """Class of the fundamental cycle attached to non-tree edge e;
+        None for a tree dart."""
+        if not (isinstance(e, int) and e in self._packed):
+            raise ValidationError(f"dart {e!r} not in graph")
+        return None if self._on_tree(e) else self._class[self._packed[e]]
 
     def fundamental_walk(self, e):
         """The fundamental cycle of non-tree dart e: e, then the tree
         path back to its start, a valid closed walk by construction."""
-        if self._rows.get(e) is None:
+        if not (isinstance(e, int) and e in self._packed) or self._on_tree(e):
             raise ValidationError(f"dart {e!r} is not on a non-tree edge")
         vof = self.vertex_of
         return (e,) + _tree_path(self.twin, vof, self.parent, vof[self.twin[e]], vof[e])
@@ -567,7 +560,7 @@ class SurfaceHomology:
             pairs = []
             for e in self.fundamental_edges:
                 walk = self.fundamental_walk(e)
-                pairs.append((walk, table.setdefault(walk, self._rows[e])))
+                pairs.append((walk, table.setdefault(walk, self._class[self._packed[e]])))
             self._cotree = tuple(pairs)
         return self._cotree
 
@@ -688,13 +681,6 @@ def standard_symplectic(g):
     return tuple(map(tuple, J))
 
 
-def _symplectic_inverse(P, G):
-    """Exact inverse of a basis P whose pairing P @ G @ P^T is the
-    standard form S, read off the rows P @ G (``_inverse_from_form_rows``),
-    each summed from G's packed rows (``_RowTimes``)."""
-    return _inverse_from_form_rows(list(map(_RowTimes(G), P)))
-
-
 def class_of_walk(R, walk, basis, modulus=0):
     """Coordinates of a walk's class in a declared reference basis."""
     vec = class_vector(R, walk)
@@ -708,7 +694,9 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     ``walks[i]`` with respect to the (unknown) basis; the basis is
     solved as X @ computed, X being a left inverse of the declared rows
     over Z, and then every row and the symplectic pairing are verified,
-    so a wrong surface encoding cannot slip through.
+    so a wrong surface encoding cannot slip through.  One product
+    F = B @ G with the intersection form G gives both the pairing
+    F @ B^T and the inverse of B (``_inverse_from_form_rows``).
     """
     H = homology(R)
     declared = as_int_matrix(declared_rows)
@@ -725,11 +713,12 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
         raise LatticeError("surface encoding does not reproduce the declared table")
     if abs(_det(B)) != 1:
         raise LatticeError("declared basis is not unimodular on this surface")
-    pairing = tuple(tuple(H.pair(B[i], B[j]) for j in range(m)) for i in range(m))
+    F = matmul(B, H.pairing_matrix)
+    pairing = matmul(F, transpose(B))
     if pairing != standard_symplectic(m // 2):
         raise LatticeError("declared basis does not pair as a canonical basis")
     walk_map = tuple((basis_walks or {}).get(nm) for nm in basis_names)
-    inverse = _symplectic_inverse(B, H.pairing_matrix)
+    inverse = _inverse_from_form_rows(F)
     return ReferenceBasis(name, tuple(basis_names), B, inverse, pairing, walk_map)
 
 
@@ -750,15 +739,18 @@ def symplectic_basis(R, name="symplectic"):
     H = homology(R)
     P = H.symplectic_rows
     g = H.rank // 2
-    # attach representative walks where a basis row is a fundamental cycle
-    by_class = {}
+    # attach representative walks where a basis row is the class of a
+    # fundamental cycle, or of one reversed: the first such cycle
+    row_sign = {row: (i, 1) for i, row in enumerate(P)}
+    row_sign.update((tuple(map(neg, row)), (i, -1)) for i, row in enumerate(P))
+    walks = [None] * len(P)
     for walk, cls in cotree_basis(R):
-        by_class.setdefault(cls, walk)
-        by_class.setdefault(tuple(map(neg, cls)), tuple(R.twin[d] for d in reversed(walk)))
+        i, sign = row_sign.get(cls, (None, 0))
+        if sign and walks[i] is None:
+            walks[i] = walk if sign == 1 else tuple(R.twin[d] for d in reversed(walk))
     names = tuple(nm for i in range(1, g + 1) for nm in (f"a{i}", f"b{i}"))
-    walks = tuple(by_class.get(row) for row in P)
     inverse = _inverse_from_form_rows(H._form_rows)
-    return ReferenceBasis(name, names, P, inverse, standard_symplectic(g), walks)
+    return ReferenceBasis(name, names, P, inverse, standard_symplectic(g), tuple(walks))
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,13 @@ def enumerate_cycles(G, bound):
     canonical encoding and no cycle is reached twice.  Results sorted
     by (length, canonical encoding).
 
-    Each search entry also carries the packed class of its partial walk
-    (``SurfaceHomology._pack_rows``), one integer add per step, and
-    after the sort R's homology unpacks each packed class it has not
-    met before.  It keeps the class of every returned walk for
-    ``class_of_walk``; a walk it holds already keeps its class object.
+    Each search entry also carries the packed class of its partial walk,
+    the sum of the packed rows that R's homology keeps per dart
+    (``SurfaceHomology._packed``), one integer add per step, and after
+    the sort the homology unpacks each packed class it has not met
+    before (``SurfaceHomology._class``).  It keeps the class of every
+    returned walk for ``class_of_walk``; a walk it holds already keeps
+    its class object.
     The cycles are built field by field through the slots of
     ``WeightedCycle``.
     """
@@ -178,7 +180,7 @@ def enumerate_cycles(G, bound):
     all_edges, D, weight, out = G._search
     limit = bound.numerator * D // bound.denominator
     H = homology(R)
-    packed, class_of_sum = H._pack_rows()
+    packed, class_of_sum = H._packed, H._class
     # each search entry also carries its dart's packed row
     out = [[(w, d, b, head, packed[d]) for w, d, b, head in rot] for rot in out]
     found = []

@@ -309,14 +309,14 @@ def validate_walk(R, walk):
     n = len(twin)
     last = len(walk) - 1
     used = set()
-    # each dart is range-checked as the successor of the one before it,
-    # and so before its vertex is read
-    if not 0 <= walk[0] < n:
-        raise ValidationError(f"dart {walk[0]} not in graph")
+    # each dart is checked to be an int in range as the successor of the
+    # one before it, and so before its vertex is read
+    if not (isinstance(walk[0], int) and 0 <= walk[0] < n):
+        raise ValidationError(f"dart {walk[0]!r} not in graph")
     for i, d in enumerate(walk):
         nxt = walk[i + 1] if i < last else walk[0]
-        if not 0 <= nxt < n:
-            raise ValidationError(f"dart {nxt} not in graph")
+        if not (isinstance(nxt, int) and 0 <= nxt < n):
+            raise ValidationError(f"dart {nxt!r} not in graph")
         t = twin[d]
         if vof[nxt] != vof[t]:
             raise ValidationError("consecutive darts are not incident head-to-tail")

@@ -25,7 +25,15 @@ from hypothesis import given, settings
 from surfhom.catalog import load_example
 from surfhom.homology import homology
 from surfhom.minima import WeightedCycle, WeightedGraph, enumerate_cycles
-from surfhom.ribbon import RibbonGraph, ValidationError, canonical_walk, trace_faces, validate_walk
+from surfhom.ribbon import (
+    RibbonGraph,
+    ValidationError,
+    add_loop,
+    canonical_walk,
+    schema_to_ribbon,
+    trace_faces,
+    validate_walk,
+)
 
 from . import reference_minima as ref
 from .util import random_ribbon_graph, tiny_weighted_graphs
@@ -210,6 +218,43 @@ def test_classes_at_every_packing_width(monkeypatch, width):
     monkeypatch.setattr(homology_module, "_SIGNED_CODE", {width: code})
     for _, G in weighted_graphs(13, 30):
         assert_classes_are_walk_classes(G, enumerate_cycles(G, sum(G.edge_length)))
+
+
+def test_enumeration_packs_no_rows_of_its_own(monkeypatch):
+    # the build packs each dart's row once; enumerating, at any bound and
+    # as often as it likes, reads those rows and makes no new packing
+    made = []
+
+    class Spy(homology_module._Packing):
+        __slots__ = ()
+
+        def __init__(self, size, count):
+            made.append(size)
+            super().__init__(size, count)
+
+    graphs = [G for _, G in weighted_graphs(14, 10)]
+    for G in graphs:
+        homology(G.ribbon)
+    monkeypatch.setattr(homology_module, "_Packing", Spy)
+    for G in graphs:
+        total = sum(G.edge_length)
+        cycles = enumerate_cycles(G, total / 2) + enumerate_cycles(G, total)
+        assert_classes_are_walk_classes(G, cycles)
+    assert made == []
+
+
+def test_packed_class_of_a_walk_past_one_byte_is_exact():
+    # 130 loops parallel to a side of a torus: the walk along that side
+    # and all of them has the coordinate 131, which the digit width of
+    # the packed dart rows holds, as it holds any edge-simple walk's
+    R, walk = schema_to_ribbon("a b a' b'"), [0]
+    for _ in range(130):
+        R, n = add_loop(R, walk[-1], 1)  # between the last loop and dart 1
+        walk.append(n)
+    H = homology(R)
+    cls = H.class_of_walk(tuple(walk))
+    assert H.rank == 2 and max(map(abs, cls)) == 131
+    assert H._class[sum(H._packed[d] for d in walk)] == cls
 
 
 @pytest.mark.parametrize("bound, size", [(0, 1), (127, 1), (128, 2), (2 ** 63 - 1, 8),

@@ -108,6 +108,32 @@ def test_face_boundary_is_null_homologous():
         H.class_of_chain((R.n_darts,))
 
 
+def test_fundamental_class_of_tree_darts_and_of_darts_not_in_the_graph():
+    R = schema_to_ribbon(WORD20)
+    H = homology(R)
+    non_tree = set(H.fundamental_edges) | {R.twin[e] for e in H.fundamental_edges}
+    tree = [d for d in range(R.n_darts) if d not in non_tree]
+    assert tree and all(H.fundamental_class(d) is None for d in tree)
+    for e in H.fundamental_edges:
+        assert H.fundamental_class(R.twin[e]) == tuple(-x for x in H.fundamental_class(e))
+    for d in (99, R.n_darts, -1, 0.5, "0", None):
+        with pytest.raises(ValidationError) as err:
+            H.fundamental_class(d)
+        assert str(err.value) == f"dart {d!r} not in graph"
+
+
+def test_class_of_a_chain_past_the_digit_width_is_exact():
+    # with fewer than 128 edges the packed dart rows hold one byte per
+    # coordinate; a walk run 200 times still gets 200 times its class
+    R = schema_to_ribbon(WORD20)
+    H = homology(R)
+    assert R.n_edges < 128
+    pairs = cotree_basis(R)
+    assert any(1 in cls for _, cls in pairs)
+    for walk, cls in pairs:
+        assert H.class_of_chain(walk * 200) == tuple(200 * x for x in cls)
+
+
 def test_homology_is_kept_on_the_graph_and_freed_with_it():
     R = schema_to_ribbon(WORD20)
     H = homology(R)
@@ -292,6 +318,15 @@ def test_reference_basis_from_table_torus():
     got = class_of_walk(R, (0, 1), basis)
     assert got.coords == (1, 1)
     assert basis.pairing == standard_symplectic(1)
+
+
+def test_reference_basis_that_does_not_pair_canonically_is_refused():
+    # (b, a) is a basis of the torus's H1, but it pairs as -S
+    R = schema_to_ribbon("a b a' b'")
+    B = reference_basis_from_table(R, "x", ("a1", "b1"), ((1, 0), (0, 1)), [(0,), (1,)])
+    with pytest.raises(LatticeError, match="does not pair as a canonical basis"):
+        reference_basis_from_table(R, "x", ("a1", "b1"), ((0, 1), (1, 0)), [(0,), (1,)])
+    assert matmul(B.matrix, B.inverse) == identity(2)
 
 
 def test_reference_basis_from_an_empty_table_is_refused():

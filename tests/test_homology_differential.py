@@ -24,7 +24,7 @@ import pytest
 from surfhom.homology import (
     SurfaceHomology,
     _inverse_from_form_rows,
-    _symplectic_inverse,
+    _RowTimes,
     _symplectic_reduction,
     homology,
     standard_symplectic,
@@ -100,7 +100,7 @@ def test_fundamental_walk_refuses_a_tree_dart():
     tree = [d for d in range(R.n_darts) if d not in H.fundamental_edges
             and R.twin[d] not in H.fundamental_edges]
     assert tree
-    for d in tree + [R.n_darts]:
+    for d in tree + [R.n_darts, 0.5, None]:
         with pytest.raises(ValidationError, match="not on a non-tree edge"):
             H.fundamental_walk(d)
 
@@ -269,9 +269,15 @@ def test_inverse_of_a_basis_with_entries_past_machine_words_matches_reference():
         # the form in which P is a canonical basis: P^-1 S P^-T
         Q = int_inverse(P)
         G = matmul(matmul(Q, standard_symplectic(n // 2)), transpose(Q))
-        inverse = _symplectic_inverse(P, G)
+        F = matmul(P, G)
+        inverse = _inverse_from_form_rows(F)
         assert inverse == ref._symplectic_inverse(P, G) == Q
         assert matmul(P, inverse) == identity(n)
+        # the reduction's product of one row with the form, at entries
+        # past machine words
+        assert max(abs(x) for r in F for x in r) > 2 ** 63 or n == 2
+        times = _RowTimes(G)
+        assert [times(row) for row in P] == list(F)
 
 
 def test_inverse_read_off_the_reduction_matches_reference():

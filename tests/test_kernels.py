@@ -267,7 +267,7 @@ def test_symplectic_basis_reads_its_inverse_off_the_reduction(monkeypatch):
     # the build's reduction keeps the form rows P @ G, so P^-1 = (P @ G)^T @ S
     # takes no product of P with G; no closed surface here needs a Euclid pass
     calls = []
-    monkeypatch.setattr(homology_module, "_symplectic_inverse", lambda P, G: calls.append(P))
+    monkeypatch.setattr(homology_module, "matmul", lambda A, B: calls.append(A))
     for R in (schema_to_ribbon(canonical_word(20)), *random_closed_surfaces(30)[:10]):
         B = symplectic_basis(RibbonGraph(R.rotation, R.twin))
         assert matmul(B.matrix, B.inverse) == identity(len(B.matrix))

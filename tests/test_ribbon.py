@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfhom.homology import homology
+from surfhom.minima import WeightedGraph, is_straight_cycle
 from surfhom.ribbon import (
     RibbonGraph,
     _trace_faces_raw,
@@ -145,11 +146,30 @@ DIPOLE = RibbonGraph(((0, 2, 4), (1, 3, 5)), (1, 0, 3, 2, 5, 4))
     # negative one does not wrap around to another dart
     ((0, 99), "dart 99 not in graph"),
     ((0, -1), "dart -1 not in graph"),
+    # a dart that is not an int is not in the graph either
+    ((0.5,), "dart 0.5 not in graph"),
+    (("0",), "dart '0' not in graph"),
+    ((None,), "dart None not in graph"),
+    ((0, 3.0), "dart 3.0 not in graph"),
 ])
 def test_walk_validation_messages(walk, message):
     with pytest.raises(ValidationError) as err:
         validate_walk(DIPOLE, walk)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dart", [0.5, "0", None])
+def test_walks_of_non_integer_darts_are_refused_everywhere(dart):
+    message = f"dart {dart!r} not in graph"
+    refusals = [
+        lambda: homology(DIPOLE).class_of_walk((dart,)),
+        lambda: is_straight_cycle(WeightedGraph(DIPOLE, (1, 1, 1)), (dart,)),
+        lambda: complement_components(DIPOLE, [(dart,)]),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValidationError) as err:
+            refuse()
+        assert str(err.value) == message
 
 
 def test_class_of_walk_rejects_a_bad_successor():
