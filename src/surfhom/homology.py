@@ -512,10 +512,12 @@ class SurfaceHomology:
         Any chain is accepted, so a face boundary (which may use an edge
         twice) maps to zero; tree darts contribute nothing.  The darts'
         classes are summed as tuples, so a chain of any length is exact."""
-        try:
-            packed = [self._packed[d] for d in darts]
-        except KeyError as exc:
-            raise ValidationError(f"dart {exc.args[0]!r} not in graph") from None
+        packed = []
+        for d in darts:
+            try:
+                packed.append(self._packed[d])
+            except (KeyError, TypeError):  # TypeError: an unhashable dart
+                raise ValidationError(f"dart {d!r} not in graph") from None
         rows = [self._class[p] for p in packed if p]
         return tuple(map(sum, zip(*rows))) if rows else (0,) * self.rank
 

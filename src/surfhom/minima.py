@@ -7,15 +7,20 @@ closed walks with no dart followed by its reversal; vertices may
 repeat.  The enumeration searches on integers, the edge lengths scaled
 by their least common denominator, and starts each cycle at the smaller
 dart of its least edge, which makes the walk its own canonical encoding.
+Its depth-first search takes each vertex's darts in increasing dart
+order, from per-vertex tables kept on the graph, so it finds the walks
+in lexicographic order, and a stable sort on the integer length alone
+puts them in (length, encoding) order.
 """
 
 import heapq
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
 from math import lcm
-from operator import attrgetter, is_not, lt
+from operator import attrgetter, is_not, itemgetter, lt
 
 from .homology import homology
 from .ribbon import (
@@ -39,7 +44,12 @@ from .zlattice import (
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A ribbon graph with an exact positive rational length per edge."""
+    """A ribbon graph with an exact positive rational length per edge.
+
+    Its first ``enumerate_cycles`` keeps the search tables on it
+    (``_search``): per vertex, its darts' lengths scaled to integers, in
+    increasing order, and for each k its k lightest darts in decreasing
+    dart order, each with its packed H1 row."""
 
     ribbon: object
     edge_length: tuple  # aligned with edges(ribbon)
@@ -53,20 +63,6 @@ class WeightedGraph:
             raise ValidationError("edge lengths must be positive")
         object.__setattr__(self, "edge_length", lengths)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(E)})
-        # the search tables of enumerate_cycles: the lengths scaled to
-        # integers by their least common denominator D, one bit per
-        # edge and, per vertex, its outgoing darts lightest first as
-        # (scaled length, dart, edge bit, head vertex)
-        twin, vof = self.ribbon.twin, self.ribbon.vertex_of
-        D = lcm(*(l.denominator for l in lengths))
-        weight = [0] * len(twin)
-        bit = [0] * len(twin)
-        for i, (e, l) in enumerate(zip(E, lengths)):
-            weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
-            bit[e] = bit[twin[e]] = 1 << i
-        out = tuple(sorted((weight[d], d, bit[d], vof[twin[d]]) for d in rot)
-                    for rot in self.ribbon.rotation)
-        object.__setattr__(self, "_search", (E, D, tuple(weight), out))
 
     def length_of_dart(self, d):
         return self.edge_length[self._index[edge_of_dart(self.ribbon, d)]]
@@ -146,6 +142,44 @@ def make_cycle(G, walk, cls=None, name=None):
     )
 
 
+def _search(G):
+    """The search tables of ``enumerate_cycles``, built on G's first
+    enumeration and kept on G, as ``homology(R)`` is kept on R.
+
+    They hold G's edges, the least common denominator D of the lengths,
+    each dart's length scaled by D and, per vertex, its outgoing darts'
+    scaled lengths in increasing order beside ``lightest``: entry k is
+    the k lightest of those darts as search steps (dart, scaled length,
+    edge bit, head vertex, the dart's packed row in ``homology(R)``), in
+    decreasing dart order.  Equal lengths are all in a prefix or all
+    out of it, so the ties' order in the sort does not matter."""
+    tables = G.__dict__.get("_search")
+    if tables is None:
+        R = G.ribbon
+        twin, vof = R.twin, R.vertex_of
+        packed = homology(R)._packed
+        E = tuple(G._index)  # edges(R), in order
+        D = lcm(*(l.denominator for l in G.edge_length))
+        weight = [0] * len(twin)
+        bit = [0] * len(twin)
+        for i, (e, l) in enumerate(zip(E, G.edge_length)):
+            weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
+            bit[e] = bit[twin[e]] = 1 << i
+        step = [(d, weight[d], bit[d], vof[twin[d]], packed[d]) for d in range(len(twin))]
+        weights, lightest = [], []
+        for rot in R.rotation:
+            darts = sorted(rot, key=weight.__getitem__)
+            steps, prefixes = [], [()]
+            for d in darts:
+                insort(steps, step[d])
+                prefixes.append(steps[::-1])
+            weights.append([weight[d] for d in darts])
+            lightest.append(prefixes)
+        tables = (E, D, weight, weights, lightest)
+        object.__setattr__(G, "_search", tables)
+    return tables
+
+
 def enumerate_cycles(G, bound):
     """All cycles of length <= bound, up to rotation and reflection,
     each with its H1 class in the coordinates of ``homology(R)``, which
@@ -154,13 +188,23 @@ def enumerate_cycles(G, bound):
     Exhaustive backtracking with partial-length pruning, run on
     integers: every edge length is scaled, once per graph, by the least
     common denominator D of the lengths, and a partial length L/D is
-    kept exactly when L <= floor(bound * D).  Each vertex's darts are
-    tried lightest first, so the first one too long for the room left
-    ends the scan.  A cycle is reached only from its least edge, as the
-    walk that starts with that edge's smaller dart; that dart occurs
-    nowhere else in the walk or in its reversal, so the walk is its own
-    canonical encoding and no cycle is reached twice.  Results sorted
-    by (length, canonical encoding).
+    kept exactly when L <= floor(bound * D).  A cycle is reached only
+    from its least edge, as the walk that starts with that edge's
+    smaller dart; that dart occurs nowhere else in the walk or in its
+    reversal, so the walk is its own canonical encoding and no cycle is
+    reached twice.
+
+    At each step one ``bisect_right`` of the room left into the
+    vertex's dart lengths (``_search``) picks its k lightest darts, all
+    the darts short enough to take, which the stack then pops in
+    increasing dart order.  The starts run in increasing dart order
+    too, a walk is found before its extensions and each subtree is
+    finished before its next sibling starts, so the walks are found in
+    lexicographic order (the preorder of a backtracking search; Read
+    and Tarjan, "Bounds on backtrack algorithms for listing cycles,
+    paths, and spanning trees", Networks 1975).  A stable sort on the
+    integer length alone then gives the results sorted by (length,
+    canonical encoding), and no two walks are ever compared.
 
     Each search entry also carries the packed class of its partial walk,
     the sum of the packed rows that R's homology keeps per dart
@@ -177,12 +221,10 @@ def enumerate_cycles(G, bound):
         raise ValidationError("bound must be positive")
     R = G.ribbon
     twin, vof = R.twin, R.vertex_of
-    all_edges, D, weight, out = G._search
-    limit = bound.numerator * D // bound.denominator
     H = homology(R)
     packed, class_of_sum = H._packed, H._class
-    # each search entry also carries its dart's packed row
-    out = [[(w, d, b, head, packed[d]) for w, d, b, head in rot] for rot in out]
+    all_edges, D, weight, weights, lightest = _search(G)
+    limit = bound.numerator * D // bound.denominator
     found = []
     for i, start in enumerate(all_edges):
         if weight[start] > limit:
@@ -191,19 +233,17 @@ def enumerate_cycles(G, bound):
         # edges up to and including the start edge start out used, so
         # the walk takes no edge below its first one
         stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]], packed[start])]
+        push = stack.append
         while stack:
             walk, used, length, at, s = stack.pop()
             if at == home:
                 found.append((length, walk, s))
-            room = limit - length
-            for w, d, b, head, p in out[at]:
-                if w > room:
-                    break
+            for d, w, b, head, p in lightest[at][bisect_right(weights[at], limit - length)]:
                 if not used & b:
-                    stack.append((walk + (d,), used | b, length + w, head, s + p))
+                    push((walk + (d,), used | b, length + w, head, s + p))
     if not found:
         return ()
-    found.sort()
+    found.sort(key=itemgetter(0))
     lengths, walks, sums = zip(*found)
     del found  # freed before the cycles are built
     exact = {L: Fraction(L, D) for L in set(lengths)}  # one per distinct length

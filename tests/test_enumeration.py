@@ -3,7 +3,10 @@
 ``enumerate_cycles`` is compared with the ``Fraction`` enumeration kept
 in ``reference_minima`` on seeded random graphs, one-vertex bouquets,
 bordered surfaces and example4, at bounds that fall on a cycle length,
-between lengths and off the common denominator of the lengths; and, on
+between lengths and off the common denominator of the lengths; on
+graphs whose edges all have one length and on graphs whose vertices
+meet their darts by length in reverse dart order, at and just below
+every cycle length, which pins the order of equal-length cycles; and, on
 tiny graphs drawn by Hypothesis, with a brute force over every oriented
 dart sequence.  Every enumerated class is checked against the class of
 the validated walk, and the homology's table of enumerated walks
@@ -30,6 +33,8 @@ from surfhom.ribbon import (
     ValidationError,
     add_loop,
     canonical_walk,
+    edge_of_dart,
+    edges,
     schema_to_ribbon,
     trace_faces,
     validate_walk,
@@ -129,6 +134,56 @@ def test_bordered_surfaces_match_reference():
         G = WeightedGraph(bordered, G.edge_length)
         emitted += len(assert_matches_reference(G, sum(G.edge_length) * Fraction(3, 4)))
     assert emitted > 100
+
+
+def heaviest_first(G):
+    """G with its darts renumbered heaviest edge first, so that at every
+    vertex the order of the darts by length is the reverse of their
+    order by number."""
+    R = G.ribbon
+    length = dict(zip(edges(R), G.edge_length))
+    order = sorted(range(R.n_darts), key=lambda d: -length[edge_of_dart(R, d)])
+    new = {d: i for i, d in enumerate(order)}
+    twin = [None] * R.n_darts
+    for d in range(R.n_darts):
+        twin[new[d]] = new[R.twin[d]]
+    renumbered = RibbonGraph(tuple(tuple(map(new.get, rot)) for rot in R.rotation), tuple(twin))
+    heavy = WeightedGraph(renumbered, [length[edge_of_dart(R, order[e])] for e in edges(renumbered)])
+    for rot in renumbered.rotation:
+        by_number = [heavy.length_of_dart(d) for d in sorted(rot)]
+        assert by_number == sorted(by_number, reverse=True)
+    return heavy
+
+
+def tied_graphs():
+    """Multi-vertex graphs whose edges all have one length, and graphs
+    whose vertices meet their darts by length in reverse dart order."""
+    rng = random.Random(16)
+    for _ in range(16):
+        V = rng.randrange(2, 5)
+        R = random_ribbon_graph(rng, max_edges=6, min_edges=V + 1, vertices=V)
+        yield WeightedGraph(R, [Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))] * R.n_edges)
+    for _ in range(16):
+        R = random_ribbon_graph(rng, max_edges=5, min_edges=2)
+        lengths = [Fraction(rng.randint(1, 24), rng.choice(DENOMINATORS)) for _ in range(R.n_edges)]
+        yield heaviest_first(WeightedGraph(R, lengths))
+
+
+def test_ties_and_reversed_length_orders_match_reference():
+    # each bound on a cycle length keeps the cycles of that length, the
+    # inclusive cut of the search; each bound just below it drops them.
+    # A bound on a length with several cycles checks their order.
+    bounds = tied = 0
+    for G in tied_graphs():
+        D = lcm(*(l.denominator for l in G.edge_length))
+        for length in cycle_lengths(G):
+            at = assert_matches_reference(G, length)
+            below = assert_matches_reference(G, length - Fraction(1, 2 * D))
+            assert at[-1].length == length and len(below) < len(at)
+            assert all(c.length < length for c in below)
+            tied += len(at) - len(below) > 1
+            bounds += 2
+    assert bounds > 300 and tied > 100
 
 
 @pytest.mark.parametrize("bound", [Fraction(13, 12), Fraction(2), Fraction(3)])

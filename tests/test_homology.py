@@ -122,6 +122,16 @@ def test_fundamental_class_of_tree_darts_and_of_darts_not_in_the_graph():
         assert str(err.value) == f"dart {d!r} not in graph"
 
 
+@pytest.mark.parametrize("dart", [99, -1, 0.5, "0", None, [0], {0: 1}, (0, [1])])
+def test_class_of_chain_names_a_dart_not_in_graph(dart):
+    # unhashable darts are refused like the others, not with a TypeError
+    H = homology(schema_to_ribbon(WORD20))
+    for chain in ([dart], [0, dart, 1], iter([0, dart])):
+        with pytest.raises(ValidationError) as err:
+            H.class_of_chain(chain)
+        assert str(err.value) == f"dart {dart!r} not in graph"
+
+
 def test_class_of_a_chain_past_the_digit_width_is_exact():
     # with fewer than 128 edges the packed dart rows hold one byte per
     # coordinate; a walk run 200 times still gets 200 times its class
