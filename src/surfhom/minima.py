@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
 from math import lcm
 from operator import attrgetter, is_not, itemgetter, lt
+from typing import NamedTuple
 
 from .homology import homology
 from .ribbon import (
@@ -42,6 +43,8 @@ from .zlattice import (
 )
 
 
+# a frozen dataclass, not a NamedTuple: __post_init__ validates the
+# lengths, and the edge index and search tables are kept in its __dict__
 @dataclass(frozen=True)
 class WeightedGraph:
     """A ribbon graph with an exact positive rational length per edge.
@@ -71,6 +74,8 @@ class WeightedGraph:
         return sum((self.length_of_dart(d) for d in walk), Fraction(0))
 
 
+# a frozen dataclass, not a NamedTuple: _cycles sets its fields through
+# the slot setters, and assigning to a field raises FrozenInstanceError
 @dataclass(frozen=True, slots=True)
 class WeightedCycle:
     """A closed walk with its exact length; ``key`` is the canonical
@@ -254,14 +259,15 @@ def enumerate_cycles(G, bound):
 # ---------------------------------------------------------------------------
 # successive minima
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     cycle: WeightedCycle
     decision: str  # "selected" | "rejected"
     reason: str
     tie_break: bool = False
 
 
+# a frozen dataclass, not a NamedTuple: the benchmark's tests build
+# altered copies of a trace with dataclasses.replace
 @dataclass(frozen=True)
 class MinimaTrace:
     events: tuple

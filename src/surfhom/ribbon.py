@@ -17,6 +17,7 @@ dart); the remaining faces are the 2-cells.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -63,6 +64,9 @@ def validate_gluing_word(word):
 # ---------------------------------------------------------------------------
 # ribbon graphs
 
+# a frozen dataclass, not a NamedTuple: __post_init__ normalises and
+# validates the fields, and vertex_of and the surface's homology are kept
+# in its __dict__
 @dataclass(frozen=True)
 class RibbonGraph:
     """An oriented combinatorial surface given by a rotation system.
@@ -219,8 +223,7 @@ def face_of_dart(R):
 # ---------------------------------------------------------------------------
 # invariants
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     vertices: int
     edges: int
     faces: int            # 2-cells only; boundary walks are not faces
@@ -310,12 +313,13 @@ def validate_walk(R, walk):
     last = len(walk) - 1
     used = set()
     # each dart is checked to be an int in range as the successor of the
-    # one before it, and so before its vertex is read
-    if not (isinstance(walk[0], int) and 0 <= walk[0] < n):
+    # one before it, and so before its vertex is read; a bool or a float
+    # equal to a dart is not one
+    if not (type(walk[0]) is int and 0 <= walk[0] < n):
         raise ValidationError(f"dart {walk[0]!r} not in graph")
     for i, d in enumerate(walk):
         nxt = walk[i + 1] if i < last else walk[0]
-        if not (isinstance(nxt, int) and 0 <= nxt < n):
+        if not (type(nxt) is int and 0 <= nxt < n):
             raise ValidationError(f"dart {nxt!r} not in graph")
         t = twin[d]
         if vof[nxt] != vof[t]:

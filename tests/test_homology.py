@@ -116,15 +116,21 @@ def test_fundamental_class_of_tree_darts_and_of_darts_not_in_the_graph():
     assert tree and all(H.fundamental_class(d) is None for d in tree)
     for e in H.fundamental_edges:
         assert H.fundamental_class(R.twin[e]) == tuple(-x for x in H.fundamental_class(e))
-    for d in (99, R.n_darts, -1, 0.5, "0", None):
+    assert H.fundamental_class(1) is not None  # so True is refused for its type
+    for d in (99, R.n_darts, -1, 0.5, "0", None, 1.0, True, False):
         with pytest.raises(ValidationError) as err:
             H.fundamental_class(d)
         assert str(err.value) == f"dart {d!r} not in graph"
+        with pytest.raises(ValidationError, match="not on a non-tree edge"):
+            H.fundamental_walk(d)
 
 
-@pytest.mark.parametrize("dart", [99, -1, 0.5, "0", None, [0], {0: 1}, (0, [1])])
+@pytest.mark.parametrize(
+    "dart", [99, -1, 0.5, "0", None, [0], {0: 1}, (0, [1]), 1.0, True, False]
+)
 def test_class_of_chain_names_a_dart_not_in_graph(dart):
-    # unhashable darts are refused like the others, not with a TypeError
+    # unhashable darts are refused like the others, not with a TypeError;
+    # 1.0, True and False equal darts 1 and 0 but are not ints
     H = homology(schema_to_ribbon(WORD20))
     for chain in ([dart], [0, dart, 1], iter([0, dart])):
         with pytest.raises(ValidationError) as err:

@@ -158,7 +158,7 @@ def test_walk_validation_messages(walk, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("dart", [0.5, "0", None])
+@pytest.mark.parametrize("dart", [0.5, "0", None, 1.0, True, False])
 def test_walks_of_non_integer_darts_are_refused_everywhere(dart):
     message = f"dart {dart!r} not in graph"
     refusals = [
