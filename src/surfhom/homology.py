@@ -52,9 +52,8 @@ from .ribbon import (
 from .zlattice import (
     LatticeError,
     _check_modulus,
+    _basis_state,
     _det,
-    _EchelonModP,
-    _QuotientZ,
     _unimodular_solve,
     as_int_matrix,
     matmul,
@@ -773,7 +772,7 @@ def complete_system_cotree(R, system, modulus=0):
     H = homology(R)
     out = [(w, H.class_of_walk(w)) for w in system]
     _check_modulus(modulus)
-    extend = (_EchelonModP(modulus) if modulus else _QuotientZ(H.rank)).extend
+    extend = _basis_state(H.rank, modulus).extend
     if not all(extend(c) for _, c in out):
         raise LatticeError("system classes do not form a partial basis")
     for walk, cls in cotree_basis(R):

@@ -32,14 +32,13 @@ from .ribbon import (
     validate_walk,
 )
 from .zlattice import (
+    _basis_state,
     _check_modulus,
-    _EchelonModP,
+    _det,
     _greedy_pivots,
-    _HermiteRows,
-    _QuotientZ,
+    _span_state,
     as_int_matrix,
     det_int,
-    is_partial_basis,
 )
 
 
@@ -320,22 +319,18 @@ def _tied(candidates, i):
     )
 
 
-def _greedy(candidates, modulus, limit, z_oracle, reasons, halting):
+def _greedy(candidates, modulus, limit, state, reasons, halting):
     """The greedy loop behind both procedures.
 
-    One oracle state serves the whole run: its ``extend(cls)`` decides
-    a candidate class against the classes already selected and adds it
-    to them when it is selected.  Over F_p that is an echelon basis
-    mod p; over Z it is ``z_oracle``, built on the class width.
-    ``reasons`` are the (selected, rejected) reason strings; the trace
-    halts with ``halting`` once ``limit`` classes are selected (never
-    when ``limit`` is None).
+    One oracle state serves the whole run: ``state(width, modulus)``
+    builds it on the class width, and its ``extend(cls)`` decides a
+    candidate class against the classes already selected and adds it to
+    them when it is selected.  ``reasons`` are the (selected, rejected)
+    reason strings; the trace halts with ``halting`` once ``limit``
+    classes are selected (never when ``limit`` is None).
     """
     _check_modulus(modulus)
-    if modulus:
-        extend = _EchelonModP(modulus).extend
-    else:
-        extend = z_oracle(len(candidates[0].cls) if candidates else 0).extend
+    extend = state(len(candidates[0].cls) if candidates else 0, modulus).extend
     events = []
     selected = []
     for i, c in enumerate(candidates):
@@ -364,7 +359,7 @@ def successive_minima_I(candidates, modulus=0, count=None):
     the trace records every decision.
     """
     return _greedy(
-        _check_candidates(candidates), modulus, count, _HermiteRows,
+        _check_candidates(candidates), modulus, count, _span_state,
         ("independent", "span-dependent"), "reached-count",
     )
 
@@ -383,7 +378,7 @@ def successive_minima_II(candidates, modulus=0, target=None):
     if target is None:
         target = len(candidates[0].cls) if candidates else 0
     return _greedy(
-        candidates, modulus, target, _QuotientZ,
+        candidates, modulus, target, _basis_state,
         ("extendable", "not-extendable"), "complete",
     )
 
@@ -421,22 +416,23 @@ def compare_bases(A, B):
     return "incomparable"
 
 
+def _is_unit(d, modulus):
+    """Is the determinant d a unit of Z (``modulus`` 0) or of F_p?"""
+    return d % modulus != 0 if modulus else abs(d) == 1
+
+
 def _is_basis(classes, modulus):
     M = as_int_matrix(classes)
-    if not M or len(M) != len(M[0]):
-        return False
-    if modulus:
-        return is_partial_basis(M, modulus)
-    return abs(det_int(M)) == 1
+    return bool(M) and len(M) == len(M[0]) and _is_unit(det_int(M), modulus)
 
 
 def _beating_subsets(basis, candidates, modulus):
     """Bases among the candidates, as large as ``basis``, whose sorted
     lengths are not pointwise >= those of ``basis``; each comes with its
-    sorted lengths."""
+    sorted lengths.  The candidates' classes must be checked already."""
     la = sorted_lengths(basis)
     for combo in combinations(candidates, len(basis)):
-        if _is_basis([c.cls for c in combo], modulus):
+        if _is_unit(_det([c.cls for c in combo]), modulus):
             lb = sorted_lengths(combo)
             if not all(a <= b for a, b in zip(la, lb)):
                 yield combo, lb

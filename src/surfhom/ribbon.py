@@ -115,7 +115,7 @@ def validate_ribbon(R):
         raise ValidationError("ribbon graph has no darts")
     if n % 2:
         raise ValidationError("odd number of darts")
-    if not all(isinstance(d, int) for cyc in (R.twin, *R.rotation) for d in cyc):
+    if not all(type(d) is int for cyc in (R.twin, *R.rotation) for d in cyc):
         raise ValidationError("darts must be integers")
     for d, t in enumerate(R.twin):
         if not 0 <= t < n or R.twin[t] != d or t == d:

@@ -6,16 +6,17 @@ computation is exact; there is no floating point anywhere in this
 module.
 
 The span and extendability oracles are incremental: a state is built
-one row at a time and a candidate costs one reduction against it.  An
-echelon basis mod p decides independence over F_p; Hermite-reduced
-echelon rows keyed by pivot column decide membership in a Z-span; the
-quotient map of Z^n onto Z^n / span(rows) decides whether a row extends
-a partial basis over Z.  The public ``in_span`` and
-``is_partial_basis`` validate their input and run these kernels from
-scratch; the greedy procedures keep one state for a whole run.  The
-same Hermite rows, carrying a second block through the reduction,
-solve X @ A == I over Z, which gives ``int_inverse`` and the rows of
-``complete_to_unimodular``.
+one row at a time and a candidate costs one reduction against it.  Each
+ring has one elimination, picked only here, by ``_span_state`` and
+``_basis_state``: over F_p both give an echelon basis mod p; over Z,
+Hermite-reduced echelon rows keyed by pivot column decide membership in
+a Z-span, and the quotient map of Z^n onto Z^n / span(rows) decides
+whether a row extends a partial basis.  The public ``in_span`` (one path
+in both rings) and ``is_partial_basis`` validate their input and run
+these kernels from scratch; the greedy procedures keep one state for a
+whole run.  The same Hermite rows, carrying a second block through the
+reduction, solve X @ A == I over Z, which gives ``int_inverse`` and the
+rows of ``complete_to_unimodular``.
 """
 
 from math import gcd, prod
@@ -189,32 +190,8 @@ def _check_modulus(modulus):
         raise LatticeError(f"modulus must be 0 or a prime, got {modulus}")
 
 
-def _rref_mod_p(rows, p, ncols):
-    """Gauss-Jordan elimination mod p on the first ``ncols`` columns.
-
-    Row operations act on whole rows, so columns past ``ncols`` record
-    them.  Returns the reduced rows and the pivot columns.
-    """
-    M = [[x % p for x in row] for row in rows]
-    pivots = []
-    for j in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(M)) if M[i][j]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][j], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][j]:
-                f = M[i][j]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
-        pivots.append(j)
-    return M, pivots
-
-
 def _rank_mod_p(A, p):
-    return sum(map(_EchelonModP(p).extend, A))
+    return sum(map(_EchelonModP(p, len(A[0]) if A else 0).extend, A))
 
 
 def _greedy_pivots(rows, modulus):
@@ -226,7 +203,7 @@ def _greedy_pivots(rows, modulus):
     nothing is checked.
     """
     if modulus:
-        extend = _EchelonModP(modulus).extend
+        extend = _EchelonModP(modulus, len(rows[0])).extend
         return [i for i, row in enumerate(rows) if extend(row)]
     return [j for j, _, _ in _bareiss_scan(transpose(rows))]
 
@@ -238,31 +215,43 @@ def _greedy_pivots(rows, modulus):
 class _EchelonModP:
     """An echelon basis over F_p, grown one row at a time.
 
+    Pivots are searched in the first ``width`` columns only; any further
+    columns ride along with the row operations, as in ``_HermiteRows``.
     Each kept row is monic at its pivot and zero at the pivots of the
     rows kept before it, so one pass in insertion order reduces a row
     to its residue modulo their span.
     """
 
-    __slots__ = ("p", "rows")
+    __slots__ = ("p", "width", "rows")
 
-    def __init__(self, p):
+    def __init__(self, p, width):
         self.p = p
+        self.width = width
         self.rows = []  # (pivot column, row)
 
-    def extend(self, v):
-        """Keep v's residue and return True, unless v lies in the span."""
+    def reduce(self, v):
+        """v's residue modulo the kept rows, entries in [0, p), and its
+        leading column (None when the first ``width`` entries are all
+        zero: v lies in the span)."""
         p = self.p
         r = [x % p for x in v]
         for j, row in self.rows:
             f = r[j]
             if f:
                 r = [(a - f * b) % p for a, b in zip(r, row)]
-        for j, x in enumerate(r):
-            if x:
-                inv = pow(x, -1, p)
-                self.rows.append((j, [a * inv % p for a in r]))
-                return True
-        return False
+        for j in range(self.width):
+            if r[j]:
+                return r, j
+        return r, None
+
+    def extend(self, v):
+        """Keep v's residue and return True, unless v lies in the span."""
+        r, j = self.reduce(v)
+        if j is None:
+            return False
+        inv = pow(r[j], -1, self.p)
+        self.rows.append((j, [a * inv % self.p for a in r]))
+        return True
 
 
 def _xgcd(a, b):
@@ -373,46 +362,40 @@ class _QuotientZ:
         return True
 
 
+def _span_state(n, modulus):
+    """An empty span oracle on n columns over Z (``modulus`` 0) or F_p."""
+    return _EchelonModP(modulus, n) if modulus else _HermiteRows(n)
+
+
+def _basis_state(n, modulus):
+    """An empty partial-basis oracle on n columns over Z or F_p."""
+    return _EchelonModP(modulus, n) if modulus else _QuotientZ(n)
+
+
 def in_span(M, v, modulus=0):
     """Is v an integer (or mod-p) combination of M's rows?
 
     Returns (flag, witness): witness @ M == v in the given ring when the
-    flag is true, otherwise witness is None.  Over Z, M's rows carry an
-    identity block through the Hermite reduction, so the block records
-    the combination that clears v.
+    flag is true, otherwise witness is None.  In both rings M's rows
+    carry an identity block through the span oracle, and the block of
+    -v's residue records the witness.  Over F_p the oracle keeps the rows
+    independent mod p of the rows kept before them, and the witness is
+    the unique combination that is zero on every other row, with entries
+    in [0, p).
     """
     _check_modulus(modulus)
     M = as_int_matrix(M)
     v = as_int_matrix((v,))[0]
-    if not M:
-        if any(x % modulus if modulus else x for x in v):
-            return False, None
-        return True, ()
     n = len(v)
-    if n != len(M[0]):
+    if M and n != len(M[0]):
         raise LatticeError("vector length does not match matrix columns")
-    if modulus:
-        p = modulus
-        rows, pivots = _rref_mod_p(
-            [row + e for row, e in zip(M, identity(len(M)))], p, n
-        )
-        target = [x % p for x in v]
-        coeffs = [0] * len(M)
-        for row, j in zip(rows, pivots):
-            if target[j]:
-                f = target[j]
-                target = [(a - f * b) % p for a, b in zip(target, row[:n])]
-                coeffs = [(a + f * b) % p for a, b in zip(coeffs, row[n:])]
-        if any(target):
-            return False, None
-        return True, tuple(coeffs)
-    H = _HermiteRows(n)
+    state = _span_state(n, modulus)
     for row, e in zip(M, identity(len(M))):
-        H.extend(row + e)
-    rest, j = H.reduce(v + (0,) * len(M))
+        state.extend(row + e)
+    rest, j = state.reduce(tuple(-x for x in v) + (0,) * len(M))
     if j is not None:
         return False, None
-    return True, tuple(-x for x in rest[n:])
+    return True, tuple(rest[n:])
 
 
 def is_partial_basis(M, modulus=0):
@@ -421,8 +404,7 @@ def is_partial_basis(M, modulus=0):
     M = as_int_matrix(M)
     if not M:
         return True
-    extend = _EchelonModP(modulus).extend if modulus else _QuotientZ(len(M[0])).extend
-    return all(map(extend, M))
+    return all(map(_basis_state(len(M[0]), modulus).extend, M))
 
 
 def subgroup_index(M):

@@ -28,6 +28,7 @@ from surfhom.ribbon import (
 )
 from surfhom.zlattice import (
     LatticeError,
+    _rank_mod_p,
     as_int_matrix,
     det_int,
     identity,
@@ -319,6 +320,26 @@ def test_complete_system_cotree_on_word20():
     assert len(completed) == 6
     M = as_int_matrix([c for _, c in completed])
     assert abs(det_int(M)) == 1
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_complete_system_cotree_mod_p(p):
+    from surfhom.catalog import load_example
+    from surfhom.ribbon import dart_of_label, walk_from_edge_set
+
+    R = schema_to_ribbon(WORD20)
+    word20 = [
+        walk_from_edge_set(R, [dart_of_label(R, l) for l in labels])
+        for labels in [("2",), ("8",), ("4", "6"), ("3", "9"), ("1", "5", "7", "10")]
+    ]
+    b = load_example("example1")
+    five = [b.curves[c] for c in b.expected["five_curves"]]
+    for surface, system in ((R, word20), (b.closed, five)):
+        H = homology(surface)
+        completed = complete_system_cotree(surface, system, p)
+        assert [w for w, _ in completed[:len(system)]] == system
+        assert len(completed) == H.rank
+        assert _rank_mod_p([c for _, c in completed], p) == H.rank
 
 
 def test_reference_basis_from_table_torus():

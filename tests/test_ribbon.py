@@ -89,6 +89,12 @@ def test_invalid_ribbon():
         RibbonGraph(((0, 1),), (0, 1))  # twin has fixed points
     with pytest.raises(ValidationError):
         RibbonGraph(((0,), (1,), (2, 3)), (1, 0, 3, 2))  # disconnected
+    # False and True equal the darts 0 and 1 but are not ints
+    with pytest.raises(ValidationError, match="darts must be integers"):
+        RibbonGraph(((False, True),), (True, False))
+    data = {"half_edges": [{"id": 0, "twin": True}, {"id": 1, "twin": 0}], "rotation": [[0, 1]]}
+    with pytest.raises(ValidationError, match="darts must be integers"):
+        ribbon_from_dict(data)
 
 
 def test_walks_on_genus3_word():

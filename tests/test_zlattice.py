@@ -218,6 +218,13 @@ def test_in_span_mod2_u8():
     assert s == tuple(x % 2 for x in U[8])
 
 
+def test_in_span_mod_p_witness_skips_dependent_rows():
+    # the second row repeats the first, so the greedy keeps rows 0 and 2
+    # and the witness mod 2 puts nothing on row 1
+    M = ((0, 1), (0, 1), (1, 0))
+    assert in_span(M, (0, 1), 2) == (True, (1, 0, 0))
+
+
 def test_in_span_zero_vector():
     flag, wit = in_span((ALPHA, BETA), (0, 0, 0, 0), 0)
     assert flag and all(x == 0 for x in wit)
