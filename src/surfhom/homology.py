@@ -397,6 +397,15 @@ def _symplectic_reduction(G):
     return tuple(rows), tuple(F)
 
 
+class _WalkClass(NamedTuple):
+    """A fundamental cycle's entry in the walk table: its walk and class
+    under the field names of ``WeightedCycle``, whose enumerated cycles
+    are the table's other entries."""
+
+    darts: tuple
+    cls: tuple
+
+
 class SurfaceHomology:
     """H1 of a surface over the leftover edges of a tree-cotree
     decomposition, with its intersection form.
@@ -417,15 +426,18 @@ class SurfaceHomology:
                        dropped
 
     The walks built on the surface, valid by construction, are kept in
-    a walk -> class table, so ``class_of_walk`` of an equal tuple is one
-    lookup: every cycle ``enumerate_cycles`` returns and every
-    fundamental cycle of ``cotree_basis``.  Each dart's class is kept
-    packed into one integer (``_packed``, 0 for a tree dart), at digits
-    wide enough for the classes of edge-simple walks: every coordinate
-    of a dart's class is -1, 0 or 1 (a cotree dart's is the sum of the L
-    darts leaving its subtree of faces), so a walk's is at most the
-    number of edges.  ``enumerate_cycles`` sums these rows, and
-    ``_class`` unpacks each sum the first time it is read.
+    a table from walk to an entry holding the kept walk object and its
+    class (``darts``, ``cls``): every cycle ``enumerate_cycles`` returns,
+    which is its own entry, and every fundamental cycle of
+    ``cotree_basis``; the latest walk built replaces an equal one.
+    ``class_of_walk`` of the kept walk object is one lookup.  Each
+    dart's class is kept packed into one integer (``_packed``, 0 for a
+    tree dart), at digits wide enough for the classes of edge-simple
+    walks: every coordinate of a dart's class is -1, 0 or 1 (a cotree
+    dart's is the sum of the L darts leaving its subtree of faces), so a
+    walk's is at most the number of edges.  ``enumerate_cycles`` sums
+    these rows, and ``_class`` unpacks each sum the first time it is
+    read; one sum is always one class object.
     """
 
     def __init__(self, R):
@@ -526,13 +538,15 @@ class SurfaceHomology:
     def class_of_walk(self, walk):
         """H1 class of a closed walk, in the surface's own coordinates.
 
-        A tuple equal to a walk in the table of walks built on this
-        surface is valid by construction, and its class is read from
-        the table; every other walk is validated first."""
-        cls = self._walk_class.get(walk) if type(walk) is tuple else None
-        if cls is None:
-            cls = self.class_of_chain(validate_walk(self, walk))
-        return cls
+        A walk of the table of walks built on this surface is valid by
+        construction, and its class is read from the table: at once for
+        the table's own tuple, after a test that each dart is an int for
+        an equal tuple (``(True,)`` equals ``(1,)``).  Every other walk
+        is validated first."""
+        kept = self._walk_class.get(walk) if type(walk) is tuple else None
+        if kept is not None and (kept.darts is walk or set(map(type, walk)) == {int}):
+            return kept.cls
+        return self.class_of_chain(validate_walk(self, walk))
 
     def _on_tree(self, d):
         """Whether dart d lies on an edge of the spanning tree T: d is the
@@ -557,14 +571,13 @@ class SurfaceHomology:
 
     def _cotree_pairs(self):
         """(fundamental walk, class) per non-tree edge, built once; each
-        walk enters the walk -> class table, and one already there keeps
-        its class object."""
+        walk enters the walk table with its class."""
         if self._cotree is None:
-            table = self._walk_class
             pairs = []
             for e in self.fundamental_edges:
-                walk = self.fundamental_walk(e)
-                pairs.append((walk, table.setdefault(walk, self._class[self._packed[e]])))
+                walk, cls = self.fundamental_walk(e), self._class[self._packed[e]]
+                self._walk_class[walk] = _WalkClass(walk, cls)
+                pairs.append((walk, cls))
             self._cotree = tuple(pairs)
         return self._cotree
 

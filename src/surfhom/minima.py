@@ -9,18 +9,20 @@ by their least common denominator, and starts each cycle at the smaller
 dart of its least edge, which makes the walk its own canonical encoding.
 Its depth-first search takes each vertex's darts in increasing dart
 order, from per-vertex tables kept on the graph, so it finds the walks
-in lexicographic order, and a stable sort on the integer length alone
-puts them in (length, encoding) order.
+in lexicographic order; it drops each closed walk into the bucket of
+its integer length, and the buckets joined in increasing length are in
+(length, encoding) order.  ``WeightedCycle`` is a ``NamedTuple``, so
+the cycles are built as tuples in one pass.
 """
 
 import heapq
 from bisect import bisect_right, insort
-from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, fields
+from collections import defaultdict
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
 from math import lcm
-from operator import attrgetter, is_not, itemgetter, lt
+from operator import attrgetter, is_not, lt
 from typing import NamedTuple
 
 from .homology import homology
@@ -73,10 +75,7 @@ class WeightedGraph:
         return sum((self.length_of_dart(d) for d in walk), Fraction(0))
 
 
-# a frozen dataclass, not a NamedTuple: _cycles sets its fields through
-# the slot setters, and assigning to a field raises FrozenInstanceError
-@dataclass(frozen=True, slots=True)
-class WeightedCycle:
+class WeightedCycle(NamedTuple):
     """A closed walk with its exact length; ``key`` is the canonical
     rotation/reflection encoding used for deduplication and tie order.
 
@@ -102,37 +101,13 @@ class WeightedCycle:
             self.darts, self.length, self.key, cls, self.name if name is None else name
         )
 
+    # assigning to or deleting any attribute raises FrozenInstanceError,
+    # an AttributeError, as on this package's frozen dataclasses
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-def _refuse_assignment(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# slots=True makes a new class, but the frozen __setattr__/__delattr__ it
-# copies test type(self) against the class it replaced, so a name that
-# is not a field raises TypeError (CPython 3.10 to 3.13); these refuse
-# every name, as the frozen class without slots does
-WeightedCycle.__setattr__ = _refuse_assignment
-WeightedCycle.__delattr__ = _refuse_deletion
-
-# the slot setters of WeightedCycle, in field order
-_CYCLE_SETTERS = tuple(getattr(WeightedCycle, f.name).__set__ for f in fields(WeightedCycle))
-
-
-def _cycles(*columns):
-    """A tuple of WeightedCycles, one per entry of the first column;
-    ``columns`` are iterables of the fields' values in field order.
-
-    Each field is set for all cycles at once through its slot setter,
-    which by-passes the frozen ``__init__``: the cycles equal those the
-    constructor builds from the same values."""
-    cycles = tuple(map(object.__new__, repeat(WeightedCycle, len(columns[0]))))
-    for setter, values in zip(_CYCLE_SETTERS, columns, strict=True):
-        deque(map(setter, cycles, values), 0)
-    return cycles
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def make_cycle(G, walk, cls=None, name=None):
@@ -152,11 +127,13 @@ def _search(G):
 
     They hold G's edges, the least common denominator D of the lengths,
     each dart's length scaled by D and, per vertex, its outgoing darts'
-    scaled lengths in increasing order beside ``lightest``: entry k is
-    the k lightest of those darts as search steps (dart, scaled length,
-    edge bit, head vertex, the dart's packed row in ``homology(R)``), in
-    decreasing dart order.  Equal lengths are all in a prefix or all
-    out of it, so the ties' order in the sort does not matter."""
+    scaled lengths in increasing order beside ``lightest`` and
+    ``reach``.  Entry k of ``lightest`` is the k lightest of those darts
+    as search steps (dart, scaled length, edge bit, head vertex, the
+    dart's packed row in ``homology(R)``), in decreasing dart order;
+    entry k of ``reach`` is the OR of their edge bits.  Equal lengths
+    are all in a prefix or all out of it, so the ties' order in the sort
+    does not matter."""
     tables = G.__dict__.get("_search")
     if tables is None:
         R = G.ribbon
@@ -170,16 +147,18 @@ def _search(G):
             weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
             bit[e] = bit[twin[e]] = 1 << i
         step = [(d, weight[d], bit[d], vof[twin[d]], packed[d]) for d in range(len(twin))]
-        weights, lightest = [], []
+        weights, lightest, reach = [], [], []
         for rot in R.rotation:
             darts = sorted(rot, key=weight.__getitem__)
-            steps, prefixes = [], [()]
+            steps, prefixes, masks = [], [()], [0]
             for d in darts:
                 insort(steps, step[d])
                 prefixes.append(steps[::-1])
+                masks.append(masks[-1] | bit[d])
             weights.append([weight[d] for d in darts])
             lightest.append(prefixes)
-        tables = (E, D, weight, weights, lightest)
+            reach.append(masks)
+        tables = (E, D, weight, weights, lightest, reach)
         object.__setattr__(G, "_search", tables)
     return tables
 
@@ -201,24 +180,28 @@ def enumerate_cycles(G, bound):
     At each step one ``bisect_right`` of the room left into the
     vertex's dart lengths (``_search``) picks its k lightest darts, all
     the darts short enough to take, which the stack then pops in
-    increasing dart order.  The starts run in increasing dart order
-    too, a walk is found before its extensions and each subtree is
-    finished before its next sibling starts, so the walks are found in
-    lexicographic order (the preorder of a backtracking search; Read
-    and Tarjan, "Bounds on backtrack algorithms for listing cycles,
-    paths, and spanning trees", Networks 1975).  A stable sort on the
-    integer length alone then gives the results sorted by (length,
-    canonical encoding), and no two walks are ever compared.
+    increasing dart order; a step whose k darts all lie on edges the
+    walk has used already (their OR of edge bits, ``reach``, adds none)
+    takes none of them and skips the loop.  The starts run in increasing
+    dart order too, a walk is found before its extensions and each
+    subtree is finished before its next sibling starts, so the walks are
+    found in lexicographic order (the preorder of a backtracking search;
+    Read and Tarjan, "Bounds on backtrack algorithms for listing cycles,
+    paths, and spanning trees", Networks 1975).  Each closed walk goes
+    to the bucket of its integer length, which keeps that order, so the
+    buckets joined in increasing length give the results sorted by
+    (length, canonical encoding): only the distinct lengths are sorted,
+    and no two walks are ever compared.  The cycles of one length share
+    one ``Fraction``.
 
     Each search entry also carries the packed class of its partial walk,
     the sum of the packed rows that R's homology keeps per dart
-    (``SurfaceHomology._packed``), one integer add per step, and after
-    the sort the homology unpacks each packed class it has not met
-    before (``SurfaceHomology._class``).  It keeps the class of every
-    returned walk for ``class_of_walk``; a walk it holds already keeps
-    its class object.
-    The cycles are built field by field through the slots of
-    ``WeightedCycle``.
+    (``SurfaceHomology._packed``), one integer add per step, and the
+    homology unpacks each packed class it has not met before
+    (``SurfaceHomology._class``), so one packed class is one class
+    object.  The cycles are built as tuples in one pass over their
+    fields, and each enters the homology's walk table as the entry of its
+    walk, so ``class_of_walk`` of its darts is one lookup.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -226,10 +209,10 @@ def enumerate_cycles(G, bound):
     R = G.ribbon
     twin, vof = R.twin, R.vertex_of
     H = homology(R)
-    packed, class_of_sum = H._packed, H._class
-    all_edges, D, weight, weights, lightest = _search(G)
+    packed = H._packed
+    all_edges, D, weight, weights, lightest, reach = _search(G)
     limit = bound.numerator * D // bound.denominator
-    found = []
+    walks_of, sums_of = defaultdict(list), defaultdict(list)  # by integer length
     for i, start in enumerate(all_edges):
         if weight[start] > limit:
             continue
@@ -241,18 +224,21 @@ def enumerate_cycles(G, bound):
         while stack:
             walk, used, length, at, s = stack.pop()
             if at == home:
-                found.append((length, walk, s))
-            for d, w, b, head, p in lightest[at][bisect_right(weights[at], limit - length)]:
-                if not used & b:
-                    push((walk + (d,), used | b, length + w, head, s + p))
-    if not found:
-        return ()
-    found.sort(key=itemgetter(0))
-    lengths, walks, sums = zip(*found)
-    del found  # freed before the cycles are built
-    exact = {L: Fraction(L, D) for L in set(lengths)}  # one per distinct length
-    classes = map(H._walk_class.setdefault, walks, map(class_of_sum.__getitem__, sums))
-    return _cycles(walks, map(exact.__getitem__, lengths), walks, classes, repeat(None))
+                walks_of[length].append(walk)
+                sums_of[length].append(s)
+            k = bisect_right(weights[at], limit - length)
+            if reach[at][k] | used != used:
+                for d, w, b, head, p in lightest[at][k]:
+                    if not used & b:
+                        push((walk + (d,), used | b, length + w, head, s + p))
+    order = sorted(walks_of)
+    walks = list(chain.from_iterable(map(walks_of.__getitem__, order)))
+    lengths = chain.from_iterable(repeat(Fraction(L, D), len(walks_of[L])) for L in order)
+    classes = map(H._class.__getitem__, chain.from_iterable(map(sums_of.__getitem__, order)))
+    columns = zip(walks, lengths, walks, classes, repeat(None))
+    cycles = tuple(map(tuple.__new__, repeat(WeightedCycle), columns))
+    H._walk_class.update(zip(walks, cycles))
+    return cycles
 
 
 # ---------------------------------------------------------------------------

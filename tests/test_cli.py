@@ -164,7 +164,8 @@ def test_minima_empty_pool_is_exhausted():
         assert (data["events"], data["selected"], data["halting"]) == ([], [], "exhausted")
 
 
-# sha256 of stdout for the commands the benchmark's cli workload runs
+# sha256 of stdout for the commands the benchmark's cli workload runs,
+# and for verify's F_p claims
 PINNED_STDOUT = {
     "verify all --json":
         "0b30eb92f3181eb42081e3e0ea1d0e273d772e78c831c77ed072987a3893ab4a",
@@ -176,6 +177,8 @@ PINNED_STDOUT = {
         "f3eb13cd0c4753f84692ac29cdec8c1eb7aea6f1aba51c3a4c4a8570ab12b25b",
     "export example3 --format json":
         "fc34ea1d53dc1fa037c938c83a7f25283112cecc4546517bb369dbe878fae0c5",
+    "verify all --modulus 2 --json":
+        "a4257993d8ee46a8ce655320322731d404349750232c28e0fb889061db8d250b",
 }
 
 

@@ -10,9 +10,11 @@ every cycle length, which pins the order of equal-length cycles; and, on
 tiny graphs drawn by Hypothesis, with a brute force over every oriented
 dart sequence.  Every enumerated class is checked against the class of
 the validated walk, and the homology's table of enumerated walks
-against the validating path of ``class_of_walk``.  The cycles, built
-through the slots of ``WeightedCycle``, are checked against the ones
-its constructor builds.
+against the validating path of ``class_of_walk``, which must still
+refuse darts that only equal ints.  The cycles, built as tuples in one
+pass from per-length buckets, are checked against the ones the
+``WeightedCycle`` constructor builds, and the cycles of one length
+against sharing one length object.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 from surfhom.catalog import load_example
-from surfhom.homology import homology
+from surfhom.homology import cotree_basis, homology
 from surfhom.minima import WeightedCycle, WeightedGraph, enumerate_cycles
 from surfhom.ribbon import (
     RibbonGraph,
@@ -222,6 +224,33 @@ def test_enumerated_cycles_are_constructor_cycles():
             delattr(c, name)
 
 
+def test_weighted_cycle_is_a_tuple_record():
+    # field order, defaults, repr and hash against a frozen dataclass:
+    # tests/test_package.py::test_record_matches_a_frozen_dataclass
+    c = enumerate_cycles(load_example("example4").weights, Fraction(2))[0]
+    assert type(c) is WeightedCycle and isinstance(c, tuple)
+    darts, length, key, cls, name = c
+    assert (darts, length, key, cls, name) == (c.darts, c.length, c.key, c.cls, c.name)
+    assert c == (c.darts, c.length, c.key, c.cls, None) and c[0] is c.darts
+    assert c.with_class(c.cls) is c and c.with_class(list(c.cls)) is c
+    named = c.with_class(c.cls, "alpha")
+    assert type(named) is WeightedCycle and named == c._replace(name="alpha")
+    other = c.with_class((0,) * len(c.cls))
+    assert type(other) is WeightedCycle and other.cls == (0,) * len(c.cls) != c.cls
+    assert WeightedCycle(darts, length, key) == (darts, length, key, None, None)
+
+
+def test_cycles_of_one_length_share_one_length_object():
+    # _check_candidates compares only the first length of each run of
+    # one object, so equal lengths must be one object and distinct ones
+    # different objects
+    for _, G in weighted_graphs(17, 40):
+        cycles = enumerate_cycles(G, sum(G.edge_length))
+        for a, b in zip(cycles, cycles[1:]):
+            assert (a.length is b.length) is (a.length == b.length)
+        assert len({id(c.length) for c in cycles}) == len({c.length for c in cycles})
+
+
 # ---------------------------------------------------------------------------
 # the table of enumerated walks behind class_of_walk
 
@@ -263,6 +292,28 @@ def test_enumerated_walks_skip_validation_and_others_do_not(monkeypatch):
         del seen[:]
         assert H.class_of_walk(c.darts) == c.cls
         assert seen == [c.darts]
+
+
+def test_table_walks_refuse_darts_that_only_equal_ints(monkeypatch):
+    # on the torus the fundamental cycles are (0,) and (1,); (True,) and
+    # (1.0,) equal (1,), and (False,) equals (0,), but none is a walk
+    R = schema_to_ribbon("a b a' b'")
+    H = homology(R)
+    pairs = cotree_basis(R)
+    assert [w for w, _ in pairs] == [(0,), (1,)]
+    G = WeightedGraph(R, [1, 1])
+    cycles = enumerate_cycles(G, 4)
+    assert all(H._walk_class[c.darts] is c for c in cycles)
+    for walk in ((True,), (1.0,), (False,), (False, True, 2, 3)):
+        with pytest.raises(ValidationError, match="not in graph"):
+            H.class_of_walk(walk)
+    # an equal tuple of ints built afresh is type-tested, not validated,
+    # and gets the class object the table keeps
+    seen = counting_validations(monkeypatch)
+    for walk, cls in pairs + tuple((c.darts, c.cls) for c in cycles):
+        fresh = tuple(list(walk))
+        assert fresh is not walk and H.class_of_walk(fresh) is cls
+    assert seen == []
 
 
 @pytest.mark.parametrize("width", [2, 4, 8])

@@ -28,7 +28,7 @@ from surfhom.hyperbolic import (
     pentagon_opposite,
     solve_arm_parameter,
 )
-from surfhom.minima import successive_minima_I
+from surfhom.minima import enumerate_cycles, successive_minima_I
 from surfhom.ribbon import schema_to_ribbon, surface_invariants
 
 SRC = Path(surfhom.__file__).resolve().parent.parent
@@ -186,6 +186,11 @@ RECORDS = {
     ),
     "ChainComplex": (lambda: chain_complex(schema_to_ribbon(WORD)), ("d1", "d2"), {}),
     "HomologyClass": (_homology_class, ("coords", "basis", "modulus"), {"modulus": 0}),
+    "WeightedCycle": (
+        lambda: enumerate_cycles(load_example("example4").weights, Fraction(2))[0],
+        ("darts", "length", "key", "cls", "name"),
+        {"cls": None, "name": None},
+    ),
     "TraceEvent": (
         lambda: _example2G_trace().events[0],
         ("cycle", "decision", "reason", "tie_break"),
