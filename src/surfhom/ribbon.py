@@ -510,8 +510,9 @@ def ribbon_from_dict(data):
     try:
         twin = [None] * len(data["half_edges"])
         for he in data["half_edges"]:
-            if he["id"] not in range(len(twin)):
-                raise ValidationError(f"half-edge id {he['id']!r} out of range")
+            # True equals the id 1 but is not an int
+            if type(he["id"]) is not int or he["id"] not in range(len(twin)):
+                raise ValidationError(f"half-edge id {he['id']!r} is not an int in range")
             twin[he["id"]] = he["twin"]
         labels = data.get("edge_labels")
         return RibbonGraph(

@@ -26,7 +26,14 @@ from surfhom.ribbon import (
     walk_edge_labels,
     walk_vertices,
 )
-from surfhom.zlattice import as_int_matrix, det_int, is_partial_basis, matmul, subgroup_index
+from surfhom.zlattice import (
+    LatticeError,
+    as_int_matrix,
+    det_int,
+    is_partial_basis,
+    matmul,
+    subgroup_index,
+)
 
 DECLARED_WORD = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
 
@@ -74,6 +81,20 @@ def test_coordinate_fidelity():
         for i, curve in enumerate(b.curve_order):
             cls = class_of_walk(b.closed, b.curves[curve], b.reference)
             assert cls.coords == b.declared[i], (name, curve)
+
+
+@pytest.mark.parametrize("modulus", [4, 1, -3])
+def test_coordinates_refuse_a_modulus_that_is_not_prime(modulus):
+    # a composite, a unit or a negative modulus gives no field, and -3
+    # would give negative residues
+    b = load_example("example2G")
+    walk = b.curves["alpha"]
+    with pytest.raises(LatticeError, match="modulus must be 0 or a prime"):
+        class_of_walk(b.closed, walk, b.reference, modulus)
+    with pytest.raises(LatticeError, match="modulus must be 0 or a prime"):
+        b.reference.express(homology(b.closed).class_of_walk(walk), modulus)
+    residues = class_of_walk(b.closed, walk, b.reference, 3).coords
+    assert residues == tuple(x % 3 for x in class_of_walk(b.closed, walk, b.reference).coords)
 
 
 def test_reference_bases_are_canonical():

@@ -9,17 +9,22 @@ new one.
 
 ``symplectic_basis`` reads the reduction that the homology build runs,
 with one rank-2 step per row at a unit pivot; the reference reduces by
-full row and column operations.  Their bases must be equal field by
-field, and so must the reductions of forms U S U^T whose first row has
-no unit entry, which only the Euclid pass can reduce.  The reduction
-moves no column and reads its inverse off the form rows P @ G; that
-inverse must equal the reference's product G @ P^T @ (-S).
+full row and column operations, with a Euclid pass where a pivot is not
+a unit.  A surface's form always has a unit pivot, so on every surface
+their bases must be equal field by field, and so must the reductions of
+forms Q S Q^T with Q lower unitriangular, whose basis rows run far past
+machine words.  Forms U S U^T whose first row has no unit entry are
+unimodular but not a surface's: the reference reduces them, and the
+library refuses them.  The reduction moves no column and reads its
+inverse off the form rows P @ G; that inverse must equal the
+reference's product G @ P^T @ (-S).
 """
 
 import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from surfhom.homology import (
     SurfaceHomology,
@@ -34,7 +39,7 @@ from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, trace
 from surfhom.zlattice import det_int, identity, int_inverse, matmul, transpose, vec_mat
 
 from . import reference_homology as ref
-from .util import canonical_word, random_ribbon_graph
+from .util import canonical_word, random_ribbon_graph, tiny_weighted_graphs
 
 PER_KIND = 300
 
@@ -173,22 +178,36 @@ def non_unit_forms(seed, count):
         count -= 1
 
 
-def test_reduction_with_non_unit_pivots_matches_reference():
+def test_reduction_refuses_unimodular_forms_without_a_unit_pivot():
+    # only a Euclid pass reduces these, and no surface's form needs one
     for form in non_unit_forms(20261018, 60):
-        P, _ = _symplectic_reduction(form)
-        Pm, pairing = ref.symplectic_reduction(form)
-        assert P == Pm, form
-        assert matmul(matmul(P, form), transpose(P)) == pairing
+        assert ref.symplectic_reduction(form)[1] == standard_symplectic(len(form) // 2)
+        with pytest.raises(AssertionError, match="must be unimodular"):
+            _symplectic_reduction(form)
+
+
+def unitriangular(rng, n, entries=(-10 ** 9, -10 ** 6, 10 ** 6, 10 ** 9)):
+    """A lower unitriangular matrix with every entry below the diagonal
+    drawn from ``entries``."""
+    return tuple(tuple(rng.choice(entries) if j < i else int(i == j) for j in range(n))
+                 for i in range(n))
+
+
+def huge_entry_forms():
+    """Forms Q S Q^T with Q lower unitriangular, n = 2, 4, ..., 10: each
+    pivot is a unit, and from n = 6 on the basis rows P pass 64 bits."""
+    rng = random.Random(7)
+    for n in (2, 4, 6, 8, 10):
+        Q = unitriangular(rng, n)
+        yield matmul(matmul(Q, standard_symplectic(n // 2)), transpose(Q))
 
 
 def test_reduction_of_forms_with_huge_entries_matches_reference():
-    # entries far beyond machine words, reduced by a Euclid pass or not
-    rng = random.Random(7)
-    for n in (2, 4, 6, 8, 10):
-        U = unimodular(rng, n, multipliers=(-10 ** 6, -7, 5, 10 ** 9))
-        form = matmul(matmul(U, standard_symplectic(n // 2)), transpose(U))
-        assert max(abs(x) for r in form for x in r) > 2 ** 64 or n == 2
-        assert _symplectic_reduction(form)[0] == ref.symplectic_reduction(form)[0]
+    # unit pivots alone, at basis entries far beyond machine words
+    for form in huge_entry_forms():
+        P = _symplectic_reduction(form)[0]
+        assert max(abs(x) for r in P for x in r) > 2 ** 64 or len(form) < 6
+        assert P == ref.symplectic_reduction(form)[0]
 
 
 @pytest.mark.parametrize("form", [
@@ -203,29 +222,25 @@ def test_reduction_refuses_a_form_that_is_not_unimodular(form):
         _symplectic_reduction(form)
 
 
-def random_surfaces(seed, count):
+def random_surfaces(seed, count, min_edges=20, max_edges=40):
     rng = random.Random(seed)
     for _ in range(count):
-        yield random_ribbon_graph(rng, max_edges=40, min_edges=20, vertices=rng.randrange(2, 12))
+        yield random_ribbon_graph(rng, max_edges=max_edges, min_edges=min_edges,
+                                  vertices=rng.randrange(2, 12))
 
 
-def random_surface_forms(seed, count):
-    for R in random_surfaces(seed, count):
+def random_surface_forms(seed, count, min_edges=20, max_edges=40):
+    for R in random_surfaces(seed, count, min_edges, max_edges):
         yield homology(R).pairing_matrix
-
-
-def huge_entry_forms():
-    rng = random.Random(7)
-    for n in (2, 4, 6, 8, 10):
-        U = unimodular(rng, n, multipliers=(-10 ** 6, -7, 5, 10 ** 9))
-        yield matmul(matmul(U, standard_symplectic(n // 2)), transpose(U))
 
 
 @pytest.mark.parametrize("start", [1, 2])
 def test_reduction_at_a_small_starting_width_matches_reference(monkeypatch, start):
     # packed from one or two bytes per entry, the basis rows pass the
-    # digit width again and again: either the reset bounds fit, or the
-    # width doubles, up to digits wider than any struct code
+    # digit width again and again: either the reset bounds fit, as they
+    # do for surfaces, whose rows keep small entries (at two bytes only
+    # the larger ones pass the width), or the width doubles, up to digits
+    # wider than any struct code
     monkeypatch.setattr(homology_module, "_START_BYTES", start)
     made, formed, resets = [], [], []
 
@@ -246,7 +261,7 @@ def test_reduction_at_a_small_starting_width_matches_reference(monkeypatch, star
                 resets.append(self.size)
             return super().unpack(packed)
 
-    forms = [*non_unit_forms(20261018, 30), *random_surface_forms(5, 20), *huge_entry_forms()]
+    forms = [*random_surface_forms(5, 20), *random_surface_forms(6, 5, 60, 80), *huge_entry_forms()]
     monkeypatch.setattr(homology_module, "_Packing", Spy)
     reset_only = widened = widest = 0
     for form in forms:
@@ -287,11 +302,55 @@ def test_inverse_read_off_the_reduction_matches_reference():
         B, G = symplectic_basis(R), homology(R).pairing_matrix
         assert B.inverse == ref._symplectic_inverse(B.matrix, G), R
         assert matmul(B.matrix, B.inverse) == identity(len(G)), R
-    # forms that only a Euclid pass reduces, and forms with huge entries:
-    # the reduction's rows are P @ G, and the inverse read off them
-    for form in [*non_unit_forms(20261018, 60), *huge_entry_forms()]:
+    # forms with huge entries: the reduction's rows are P @ G, and the
+    # inverse read off them
+    for form in huge_entry_forms():
         P, F = _symplectic_reduction(form)
         assert F == matmul(P, form), form
         inverse = _inverse_from_form_rows(F)
         assert inverse == ref._symplectic_inverse(P, form), form
         assert matmul(P, inverse) == identity(len(form)), form
+
+
+# ---------------------------------------------------------------------------
+# a surface's form always has a unit pivot: the reduction without a Euclid
+# pass succeeds, and its basis is the reference's, which keeps that pass
+
+def assert_reduced_as_the_reference_does(R):
+    H = homology(R)  # the build runs the reduction and asserts that it succeeds
+    assert H.symplectic_rows == ref.symplectic_reduction(H.pairing_matrix)[0], R
+    assert_same_basis(R)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs())
+def test_tiny_surfaces_reduce_by_unit_pivots_as_the_reference_does(case):
+    assert_reduced_as_the_reference_does(case[0].ribbon)
+
+
+def test_random_surfaces_reduce_by_unit_pivots_as_the_reference_does():
+    rng = random.Random("unit-pivots")
+    for _ in range(150):
+        V = rng.randrange(1, 12)
+        assert_reduced_as_the_reference_does(
+            random_ribbon_graph(rng, max_edges=rng.randrange(max(V, 2), 60), vertices=V))
+
+
+def one_vertex_word(rng, genus):
+    """A random orientable gluing word of 2 * genus labels whose polygon
+    glues to a single vertex, so the surface has that genus."""
+    while True:
+        sides = [(str(i), inverse) for i in range(2 * genus) for inverse in (False, True)]
+        rng.shuffle(sides)
+        R = schema_to_ribbon(tuple(sides))
+        if len(R.rotation) == 1:
+            return R
+
+
+def test_one_vertex_words_reduce_by_unit_pivots_as_the_reference_does():
+    rng = random.Random("unit-pivot-words")
+    for genus in range(1, 25):
+        for _ in range(2):
+            R = one_vertex_word(rng, genus)
+            assert homology(R).rank == 2 * genus
+            assert_reduced_as_the_reference_does(R)

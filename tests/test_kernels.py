@@ -265,7 +265,7 @@ def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
 
 def test_symplectic_basis_reads_its_inverse_off_the_reduction(monkeypatch):
     # the build's reduction keeps the form rows P @ G, so P^-1 = (P @ G)^T @ S
-    # takes no product of P with G; no closed surface here needs a Euclid pass
+    # takes no product of P with G
     calls = []
     monkeypatch.setattr(homology_module, "matmul", lambda A, B: calls.append(A))
     for R in (schema_to_ribbon(canonical_word(20)), *random_closed_surfaces(30)[:10]):

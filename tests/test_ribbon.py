@@ -95,6 +95,12 @@ def test_invalid_ribbon():
     data = {"half_edges": [{"id": 0, "twin": True}, {"id": 1, "twin": 0}], "rotation": [[0, 1]]}
     with pytest.raises(ValidationError, match="darts must be integers"):
         ribbon_from_dict(data)
+    # "id": true would stand for half-edge 1
+    data = {"half_edges": [{"id": 0, "twin": 1}, {"id": True, "twin": 0}], "rotation": [[0, 1]]}
+    with pytest.raises(ValidationError, match="half-edge id True is not an int"):
+        ribbon_from_dict(data)
+    data["half_edges"][1]["id"] = 1
+    assert ribbon_from_dict(data).twin == (1, 0)
 
 
 def test_walks_on_genus3_word():
