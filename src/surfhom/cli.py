@@ -1,12 +1,15 @@
 """Command-line front end: verify bundled examples, export, run minima.
 
-Exit codes: 0 all checks pass, 1 a claim failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a claim failed or the reader of
+stdout closed it before the output was written (as ``surfhom ... | head``
+does; no traceback is printed), 2 usage error.
 Reports are deterministic byte-for-byte: rationals print as "p/q",
 floats with 10 significant digits, and all listings are ordered.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -487,5 +490,21 @@ def main(argv=None):
     return 0
 
 
+def console():
+    """``main`` in a process of its own, the ``surfhom`` console script
+    and ``python -m surfhom.cli``.  Output is flushed inside the ``try``,
+    so a reader that closed stdout early raises BrokenPipeError here;
+    stdout then goes to os.devnull, so the flush at exit raises nothing
+    more, and the exit code is 1 (the recipe of the ``signal`` module's
+    documentation on SIGPIPE)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

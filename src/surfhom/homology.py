@@ -9,7 +9,8 @@ closed through T has a unit class.  Peeling C from its leaves writes
 every other non-tree edge as a row over L, because a face boundary is
 null-homologous.  Two loops of L cross exactly when their darts
 interleave in the rotation around the contracted tree T, which one walk
-around T reads off.
+around T reads off: prefix sums over that ring give each row of the
+intersection form in a few big-integer steps (``SurfaceHomology``).
 
 On a closed surface the build also runs the integer symplectic
 reduction of the intersection form G, once: rows P of a basis with
@@ -41,7 +42,7 @@ and one ``_Unpacked`` table per surface unpacks each distinct sum once.
 
 import struct
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import mul, neg, or_
 from typing import NamedTuple
 
@@ -105,27 +106,6 @@ def _spanning_tree(darts_of, root):
                 parent[y] = d
                 order.append(y)
     return order, parent
-
-
-def _tree_path(twin, vof, parent, u, v):
-    """Dart walk from u to v inside the spanning tree."""
-
-    def to_root(x):
-        out = []
-        while parent[x] is not None:
-            d = parent[x]
-            out.append(d)  # dart from parent toward x
-            x = vof[d]
-        return out  # path root->...: reversed below
-
-    up_u = to_root(u)  # darts pointing from ancestors toward u
-    up_v = to_root(v)
-    while up_u and up_v and up_u[-1] == up_v[-1]:
-        up_u.pop()
-        up_v.pop()
-    # from u up to the common ancestor, then down to v
-    walk = [twin[d] for d in up_u] + list(reversed(up_v))
-    return tuple(walk)
 
 
 def _interleave_sign(pos, L, a1, b1, a2, b2):
@@ -391,7 +371,12 @@ class SurfaceHomology:
                        start of a fundamental cycle
     basis_edges        the leftover edges L: fundamental_class of the
                        i-th one is the i-th unit vector
-    pairing_matrix     intersection numbers of the L loops
+    pairing_matrix     intersection numbers of the L loops, read off
+                       prefix sums over the ring of darts around the
+                       contracted tree: the sum up to a ring position
+                       packs, one signed byte per loop f, whether f's
+                       tail and head come before it, so the difference
+                       of two sums is the row of the arc between them
     symplectic_rows    on a closed surface, the rows P of a canonical
                        basis: P @ pairing_matrix @ P^T is the standard
                        form S (None on a surface with boundary); the
@@ -421,6 +406,7 @@ class SurfaceHomology:
         self.twin, self.vertex_of = twin, vof = R.twin, R.vertex_of
         self._walk_class = {}
         self._cotree = None  # cotree_basis, built by its first call
+        self._root_paths = None  # vertex -> tree darts from the root, by _tree_path
         vertex_darts = [[(d, vof[twin[d]]) for d in cyc] for cyc in R.rotation]
         _, self.parent = _spanning_tree(vertex_darts, 0)
         tree = {d for p in self.parent.values() if p is not None for d in (p, twin[p])}
@@ -473,19 +459,19 @@ class SurfaceHomology:
                 if d == start:
                     break
         # loop f crosses loop e when exactly one end of f lies strictly
-        # inside the ring arc from twin[e] to e: +1 when that end is twin[f]
+        # inside the ring arc from twin[e] to e: +1 when that end is twin[f].
+        # ends[p] packs, one signed byte per loop f, [tail_f < p] - [head_f < p];
+        # ends[L] is 0, so on either side of the ring's cut the arc's row is
+        # ends[head_e] - ends[tail_e + 1], every entry -1, 0 or 1
+        form = _Packing(1, self.rank)
+        step = {}
+        for i, e in enumerate(self.basis_edges):
+            step[e] = -1 << (8 * i)
+            step[twin[e]] = 1 << (8 * i)
+        ends = list(accumulate([step.get(d, 0) for d in ring], initial=0))
         pos = {d: i for i, d in enumerate(ring)}
-        L = len(ring)
-        heads = [pos[e] for e in self.basis_edges]
-        tails = [pos[twin[e]] for e in self.basis_edges]
-        rows = []
-        for s, t in zip(tails, heads):
-            if s < t:
-                inside = [0] * (s + 1) + [1] * (t - s - 1) + [0] * (L - t)
-            else:
-                inside = [1] * t + [0] * (s - t + 1) + [1] * (L - s - 1)
-            rows.append(tuple([inside[a] - inside[b] for a, b in zip(tails, heads)]))
-        self.pairing_matrix = tuple(rows)
+        self.pairing_matrix = tuple([form.unpack_one(ends[pos[e]] - ends[pos[twin[e]] + 1])
+                                     for e in self.basis_edges])
         # the symplectic reduction of a closed surface's form succeeds only
         # when the form is unimodular, so it is the proof as well
         self.symplectic_rows = self._form_rows = None
@@ -543,8 +529,35 @@ class SurfaceHomology:
         path back to its start, a valid closed walk by construction."""
         if not (type(e) is int and e in self._packed) or self._on_tree(e):
             raise ValidationError(f"dart {e!r} is not on a non-tree edge")
+        return self._tree_walk(e)
+
+    def _tree_walk(self, e):
+        """Non-tree dart e, then the tree path from its head back to its
+        tail (``_tree_path``)."""
         vof = self.vertex_of
-        return (e,) + _tree_path(self.twin, vof, self.parent, vof[self.twin[e]], vof[e])
+        return (e,) + self._tree_path(vof[self.twin[e]], vof[e])
+
+    def _tree_path(self, u, v):
+        """Dart walk from vertex u to vertex v inside the spanning tree:
+        up u's root path to the last vertex it shares with v's, then down
+        v's.  Each vertex's root path, the tree darts from the root down
+        to it, is built for every vertex at the first call, in BFS order.
+        A loop, every edge of a one-vertex surface, has the empty path."""
+        if u == v:
+            return ()
+        if self._root_paths is None:
+            self._root_paths = paths = {}
+            vof = self.vertex_of
+            for x, d in self.parent.items():
+                paths[x] = () if d is None else paths[vof[d]] + (d,)
+        up, down = self._root_paths[u], self._root_paths[v]
+        k = 0
+        for a, b in zip(up, down):
+            if a != b:
+                break
+            k += 1
+        twin = self.twin
+        return tuple([twin[d] for d in reversed(up[k:])]) + down[k:]
 
     def pair(self, c1, c2):
         """Intersection number of two classes."""
@@ -575,7 +588,7 @@ def cotree_basis(R):
     """
     H = homology(R)
     if H._cotree is None:
-        H._cotree = tuple((H.fundamental_walk(e), H._class[H._packed[e]])
+        H._cotree = tuple((H._tree_walk(e), H._class[H._packed[e]])
                           for e in H.fundamental_edges)
         H._walk_class.update((walk, _WalkClass(walk, cls)) for walk, cls in H._cotree)
     return H._cotree
@@ -753,9 +766,9 @@ def complete_system_cotree(R, system, modulus=0):
     completed greedily by fundamental cycles of a spanning tree.
     Returns one (walk, class) pair per basis element, the system first.
     """
+    _check_modulus(modulus)
     H = homology(R)
     out = [(w, H.class_of_walk(w)) for w in system]
-    _check_modulus(modulus)
     extend = _basis_state(H.rank, modulus).extend
     if not all(extend(c) for _, c in out):
         raise LatticeError("system classes do not form a partial basis")

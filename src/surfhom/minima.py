@@ -434,11 +434,11 @@ def _greedy_certificate(basis, candidates, modulus):
     algorithm", 1971), so no basis of the candidates beats ``basis``
     exactly when their rank is short of n = ``len(basis)`` or the sorted
     lengths of ``basis`` are pointwise <= the greedy basis's.  Raises
-    ValidationError unless every candidate carries an n-tuple of ints.
+    ValidationError unless every candidate carries an n-tuple of ints;
+    its callers check the modulus.
     """
     n = len(basis)
     _check_classes(candidates, n)
-    _check_modulus(modulus)
     if len(candidates) < n:
         return True
     pool = sorted(candidates, key=lambda c: c.length)
@@ -461,6 +461,7 @@ def is_globally_minimal(basis, candidates, modulus=0):
     (the mildest counterexample, which drops the short curves first);
     ties fall back to the canonical cycle encodings.
     """
+    _check_modulus(modulus)
     basis = tuple(basis)
     if not _is_basis([c.cls for c in basis], modulus):
         raise ValidationError("input cycles do not form a basis")
@@ -486,6 +487,7 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
     (``_greedy_certificate``) decides this exactly, with no assumption
     that the selection is drawn from the candidates.
     """
+    _check_modulus(modulus)
     selected = trace.selected
     if not selected or not _is_basis([c.cls for c in selected], trace.modulus):
         raise ValidationError("trace does not form a basis; nothing to verify")

@@ -65,8 +65,8 @@ def validate_gluing_word(word):
 # ribbon graphs
 
 # a frozen dataclass, not a NamedTuple: __post_init__ normalises and
-# validates the fields, and vertex_of and the surface's homology are kept
-# in its __dict__
+# validates the fields, and vertex_of, the traced faces (``trace_faces``)
+# and the surface's homology are kept in its __dict__
 @dataclass(frozen=True)
 class RibbonGraph:
     """An oriented combinatorial surface given by a rotation system.
@@ -109,7 +109,7 @@ def validate_ribbon(R):
 
     The connectivity search walks each vertex's rotation once, one step
     per dart, and faces are traced only when there are boundary faces to
-    look up among them."""
+    look up among them; R keeps them (``trace_faces``)."""
     n = len(R.twin)
     if n == 0:
         raise ValidationError("ribbon graph has no darts")
@@ -143,8 +143,7 @@ def validate_ribbon(R):
     if not all(reached):
         raise ValidationError("underlying graph is not connected")
     if R.boundary_faces:
-        faces = {min(f) for f in _trace_faces_raw(R.rotation, R.twin)}
-        if not R.boundary_faces <= faces:
+        if not R.boundary_faces <= {f[0] for f in trace_faces(R)}:
             raise ValidationError("boundary_faces refers to unknown faces")
     object.__setattr__(R, "vertex_of", tuple(vert))
 
@@ -203,12 +202,18 @@ def trace_faces(R):
     """All face walks, every dart in exactly one, canonical order.
 
     Each walk starts at its smallest dart; walks are sorted by that dart.
+    The faces are traced once per surface and kept on R itself, as its
+    homology is, so every later call returns the same tuple.
     """
-    out = []
-    for f in _trace_faces_raw(R.rotation, R.twin):
-        i = f.index(min(f))
-        out.append(f[i:] + f[:i])
-    return tuple(sorted(out))
+    faces = R.__dict__.get("_faces")
+    if faces is None:
+        out = []
+        for f in _trace_faces_raw(R.rotation, R.twin):
+            i = f.index(min(f))
+            out.append(f[i:] + f[:i])
+        faces = tuple(sorted(out))
+        object.__setattr__(R, "_faces", faces)
+    return faces
 
 
 def face_of_dart(R):

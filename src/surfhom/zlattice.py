@@ -184,6 +184,11 @@ def _is_prime(p):
 
 
 def _check_modulus(modulus):
+    """Refuse a modulus that is not the int 0 or a prime: a float or a
+    Fraction equal to a prime would pass the primality test, and a bool
+    equals 0 or 1."""
+    if type(modulus) is not int:
+        raise LatticeError(f"modulus must be an int, got {modulus!r}")
     if modulus == 0:
         return
     if not _is_prime(modulus):

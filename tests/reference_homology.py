@@ -1,7 +1,9 @@
 """The Smith-form first homology that ``surfhom.homology`` replaced, and
 the standalone symplectic reduction that ``symplectic_basis`` ran before
 the surface's own build took it over, kept as the oracles for
-``tests/test_homology_differential.py``.
+``tests/test_homology_differential.py``, together with the intersection
+form built entry by entry (``interlace_form``) that the library's
+prefix sums replaced.
 
 Cycles are coordinatized by the fundamental cycles of a BFS spanning
 tree (one per non-tree edge); the face relations are quotiented out
@@ -210,6 +212,44 @@ class SurfaceHomology:
             for j, b in enumerate(c2)
             if b
         )
+
+
+# ---------------------------------------------------------------------------
+# the library's intersection form as it was built before its prefix sums
+
+def interlace_form(R, H):
+    """The pairing matrix of the library's homology H of R, built as the
+    library built it before its prefix sums: for each basis loop e an
+    indicator list over the whole contracted ring, 1 strictly inside the
+    arc from twin[e] to e, and one comprehension over every basis loop f
+    reading the indicator at both of f's ends."""
+    twin = R.twin
+    tree = {d for p in H.parent.values() if p is not None for d in (p, twin[p])}
+    nxt = {}
+    for cyc in R.rotation:
+        nxt.update(zip(cyc, cyc[1:] + cyc[:1]))
+    ring = []
+    if H.fundamental_edges:
+        d = start = H.fundamental_edges[0]
+        while True:
+            ring.append(d)
+            d = nxt[d]
+            while d in tree:
+                d = nxt[twin[d]]
+            if d == start:
+                break
+    pos = {d: i for i, d in enumerate(ring)}
+    L = len(ring)
+    heads = [pos[e] for e in H.basis_edges]
+    tails = [pos[twin[e]] for e in H.basis_edges]
+    rows = []
+    for s, t in zip(tails, heads):
+        if s < t:
+            inside = [0] * (s + 1) + [1] * (t - s - 1) + [0] * (L - t)
+        else:
+            inside = [1] * t + [0] * (s - t + 1) + [1] * (L - s - 1)
+        rows.append(tuple([inside[a] - inside[b] for a, b in zip(tails, heads)]))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

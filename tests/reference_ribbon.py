@@ -1,6 +1,7 @@
 """The rotation-system validation that ``surfhom.ribbon.validate_ribbon``
 replaced, kept as the oracle for the differential tests in
-``tests/test_ribbon.py``.
+``tests/test_ribbon.py``, and the face tracing that ran anew on every
+call before a surface kept its faces (``trace_faces``).
 
 Its connectivity search walks the whole rotation of a dart's vertex for
 every dart it reaches, O(sum of squared degrees) steps, and it traces
@@ -47,3 +48,13 @@ def validate_ribbon(R):
     if not R.boundary_faces <= faces:
         raise ValidationError("boundary_faces refers to unknown faces")
     object.__setattr__(R, "vertex_of", tuple(vert))
+
+
+def trace_faces(R):
+    """All face walks, each from its smallest dart, sorted by that dart,
+    traced anew on every call."""
+    out = []
+    for f in _trace_faces_raw(R.rotation, R.twin):
+        i = f.index(min(f))
+        out.append(f[i:] + f[:i])
+    return tuple(sorted(out))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from surfhom import minima
 from surfhom.catalog import (
     EXAMPLE_NAMES,
     all_examples,
@@ -30,6 +31,7 @@ from surfhom.zlattice import (
     LatticeError,
     as_int_matrix,
     det_int,
+    in_span,
     is_partial_basis,
     matmul,
     subgroup_index,
@@ -95,6 +97,31 @@ def test_coordinates_refuse_a_modulus_that_is_not_prime(modulus):
         b.reference.express(homology(b.closed).class_of_walk(walk), modulus)
     residues = class_of_walk(b.closed, walk, b.reference, 3).coords
     assert residues == tuple(x % 3 for x in class_of_walk(b.closed, walk, b.reference).coords)
+
+
+@pytest.mark.parametrize("modulus", [3.0, 2.0, True, False, Fraction(3)], ids=repr)
+def test_every_entry_point_refuses_a_modulus_that_is_not_an_int(modulus):
+    # 3.0, 2.0 and Fraction(3) equal primes and False equals 0, but only
+    # an int is a modulus: none may reach pow() or give float residues
+    b = load_example("example2G")
+    H = homology(b.closed)
+    walk = b.curves["alpha"]
+    pool = candidate_pool(b, Fraction(4))
+    basis = minima.successive_minima_I(pool, 0, H.rank)
+    calls = (
+        lambda: class_of_walk(b.closed, walk, b.reference, modulus),
+        lambda: b.reference.express(H.class_of_walk(walk), modulus),
+        lambda: complete_system_cotree(b.closed, (walk,), modulus),
+        lambda: in_span(((1, 0),), (2, 0), modulus),
+        lambda: is_partial_basis(((1, 0),), modulus),
+        lambda: minima.successive_minima_I(pool, modulus, H.rank),
+        lambda: minima.successive_minima_II(pool, modulus),
+        lambda: minima.is_globally_minimal(basis.selected, pool, modulus),
+        lambda: minima.verify_lemma_procI_minimal(basis, pool, modulus),
+    )
+    for call in calls:
+        with pytest.raises(LatticeError, match="modulus must be an int"):
+            call()
 
 
 def test_reference_bases_are_canonical():

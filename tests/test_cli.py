@@ -1,11 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import surfhom
 from surfhom.catalog import load_example
 from surfhom.cli import (
     bundle_to_dict,
@@ -193,3 +197,28 @@ def test_bundle_to_dict_and_dot_are_pure():
     b = load_example("example2H")
     assert bundle_to_dict(b) == bundle_to_dict(b)
     assert bundle_to_dot(b) == bundle_to_dot(b)
+
+
+@pytest.mark.parametrize("command", [
+    "verify all --json",
+    "export example3 --format json",
+    "minima remark45G --procedure I --bound 4",
+])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(command):
+    # the read end of the pipe is closed before the command writes: the
+    # command ends with exit 1 and writes nothing to stderr
+    src = os.path.dirname(os.path.dirname(surfhom.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "surfhom.cli", *command.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert err == b""
+    assert code == 1

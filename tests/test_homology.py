@@ -5,6 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
+from surfhom import ribbon
 from surfhom.homology import (
     algebraic_intersection,
     chain_complex,
@@ -160,6 +161,34 @@ def test_homology_is_kept_on_the_graph_and_freed_with_it():
     del R, H
     gc.collect()
     assert ref() is None
+
+
+def test_faces_are_traced_once_per_surface(monkeypatch):
+    # the surface keeps its faces: its invariants and its homology share
+    # one tracing, and every call returns the same tuple
+    calls = []
+
+    def counted(rotation, twin):
+        calls.append(1)
+        return raw(rotation, twin)
+
+    raw = ribbon._trace_faces_raw
+    monkeypatch.setattr(ribbon, "_trace_faces_raw", counted)
+    for R in (schema_to_ribbon(WORD20), random_ribbon_graph(random.Random(8), max_edges=9)):
+        calls.clear()
+        surface_invariants(R)
+        homology(R)
+        cotree_basis(R)
+        assert trace_faces(R) is trace_faces(R)
+        assert len(calls) == 1
+    # a bordered surface traces its faces to validate its boundary walks,
+    # and keeps them
+    calls.clear()
+    R = RibbonGraph(R.rotation, R.twin, {trace_faces(R)[0][0]})
+    assert len(calls) == 1
+    surface_invariants(R)
+    homology(R)
+    assert len(calls) == 1
 
 
 def test_graph_and_homology_are_freed_without_the_cycle_collector():

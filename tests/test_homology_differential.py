@@ -18,6 +18,12 @@ unimodular but not a surface's: the reference reduces them, and the
 library refuses them.  The reduction moves no column and reads its
 inverse off the form rows P @ G; that inverse must equal the
 reference's product G @ P^T @ (-S).
+
+The intersection form is read off prefix sums over the contracted ring;
+it must equal the form built entry by entry from one indicator list per
+basis loop, on tiny, seeded random and one-vertex surfaces.  The faces a
+surface keeps and the fundamental walks read off kept root paths must
+equal those traced anew and walked up to the root.
 """
 
 import importlib
@@ -31,6 +37,7 @@ from surfhom.homology import (
     _inverse_from_form_rows,
     _RowTimes,
     _symplectic_reduction,
+    cotree_basis,
     homology,
     standard_symplectic,
     symplectic_basis,
@@ -39,6 +46,7 @@ from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, trace
 from surfhom.zlattice import det_int, identity, int_inverse, matmul, transpose, vec_mat
 
 from . import reference_homology as ref
+from . import reference_ribbon
 from .util import canonical_word, random_ribbon_graph, tiny_weighted_graphs
 
 PER_KIND = 300
@@ -354,3 +362,60 @@ def test_one_vertex_words_reduce_by_unit_pivots_as_the_reference_does():
             R = one_vertex_word(rng, genus)
             assert homology(R).rank == 2 * genus
             assert_reduced_as_the_reference_does(R)
+
+
+# ---------------------------------------------------------------------------
+# the form from prefix sums against the indicator lists it replaced, and
+# the kept faces and tree walks against the routines before them
+
+SEEDED = 300
+
+
+def seeded_surface(rng):
+    """A random rotation system of 1..12 vertices and up to 30 edges;
+    about one in four has a random nonempty set of faces marked as
+    boundary walks."""
+    V = rng.randrange(1, 13)
+    E = rng.randrange(max(V - 1, 1), 31)
+    R = random_ribbon_graph(rng, max_edges=E, min_edges=E, vertices=V)
+    if rng.random() < 0.25:
+        faces = [f[0] for f in trace_faces(R)]
+        R = RibbonGraph(R.rotation, R.twin, rng.sample(faces, rng.randrange(1, len(faces) + 1)))
+    return R
+
+
+def assert_form_as_before(R):
+    H = SurfaceHomology(R)
+    assert H.pairing_matrix == ref.interlace_form(R, H), R
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs())
+def test_form_of_tiny_surfaces_matches_indicator_lists(case):
+    assert_form_as_before(case[0].ribbon)
+
+
+def test_form_of_seeded_random_surfaces_matches_indicator_lists():
+    rng = random.Random("prefix-sums")
+    kinds = set()
+    for _ in range(SEEDED):
+        R = seeded_surface(rng)
+        kinds.add((len(R.rotation) == 1, bool(R.boundary_faces)))
+        assert_form_as_before(R)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("genus", range(1, 41))
+def test_form_of_canonical_words_matches_indicator_lists(genus):
+    assert_form_as_before(schema_to_ribbon(canonical_word(genus)))
+
+
+def test_kept_faces_and_tree_walks_match_the_routines_before_them():
+    rng = random.Random("prefix-sums")
+    for _ in range(SEEDED):
+        R = seeded_surface(rng)
+        assert trace_faces(R) == reference_ribbon.trace_faces(R), R
+        H, old = homology(R), ref.SurfaceHomology(R)
+        walks = [w for w, _ in cotree_basis(R)]
+        assert walks == [H.fundamental_walk(e) for e in H.fundamental_edges], R
+        assert walks == [old.fundamental_walk(e) for e in old.fundamental_edges], R
