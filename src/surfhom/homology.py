@@ -12,19 +12,17 @@ interleave in the rotation around the contracted tree T, which one walk
 around T reads off: prefix sums over that ring give each row of the
 intersection form in a few big-integer steps (``SurfaceHomology``).
 
-On a closed surface the build also runs the integer symplectic
-reduction of the intersection form G, once: rows P of a basis with
-P @ G @ P^T equal to the standard form S.  The reduction succeeds only
-when G is unimodular (det(G) * det(P)^2 = 1), so it is the proof of
-unimodularity that the build asserts, and ``symplectic_basis`` reads
-its P instead of reducing again.  It pivots on units only: G is the
-interlace form of a one-vertex, one-face chord diagram, and the chords
-slid off a handle form another, so every pivot is +-1: no surface of
-the test suite, the benchmark or 31,560 random ones needed a Euclid
-pass (``_symplectic_reduction``).  It moves no column: it
-chooses each pair through a permutation of the rows and computes the
-form row P[x] @ G of each row once it is final, so F = P @ G holds at
-the end and P^-1 = F^T @ S is read off F with no further product.
+The build computes H1 and its intersection form G only.
+``symplectic_basis`` runs the integer symplectic reduction of G on each
+call: rows P of a basis with P @ G @ P^T equal to the standard form S.
+It pivots on units only: G is the interlace form of a one-vertex,
+one-face chord diagram, and the chords slid off a handle form another,
+so every pivot is +-1: no surface of the test suite, the benchmark or
+31,560 random ones needed a Euclid pass (``_symplectic_reduction``).
+It moves no column: it chooses each pair through a permutation of the
+rows and computes the form row P[x] @ G of each row once it is final,
+so F = P @ G holds at the end and P^-1 = F^T @ S is read off F with no
+further product.
 
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
@@ -377,11 +375,6 @@ class SurfaceHomology:
                        packs, one signed byte per loop f, whether f's
                        tail and head come before it, so the difference
                        of two sums is the row of the arc between them
-    symplectic_rows    on a closed surface, the rows P of a canonical
-                       basis: P @ pairing_matrix @ P^T is the standard
-                       form S (None on a surface with boundary); the
-                       reduction's rows P @ pairing_matrix are kept
-                       beside it
     twin, vertex_of    the surface's dart tables, all that walks need;
                        the surface itself is not kept, so R and its
                        homology are freed together as soon as R is
@@ -472,11 +465,6 @@ class SurfaceHomology:
         pos = {d: i for i, d in enumerate(ring)}
         self.pairing_matrix = tuple([form.unpack_one(ends[pos[e]] - ends[pos[twin[e]] + 1])
                                      for e in self.basis_edges])
-        # the symplectic reduction of a closed surface's form succeeds only
-        # when the form is unimodular, so it is the proof as well
-        self.symplectic_rows = self._form_rows = None
-        if not R.boundary_faces:
-            self.symplectic_rows, self._form_rows = _symplectic_reduction(self.pairing_matrix)
 
     # -- coordinates ------------------------------------------------------
 
@@ -724,22 +712,22 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     return ReferenceBasis(name, tuple(basis_names), B, inverse, pairing, walk_map)
 
 
-def symplectic_basis(R, name="symplectic"):
+def symplectic_basis(R):
     """A canonical homology basis: pairs (a_i, b_i) with <a_i, b_i> = 1
     and every other pairing 0, so the intersection matrix is exactly the
     standard block form S.
 
-    Its rows P are the symplectic reduction that building the surface's
-    homology already ran, once, as the proof that the intersection form
-    G is unimodular; nothing is reduced here.  As P @ G @ P^T == S,
-    P^-1 = (P @ G)^T @ S exactly.  The reduction moves no column, so it
-    keeps the rows P @ G, and P^-1 is read off them: inverting P here
-    takes neither an elimination nor a product.
+    Each call runs the symplectic reduction of the intersection form G
+    of R's homology (``_symplectic_reduction``), whose rows P have
+    P @ G @ P^T == S, so P^-1 = (P @ G)^T @ S exactly.  The reduction
+    moves no column, so it returns the rows P @ G as well, and P^-1 is
+    read off them: inverting P takes neither an elimination nor a
+    product.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
     H = homology(R)
-    P = H.symplectic_rows
+    P, F = _symplectic_reduction(H.pairing_matrix)
     g = H.rank // 2
     # attach representative walks where a basis row is the class of a
     # fundamental cycle, or of one reversed: the first such cycle
@@ -751,8 +739,8 @@ def symplectic_basis(R, name="symplectic"):
         if sign and walks[i] is None:
             walks[i] = walk if sign == 1 else tuple(R.twin[d] for d in reversed(walk))
     names = tuple(nm for i in range(1, g + 1) for nm in (f"a{i}", f"b{i}"))
-    inverse = _inverse_from_form_rows(H._form_rows)
-    return ReferenceBasis(name, names, P, inverse, standard_symplectic(g), tuple(walks))
+    inverse = _inverse_from_form_rows(F)
+    return ReferenceBasis("symplectic", names, P, inverse, standard_symplectic(g), tuple(walks))
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,20 @@ from .zlattice import (
 )
 
 
+def _exact(x, what):
+    """x as a Fraction when its type is exactly int or Fraction, else
+    ValidationError: a float is not exact, and a bool is not a length."""
+    if type(x) in (int, Fraction):
+        return Fraction(x)
+    raise ValidationError(f"{what} {x!r} is not an int or a Fraction")
+
+
 # a frozen dataclass, not a NamedTuple: __post_init__ validates the
 # lengths, and the edge index and search tables are kept in its __dict__
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A ribbon graph with an exact positive rational length per edge.
+    """A ribbon graph with an exact positive rational length per edge,
+    each given as an int or a ``Fraction`` (``_exact``).
 
     Its first ``enumerate_cycles`` keeps the search tables on it
     (``_search``): per vertex, its darts' lengths scaled to integers, in
@@ -60,7 +69,7 @@ class WeightedGraph:
 
     def __post_init__(self):
         E = edges(self.ribbon)
-        lengths = tuple(Fraction(x) for x in self.edge_length)
+        lengths = tuple(_exact(x, "edge length") for x in self.edge_length)
         if len(lengths) != len(E):
             raise ValidationError("one length per edge required")
         if any(l <= 0 for l in lengths):
@@ -203,7 +212,7 @@ def enumerate_cycles(G, bound):
     fields, and each enters the homology's walk table as the entry of its
     walk, so ``class_of_walk`` of its darts is one lookup.
     """
-    bound = Fraction(bound)
+    bound = _exact(bound, "bound")
     if bound <= 0:
         raise ValidationError("bound must be positive")
     R = G.ribbon

@@ -143,6 +143,9 @@ def validate_ribbon(R):
     if not all(reached):
         raise ValidationError("underlying graph is not connected")
     if R.boundary_faces:
+        # True and 0.0 equal a face's smallest dart but are not ints
+        if not all(type(f) is int for f in R.boundary_faces):
+            raise ValidationError("boundary faces must be integers")
         if not R.boundary_faces <= {f[0] for f in trace_faces(R)}:
             raise ValidationError("boundary_faces refers to unknown faces")
     object.__setattr__(R, "vertex_of", tuple(vert))

@@ -1,9 +1,9 @@
 """The Smith-form first homology that ``surfhom.homology`` replaced, and
-the standalone symplectic reduction that ``symplectic_basis`` ran before
-the surface's own build took it over, kept as the oracles for
-``tests/test_homology_differential.py``, together with the intersection
-form built entry by entry (``interlace_form``) that the library's
-prefix sums replaced.
+the standalone symplectic reduction, by full row and column operations
+with a Euclid pass, that ``symplectic_basis`` once ran, kept as the
+oracles for ``tests/test_homology_differential.py``, together with
+the intersection form built entry by entry (``interlace_form``) that
+the library's prefix sums replaced.
 
 Cycles are coordinatized by the fundamental cycles of a BFS spanning
 tree (one per non-tree edge); the face relations are quotiented out

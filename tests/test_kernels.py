@@ -7,12 +7,13 @@ that module's Smith-form ``int_inverse``, so the comparison stays
 independent of the library's Hermite solve; ``_is_prime`` with trial
 division.  The library has no Smith form left, and a guard pins that
 neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The count
-guards pin that the homology path inverts no matrix, that a closed
-surface is reduced to symplectic form once and takes no determinant,
-that its symplectic basis takes its inverse from that reduction,
-that a pool of enumerated cycles validates no walk, and that a
-procedure or a public Z oracle validates a fixed number of matrices
-however long its pool: counts that repeat exactly on any machine.
+guards pin that the homology path inverts no matrix, that building a
+surface's homology runs no symplectic reduction, that each symplectic
+basis runs it once, takes no determinant and takes its inverse from
+that reduction, that a pool of enumerated cycles validates no walk,
+and that a procedure or a public Z oracle validates a fixed number of
+matrices however long its pool: counts that repeat exactly on any
+machine.
 """
 
 import importlib
@@ -243,9 +244,9 @@ def test_bordered_surface_needs_no_smith_form(monkeypatch):
     assert count_lattice_calls(monkeypatch, bordered) == {"int_inverse": 0}
 
 
-def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
-    # the symplectic reduction is the build's unimodularity proof, and
-    # symplectic_basis reads its rows instead of reducing again
+def count_reductions(monkeypatch):
+    """Calls of ``_det``, ``det_int`` and ``_symplectic_reduction`` from
+    now on, counted wherever ``zlattice`` or ``homology`` looks them up."""
     counts = {"_det": 0, "det_int": 0, "_symplectic_reduction": 0}
     for name in counts:
         fn = getattr(zlattice, name, None) or getattr(homology_module, name)
@@ -257,14 +258,40 @@ def test_closed_surface_is_reduced_once_and_takes_no_determinant(monkeypatch):
         for module in (zlattice, homology_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    for R in (schema_to_ribbon(canonical_word(20)), random_closed_surfaces(30)[0]):
-        R = RibbonGraph(R.rotation, R.twin)
-        assert symplectic_basis(R).matrix is symplectic_basis(R).matrix
-    assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 2}
+    return counts
+
+
+def test_homology_build_runs_no_symplectic_reduction(monkeypatch):
+    # the build computes H1 and its intersection form only, on every
+    # closed surface of the catalog and on a random one with 1,600 edges
+    surfaces = [load_example(name).closed for name in EXAMPLE_NAMES]
+    surfaces.append(random_ribbon_graph(random.Random(3), max_edges=1600, min_edges=1600,
+                                        vertices=800))
+    counts = count_reductions(monkeypatch)
+    for R in surfaces:
+        assert not R.boundary_faces
+        H = homology(RibbonGraph(R.rotation, R.twin))
+        assert H.rank == 2 * surface_invariants(R).genus
+    assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 0}
+
+
+def test_each_symplectic_basis_reduces_once_and_takes_no_determinant(monkeypatch):
+    # symplectic_basis runs the reduction it reads on every call and
+    # keeps nothing of it on the surface's homology
+    surfaces = [RibbonGraph(R.rotation, R.twin)
+                for R in (schema_to_ribbon(canonical_word(20)), random_closed_surfaces(30)[0])]
+    counts = count_reductions(monkeypatch)
+    for R in surfaces:
+        H = homology(R)
+        kept = set(vars(H))
+        first, second = symplectic_basis(R), symplectic_basis(R)
+        assert first == second and first.matrix is not second.matrix
+        assert set(vars(H)) == kept
+    assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 4}
 
 
 def test_symplectic_basis_reads_its_inverse_off_the_reduction(monkeypatch):
-    # the build's reduction keeps the form rows P @ G, so P^-1 = (P @ G)^T @ S
+    # the reduction returns the form rows P @ G, so P^-1 = (P @ G)^T @ S
     # takes no product of P with G
     calls = []
     monkeypatch.setattr(homology_module, "matmul", lambda A, B: calls.append(A))
@@ -280,7 +307,7 @@ def test_canonical_word_reduction_multiplies_no_row_by_the_form(monkeypatch):
     calls = []
     monkeypatch.setattr(homology_module._RowTimes, "__call__", lambda self, r: calls.append(r))
     for g in (1, 5, 20):
-        assert homology(schema_to_ribbon(canonical_word(g))).symplectic_rows
+        assert symplectic_basis(schema_to_ribbon(canonical_word(g))).matrix
     assert calls == []
 
 

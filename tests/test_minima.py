@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,21 @@ def test_procedure_reruns_identical():
     b = load_example("example2G")
     pool = candidate_pool(b, Fraction(4))
     assert successive_minima_I(pool, 0, 4) == successive_minima_I(pool, 0, 4)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.5, 1.0, True, float("inf"), float("nan"), Decimal(1),
+                                   "1", None])
+def test_lengths_and_bounds_must_be_ints_or_fractions(value):
+    # a float is not exact and a bool is not a length: both are refused,
+    # as are inf, nan and anything else Fraction would read
+    R = schema_to_ribbon("a b a' b'")
+    with pytest.raises(ValidationError, match="is not an int or a Fraction"):
+        WeightedGraph(R, (1, value))
+    G = WeightedGraph(R, (1, Fraction(1, 2)))
+    assert G.edge_length == (1, Fraction(1, 2))
+    with pytest.raises(ValidationError, match="is not an int or a Fraction"):
+        enumerate_cycles(G, value)
+    assert enumerate_cycles(G, 1) == enumerate_cycles(G, Fraction(1))
 
 
 def test_unsorted_candidates_rejected():

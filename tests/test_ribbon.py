@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -101,6 +102,22 @@ def test_invalid_ribbon():
         ribbon_from_dict(data)
     data["half_edges"][1]["id"] = 1
     assert ribbon_from_dict(data).twin == (1, 0)
+
+
+@pytest.mark.parametrize("mark", [True, False, 0.0, 1.0, Fraction(1)])
+def test_boundary_faces_must_be_ints(mark):
+    # a loop on the sphere has two faces, with smallest darts 0 and 1;
+    # each mark equals one of them but is not an int
+    loop = RibbonGraph(((0, 1),), (1, 0))
+    assert {f[0] for f in trace_faces(loop)} == {0, 1}
+    with pytest.raises(ValidationError, match="boundary faces must be integers"):
+        RibbonGraph(loop.rotation, loop.twin, {mark})
+    data = ribbon_to_dict(loop)
+    data["boundary_faces"] = [mark]
+    with pytest.raises(ValidationError, match="boundary faces must be integers"):
+        ribbon_from_dict(data)
+    data["boundary_faces"] = [int(mark)]
+    assert ribbon_to_dict(ribbon_from_dict(data))["boundary_faces"] == [int(mark)]
 
 
 def test_walks_on_genus3_word():
