@@ -24,7 +24,6 @@ Bundles:
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -480,12 +479,12 @@ _BUILDERS = {
 }
 
 
-@lru_cache(maxsize=None)
 def load_example(name):
     """Build and validate a catalog bundle.
 
     Raises KeyError for unknown names; every bundle re-validates its
     walks, reference basis and surface invariants on construction.
+    Each call builds a new bundle: nothing is cached.
     """
     if name not in _BUILDERS:
         raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")

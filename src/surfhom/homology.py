@@ -11,6 +11,8 @@ null-homologous.  Two loops of L cross exactly when their darts
 interleave in the rotation around the contracted tree T, which one walk
 around T reads off: prefix sums over that ring give each row of the
 intersection form in a few big-integer steps (``SurfaceHomology``).
+The intersection number of two walks is the form on their classes
+(``algebraic_intersection``).
 
 The build computes H1 and its intersection form G only.
 ``symplectic_basis`` runs the integer symplectic reduction of G on each
@@ -46,6 +48,8 @@ from typing import NamedTuple
 
 from .ribbon import (
     ValidationError,
+    _orbits,
+    _spanning_tree,
     edge_index,
     edge_of_dart,
     edges,
@@ -56,7 +60,6 @@ from .zlattice import (
     LatticeError,
     _check_modulus,
     _basis_state,
-    _det,
     _unimodular_solve,
     as_int_matrix,
     matmul,
@@ -90,34 +93,6 @@ def chain_complex(R):
             i = eix[edge_of_dart(R, d)]
             d2[i][j] += 1 if d < R.twin[d] else -1
     return ChainComplex(tuple(map(tuple, d1)), tuple(map(tuple, d2)))
-
-
-def _spanning_tree(darts_of, root):
-    """BFS tree of a graph given by darts_of[node] and the node across
-    each dart's edge; returns (nodes in BFS order, parent), where
-    parent[x] is the dart at x's parent whose edge leads to x."""
-    parent = {root: None}
-    order = [root]
-    for x in order:
-        for d, y in darts_of[x]:
-            if y not in parent:
-                parent[y] = d
-                order.append(y)
-    return order, parent
-
-
-def _interleave_sign(pos, L, a1, b1, a2, b2):
-    """+1 for counterclockwise order (a1, a2, b1, b2), -1 for the mirror,
-    0 when the strand (a2,b2) does not separate (a1,b1)."""
-    base = pos[a1]
-    qa2 = (pos[a2] - base) % L
-    qb1 = (pos[b1] - base) % L
-    qb2 = (pos[b2] - base) % L
-    if qa2 < qb1 < qb2:
-        return 1
-    if qb2 < qb1 < qa2:
-        return -1
-    return 0
 
 
 # byte width -> struct code of the little-endian signed int of that width
@@ -437,20 +412,16 @@ class SurfaceHomology:
             packed[down] = sum(packed[d] for d, _ in face_darts[f] if d != twin[down])
             packed[twin[down]] = -packed[down]
 
-        # the rotation at the one vertex left after contracting T
-        nxt = {}
+        # the rotation at the one vertex left after contracting T: the walk
+        # around T, stepping across each tree dart and past every other
+        # one, is one cycle through every dart (``_orbits``), and the ring
+        # is its non-tree darts
+        nxt = [None] * len(twin)
         for cyc in R.rotation:
-            nxt.update(zip(cyc, cyc[1:] + cyc[:1]))
-        ring = []
-        if self.fundamental_edges:
-            d = start = self.fundamental_edges[0]
-            while True:
-                ring.append(d)
-                d = nxt[d]
-                while d in tree:
-                    d = nxt[twin[d]]
-                if d == start:
-                    break
+            for i, d in enumerate(cyc):
+                nxt[cyc[i - 1]] = d
+        (around,) = _orbits([nxt[twin[d]] if d in tree else nxt[d] for d in range(len(twin))])
+        ring = [d for d in around if d not in tree]
         # loop f crosses loop e when exactly one end of f lies strictly
         # inside the ring arc from twin[e] to e: +1 when that end is twin[f].
         # ends[p] packs, one signed byte per loop f, [tail_f < p] - [head_f < p];
@@ -587,44 +558,23 @@ def class_vector(R, walk):
 
 
 # ---------------------------------------------------------------------------
-# intersection numbers of edge-disjoint walks (local rule at shared vertices)
+# intersection numbers of edge-disjoint walks
 
 def algebraic_intersection(R, w1, w2):
-    """Signed crossing count of two walks meeting only at vertices.
+    """Signed crossing count of two walks meeting only at vertices: the
+    intersection form on their classes (``SurfaceHomology.pair``).
 
-    At every shared vertex each walk contributes strands (in-dart,
-    out-dart); a strand of w2 crosses one of w1 positively when the four
-    darts interleave counterclockwise as (in1, in2, out1, out2).
+    At a shared vertex, a strand (in-dart, out-dart) of w2 crosses one
+    of w1 positively when the four darts interleave counterclockwise as
+    (in1, in2, out1, out2).  The sum of these signs depends only on the
+    two classes, so it is the form on them.  Walks that share an edge
+    do not cross transversally and are refused.
     """
-    validate_walk(R, w1)
-    validate_walk(R, w2)
-    e1 = {edge_of_dart(R, d) for d in w1}
-    e2 = {edge_of_dart(R, d) for d in w2}
-    if e1 & e2:
+    H = homology(R)
+    c1, c2 = H.class_of_walk(w1), H.class_of_walk(w2)
+    if {edge_of_dart(R, d) for d in w1} & {edge_of_dart(R, d) for d in w2}:
         raise ValidationError("walks share an edge; subdivide to make them transverse")
-    vof = R.vertex_of
-
-    def strands(w):
-        out = {}
-        m = len(w)
-        for i in range(m):
-            d_in, d_out = w[i], w[(i + 1) % m]
-            v = vof[d_out]
-            out.setdefault(v, []).append((R.twin[d_in], d_out))
-        return out
-
-    s1, s2 = strands(w1), strands(w2)
-    total = 0
-    for v, lst1 in s1.items():
-        if v not in s2:
-            continue
-        cyc = R.rotation[v]
-        pos = {d: i for i, d in enumerate(cyc)}
-        L = len(cyc)
-        for a1, b1 in lst1:
-            for a2, b2 in s2[v]:
-                total += _interleave_sign(pos, L, a1, b1, a2, b2)
-    return total
+    return H.pair(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +634,9 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     ``walks[i]`` with respect to the (unknown) basis; the basis is
     solved as X @ computed, X being a left inverse of the declared rows
     over Z, and then every row and the symplectic pairing are verified,
-    so a wrong surface encoding cannot slip through.  One product
+    so a wrong surface encoding cannot slip through.  The pairing check
+    also proves B unimodular: B @ G @ B^T == S forces
+    det(B)^2 * det(G) == 1 over Z.  One product
     F = B @ G with the intersection form G gives both the pairing
     F @ B^T and the inverse of B (``_inverse_from_form_rows``).
     """
@@ -701,8 +653,6 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
         raise LatticeError("declared rows do not span the coordinate lattice")
     if matmul(declared, B) != computed:
         raise LatticeError("surface encoding does not reproduce the declared table")
-    if abs(_det(B)) != 1:
-        raise LatticeError("declared basis is not unimodular on this surface")
     F = matmul(B, H.pairing_matrix)
     pairing = matmul(F, transpose(B))
     if pairing != standard_symplectic(m // 2):

@@ -69,7 +69,10 @@ class WeightedGraph:
 
     def __post_init__(self):
         E = edges(self.ribbon)
-        lengths = tuple(_exact(x, "edge length") for x in self.edge_length)
+        try:
+            lengths = tuple(_exact(x, "edge length") for x in self.edge_length)
+        except TypeError as exc:
+            raise ValidationError(f"malformed edge lengths: {exc}") from None
         if len(lengths) != len(E):
             raise ValidationError("one length per edge required")
         if any(l <= 0 for l in lengths):

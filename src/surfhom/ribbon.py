@@ -14,6 +14,14 @@ A rotation system always describes an orientable surface.  Surfaces
 with boundary are modelled by marking a subset of the faces as boundary
 walks (``boundary_faces``, faces being identified by their smallest
 dart); the remaining faces are the 2-cells.
+
+One loop traces the cycles of a permutation (``_orbits``): the faces,
+the vertices of a glued polygon and, in ``surfhom.homology``, the walk
+around a spanning tree.  One BFS (``_spanning_tree``) is every graph
+search: the connectivity of the vertices, the components of the faces
+joined across the edges a curve system leaves uncut
+(``complement_components``), and the tree and cotree of
+``surfhom.homology``.
 """
 
 from dataclasses import dataclass
@@ -84,11 +92,14 @@ class RibbonGraph:
     edge_labels: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", tuple(tuple(c) for c in self.rotation))
-        object.__setattr__(self, "twin", tuple(self.twin))
-        object.__setattr__(self, "boundary_faces", frozenset(self.boundary_faces))
-        if self.edge_labels is not None:
-            object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+        try:
+            object.__setattr__(self, "rotation", tuple(tuple(c) for c in self.rotation))
+            object.__setattr__(self, "twin", tuple(self.twin))
+            object.__setattr__(self, "boundary_faces", frozenset(self.boundary_faces))
+            if self.edge_labels is not None:
+                object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+        except TypeError as exc:
+            raise ValidationError(f"malformed ribbon graph: {exc}") from None
         validate_ribbon(self)
 
     @property
@@ -107,9 +118,9 @@ class RibbonGraph:
 def validate_ribbon(R):
     """Check the rotation system's invariants and set R's ``vertex_of``.
 
-    The connectivity search walks each vertex's rotation once, one step
-    per dart, and faces are traced only when there are boundary faces to
-    look up among them; R keeps them (``trace_faces``)."""
+    Connectivity is one BFS over the vertices (``_spanning_tree``), and
+    faces are traced only when there are boundary faces to look up among
+    them; R keeps them (``trace_faces``)."""
     n = len(R.twin)
     if n == 0:
         raise ValidationError("ribbon graph has no darts")
@@ -131,16 +142,8 @@ def validate_ribbon(R):
     for v, cyc in enumerate(R.rotation):
         for d in cyc:
             vert[d] = v
-    # connectivity of the vertices through the twins of their darts
-    reached = [False] * len(R.rotation)
-    reached[0] = True
-    stack = [0]
-    while stack:
-        for u in map(vert.__getitem__, map(R.twin.__getitem__, R.rotation[stack.pop()])):
-            if not reached[u]:
-                reached[u] = True
-                stack.append(u)
-    if not all(reached):
+    vertex_darts = [[(d, vert[R.twin[d]]) for d in cyc] for cyc in R.rotation]
+    if len(_spanning_tree(vertex_darts, 0)[0]) != len(R.rotation):
         raise ValidationError("underlying graph is not connected")
     if R.boundary_faces:
         # True and 0.0 equal a face's smallest dart but are not ints
@@ -179,26 +182,46 @@ def dart_of_label(R, label):
     raise KeyError(label)
 
 
-def _trace_faces_raw(rotation, twin):
-    n = len(twin)
-    prv = [None] * n
-    for cyc in rotation:
-        k = len(cyc)
-        for i, d in enumerate(cyc):
-            prv[d] = cyc[(i - 1) % k]
-    faces = []
-    used = [False] * n
-    for d0 in range(n):
-        if used[d0]:
+def _orbits(succ):
+    """The cycles of the permutation ``succ`` of ``range(len(succ))``,
+    each a tuple from its least element, in increasing order of it."""
+    seen = [False] * len(succ)
+    out = []
+    for d0 in range(len(succ)):
+        if seen[d0]:
             continue
-        walk = []
+        cyc = []
         d = d0
-        while not used[d]:
-            used[d] = True
-            walk.append(d)
-            d = prv[twin[d]]
-        faces.append(tuple(walk))
-    return faces
+        while not seen[d]:
+            seen[d] = True
+            cyc.append(d)
+            d = succ[d]
+        out.append(tuple(cyc))
+    return out
+
+
+def _spanning_tree(darts_of, root):
+    """BFS tree of a graph given by darts_of[node] and the node across
+    each dart's edge; returns (nodes in BFS order, parent), where
+    parent[x] is the dart at x's parent whose edge leads to x."""
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for d, y in darts_of[x]:
+            if y not in parent:
+                parent[y] = d
+                order.append(y)
+    return order, parent
+
+
+def _trace_faces_raw(rotation, twin):
+    """The face walks (``_orbits``): the face left of d continues at the
+    rotation predecessor of twin[d]."""
+    prv = [None] * len(twin)
+    for cyc in rotation:
+        for i, d in enumerate(cyc):
+            prv[d] = cyc[i - 1]
+    return _orbits([prv[t] for t in twin])
 
 
 def trace_faces(R):
@@ -210,22 +233,9 @@ def trace_faces(R):
     """
     faces = R.__dict__.get("_faces")
     if faces is None:
-        out = []
-        for f in _trace_faces_raw(R.rotation, R.twin):
-            i = f.index(min(f))
-            out.append(f[i:] + f[:i])
-        faces = tuple(sorted(out))
+        faces = tuple(_trace_faces_raw(R.rotation, R.twin))
         object.__setattr__(R, "_faces", faces)
     return faces
-
-
-def face_of_dart(R):
-    """Map dart -> face id (the face's smallest dart)."""
-    m = {}
-    for f in trace_faces(R):
-        for d in f:
-            m[d] = f[0]
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +295,7 @@ def schema_to_ribbon(word):
         i, j = occ[False], occ[True]
         pair[i], pair[j] = j, i
     # counterclockwise successor around the glued vertex
-    sigma = [pair[(i - 1) % n] for i in range(n)]
-    rotation = []
-    seen = [False] * n
-    for d0 in range(n):
-        if seen[d0]:
-            continue
-        cyc = []
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            cyc.append(d)
-            d = sigma[d]
-        rotation.append(tuple(cyc))
+    rotation = _orbits([pair[(i - 1) % n] for i in range(n)])
     labels = []
     for d in range(n):
         if d < pair[d]:
@@ -403,6 +401,8 @@ def complement_components(R, system):
     The regions of the cut surface are the faces of R, merged across
     every edge the system does not use; vertices away from the system
     connect their incident faces automatically through unused edges.
+    They are the components of a BFS (``_spanning_tree``) over the
+    faces, joined across the unused edges.
     """
     used = set()
     for walk in system:
@@ -412,21 +412,20 @@ def complement_components(R, system):
             if e in used:
                 raise ValidationError("system walks are not pairwise edge-disjoint")
             used.add(e)
-    fmap = face_of_dart(R)
-    parent = {f: f for f in set(fmap.values())}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges(R):
-        if e not in used:
-            a, b = find(fmap[e]), find(fmap[R.twin[e]])
-            if a != b:
-                parent[a] = b
-    return len({find(f) for f in parent})
+    faces = trace_faces(R)
+    face = [None] * len(R.twin)
+    for i, f in enumerate(faces):
+        for d in f:
+            face[d] = i
+    darts_of = [[(d, face[R.twin[d]]) for d in f if edge_of_dart(R, d) not in used]
+                for f in faces]
+    reached = set()
+    count = 0
+    for i in range(len(faces)):
+        if i not in reached:
+            reached.update(_spanning_tree(darts_of, i)[0])
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

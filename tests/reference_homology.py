@@ -3,7 +3,9 @@ the standalone symplectic reduction, by full row and column operations
 with a Euclid pass, that ``symplectic_basis`` once ran, kept as the
 oracles for ``tests/test_homology_differential.py``, together with
 the intersection form built entry by entry (``interlace_form``) that
-the library's prefix sums replaced.
+the library's prefix sums replaced, and the strand rule that counted
+the crossings of two walks at their shared vertices before
+``algebraic_intersection`` read the form (``algebraic_intersection``).
 
 Cycles are coordinatized by the fundamental cycles of a BFS spanning
 tree (one per non-tree edge); the face relations are quotiented out
@@ -53,6 +55,43 @@ def _interleave_sign(pos, L, a1, b1, a2, b2):
     if qb2 < qb1 < qa2:
         return -1
     return 0
+
+
+def algebraic_intersection(R, w1, w2):
+    """Signed crossing count of two walks meeting only at vertices.
+
+    At every shared vertex each walk contributes strands (in-dart,
+    out-dart); a strand of w2 crosses one of w1 positively when the four
+    darts interleave counterclockwise as (in1, in2, out1, out2).
+    """
+    validate_walk(R, w1)
+    validate_walk(R, w2)
+    e1 = {edge_of_dart(R, d) for d in w1}
+    e2 = {edge_of_dart(R, d) for d in w2}
+    if e1 & e2:
+        raise ValidationError("walks share an edge; subdivide to make them transverse")
+    vof = _vertex_table(R)
+
+    def strands(w):
+        out = {}
+        m = len(w)
+        for i in range(m):
+            d_in, d_out = w[i], w[(i + 1) % m]
+            out.setdefault(vof[d_out], []).append((R.twin[d_in], d_out))
+        return out
+
+    s1, s2 = strands(w1), strands(w2)
+    total = 0
+    for v, lst1 in s1.items():
+        if v not in s2:
+            continue
+        cyc = R.rotation[v]
+        pos = {d: i for i, d in enumerate(cyc)}
+        L = len(cyc)
+        for a1, b1 in lst1:
+            for a2, b2 in s2[v]:
+                total += _interleave_sign(pos, L, a1, b1, a2, b2)
+    return total
 
 
 def _spanning_tree(R):

@@ -1,14 +1,39 @@
 """The rotation-system validation that ``surfhom.ribbon.validate_ribbon``
 replaced, kept as the oracle for the differential tests in
-``tests/test_ribbon.py``, and the face tracing that ran anew on every
-call before a surface kept its faces (``trace_faces``).
+``tests/test_ribbon.py``; the face tracing that ran anew on every
+call before a surface kept its faces (``trace_faces``), by its own
+loop, so the library's tracer is checked against an independent one;
+and the union-find over faces that ``complement_components`` ran before
+it became a BFS.
 
 Its connectivity search walks the whole rotation of a dart's vertex for
 every dart it reaches, O(sum of squared degrees) steps, and it traces
 every face even when no boundary face is marked.
 """
 
-from surfhom.ribbon import ValidationError, _trace_faces_raw
+from surfhom.ribbon import ValidationError, edge_of_dart, edges, validate_walk
+
+
+def _trace_faces_raw(rotation, twin):
+    n = len(twin)
+    prv = [None] * n
+    for cyc in rotation:
+        k = len(cyc)
+        for i, d in enumerate(cyc):
+            prv[d] = cyc[(i - 1) % k]
+    faces = []
+    used = [False] * n
+    for d0 in range(n):
+        if used[d0]:
+            continue
+        walk = []
+        d = d0
+        while not used[d]:
+            used[d] = True
+            walk.append(d)
+            d = prv[twin[d]]
+        faces.append(tuple(walk))
+    return faces
 
 
 def validate_ribbon(R):
@@ -58,3 +83,31 @@ def trace_faces(R):
         i = f.index(min(f))
         out.append(f[i:] + f[:i])
     return tuple(sorted(out))
+
+
+def complement_components(R, system):
+    """Components of the surface minus the walks: the faces, merged by a
+    union-find across every edge the system does not use."""
+    used = set()
+    for walk in system:
+        validate_walk(R, walk)
+        for d in walk:
+            e = edge_of_dart(R, d)
+            if e in used:
+                raise ValidationError("system walks are not pairwise edge-disjoint")
+            used.add(e)
+    fmap = {d: f[0] for f in trace_faces(R) for d in f}
+    parent = {f: f for f in set(fmap.values())}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges(R):
+        if e not in used:
+            a, b = find(fmap[e]), find(fmap[R.twin[e]])
+            if a != b:
+                parent[a] = b
+    return len({find(f) for f in parent})

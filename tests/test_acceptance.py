@@ -14,7 +14,6 @@ from itertools import combinations
 from surfhom import hyperbolic
 from surfhom.catalog import candidate_pool, load_example
 from surfhom.homology import (
-    algebraic_intersection,
     chain_complex,
     class_of_walk,
     complete_system_cotree,
@@ -47,8 +46,10 @@ from surfhom.zlattice import (
     is_partial_basis,
     matmul,
     subgroup_index,
+    transpose,
 )
 
+from . import reference_homology
 from .reference_zlattice import smith_normal_form
 from .util import random_ribbon_graph
 
@@ -287,8 +288,10 @@ def test_criterion_8_cross_cutting_invariants():
         facs = [d for d in snf.invariant_factors if d]
         assert all(b % a == 0 for a, b in zip(facs, facs[1:]))
 
-    # intersection form: antisymmetry of the local rule and invariance
-    # of the chain-level pairing under adding face boundaries
+    # intersection form: antisymmetry of the strand rule (the oracle's
+    # corner count at shared vertices), its agreement with the pairing
+    # of classes, and invariance of the chain-level pairing under adding
+    # face boundaries
     done = 0
     while done < 500:
         R = random_ribbon_graph(rng, max_edges=6)
@@ -301,8 +304,8 @@ def test_criterion_8_cross_cutting_invariants():
                 e2 = {min(d, R.twin[d]) for d in w2}
                 if e1 & e2:
                     continue
-                a = algebraic_intersection(R, w1, w2)
-                assert a == -algebraic_intersection(R, w2, w1)
+                a = reference_homology.algebraic_intersection(R, w1, w2)
+                assert a == -reference_homology.algebraic_intersection(R, w2, w1)
                 assert a == H.pair(H.class_of_walk(w1), H.class_of_walk(w2))
                 done += 1
         # face boundaries are null-homologous and pair trivially
@@ -320,8 +323,8 @@ def test_criterion_8_cross_cutting_invariants():
         if surface_invariants(R).genus == 0:
             continue
         B = symplectic_basis(R)
-        g = homology(R).rank // 2
-        assert B.pairing == standard_symplectic(g)
+        G = homology(R).pairing_matrix
+        assert matmul(matmul(B.matrix, G), transpose(B.matrix)) == standard_symplectic(len(G) // 2)
         assert abs(det_int(B.matrix)) == 1
         done += 1
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from surfhom.zlattice import (
     is_partial_basis,
     matmul,
     subgroup_index,
+    transpose,
 )
 
 DECLARED_WORD = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
@@ -47,6 +50,18 @@ def test_unknown_name():
 
 def test_all_bundles_load():
     assert len(all_examples()) == len(EXAMPLE_NAMES)
+
+
+def test_load_example_keeps_no_bundle():
+    # each call builds a new bundle, and a dropped one is freed with the
+    # homology and cycles it holds
+    b = load_example("example4")
+    assert load_example("example4") is not b
+    candidate_pool(b, Fraction(2))
+    surface = weakref.ref(b.closed)
+    del b
+    gc.collect()
+    assert surface() is None
 
 
 def test_polygon_word_is_the_declared_one():
@@ -127,9 +142,10 @@ def test_every_entry_point_refuses_a_modulus_that_is_not_an_int(modulus):
 def test_reference_bases_are_canonical():
     for name in EXAMPLE_NAMES:
         b = load_example(name)
-        g = len(b.reference.names) // 2
-        assert b.reference.pairing == standard_symplectic(g)
-        assert abs(det_int(b.reference.matrix)) == 1
+        M = b.reference.matrix
+        G = homology(b.closed).pairing_matrix
+        assert matmul(matmul(M, G), transpose(M)) == standard_symplectic(len(b.reference.names) // 2)
+        assert abs(det_int(M)) == 1
 
 
 def test_example2_curve_structure():
@@ -239,8 +255,8 @@ def test_symplectic_basis_transition_unimodular():
     for name in ("example2G", "example4"):
         b = load_example(name)
         B = symplectic_basis(b.closed)
-        g = homology(b.closed).rank // 2
-        assert B.pairing == standard_symplectic(g)
+        G = homology(b.closed).pairing_matrix
+        assert matmul(matmul(B.matrix, G), transpose(B.matrix)) == standard_symplectic(len(G) // 2)
         # transition from the derived basis to the catalog basis
         from surfhom.zlattice import int_inverse
 

@@ -183,6 +183,32 @@ PINNED_STDOUT = {
         "fc34ea1d53dc1fa037c938c83a7f25283112cecc4546517bb369dbe878fae0c5",
     "verify all --modulus 2 --json":
         "a4257993d8ee46a8ce655320322731d404349750232c28e0fb889061db8d250b",
+    "export example1":
+        "fea57f55d9dfcd25c2a31347a732719185ae9e0435d14db4b19e5ffc9399cede",
+    "export example1 --format dot":
+        "a44c8c33e06db4c8b5fe287859b4f3a637b464bff8c7b21dc0a5a4ce4b2d74e4",
+    "export example2G":
+        "269ca71424576b2ac9cda631ac5f1926aa4281e3b204684010db974ce60c266d",
+    "export example2G --format dot":
+        "ff593c881ec5d9c4c9d8f2320e5fdfb269b30af80acb6979f044acd3970917fb",
+    "export example2H":
+        "9405dc5ac2211573dd02a03403c31705d9c9127f1f3fd4c070271685cdc64b57",
+    "export example2H --format dot":
+        "e73bdfe74687f3d15ce00ab2ff60133adc59c0aa36e5e9621ae0c6a5eaa8e0c3",
+    "export example3 --format dot":
+        "6cebd3f2b0a25b9e096f64a4063f1e9e8afefe91b15f640947527fc6f7132fff",
+    "export example4":
+        "1277ed57a5fa8670bd562420cebf3cf8137b7c981ff3868ae206ddf53419a8c8",
+    "export example4 --format dot":
+        "2baf3c4a051d6d130bf12b0ebdd6620519a7871ffef7e58c1f4c71b7d0f0e83d",
+    "export remark45G":
+        "fafd20c9c18b156a49d960dc01bdd54f6501d7b655464412ee3e28bae239a108",
+    "export remark45G --format dot":
+        "78a0f417d3467ce7dd1b957418a1419b84abfedda0bb08f76cdacccfafa8715b",
+    "export remark45H":
+        "8204644dbf7fc859decfe3375c0ff48aa20e1f0bc0d9488963bfe8c69244221d",
+    "export remark45H --format dot":
+        "9be7513c201ab43eec865ad3e637172fff61a471738177393efd6e41e0a44237",
 }
 
 

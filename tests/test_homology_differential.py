@@ -24,10 +24,17 @@ it must equal the form built entry by entry from one indicator list per
 basis loop, on tiny, seeded random and one-vertex surfaces.  The faces a
 surface keeps and the fundamental walks read off kept root paths must
 equal those traced anew and walked up to the root.
+
+``algebraic_intersection`` reads the form on the two walks' classes;
+on every edge-disjoint pair of walks it must equal the strand rule it
+replaced, which counts the crossings at the shared vertices: on tiny
+surfaces, for their enumerated cycles and fundamental walks, and on
+seeded closed and bordered surfaces, for their fundamental walks.
 """
 
 import importlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +44,21 @@ from surfhom.homology import (
     _inverse_from_form_rows,
     _RowTimes,
     _symplectic_reduction,
+    algebraic_intersection,
     cotree_basis,
     homology,
     standard_symplectic,
     symplectic_basis,
 )
-from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, trace_faces, validate_walk
+from surfhom.minima import enumerate_cycles
+from surfhom.ribbon import (
+    RibbonGraph,
+    ValidationError,
+    edge_of_dart,
+    schema_to_ribbon,
+    trace_faces,
+    validate_walk,
+)
 from surfhom.zlattice import det_int, identity, int_inverse, matmul, transpose, vec_mat
 
 from . import reference_homology as ref
@@ -420,3 +436,49 @@ def test_kept_faces_and_tree_walks_match_the_routines_before_them():
         walks = [w for w, _ in cotree_basis(R)]
         assert walks == [H.fundamental_walk(e) for e in H.fundamental_edges], R
         assert walks == [old.fundamental_walk(e) for e in old.fundamental_edges], R
+
+
+# ---------------------------------------------------------------------------
+# intersection numbers read off the form against the strand rule
+
+def strand_rule_agreement(R, walks):
+    """Assert that the form and the strand rule give each edge-disjoint
+    ordered pair of the walks the same intersection number; return the
+    numbers, counted by value."""
+    edge_sets = [{edge_of_dart(R, d) for d in w} for w in walks]
+    seen = Counter()
+    for w1, e1 in zip(walks, edge_sets):
+        for w2, e2 in zip(walks, edge_sets):
+            if not e1 & e2:
+                number = algebraic_intersection(R, w1, w2)
+                assert number == ref.algebraic_intersection(R, w1, w2), (R, w1, w2)
+                seen[number] += 1
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs())
+def test_intersection_numbers_of_tiny_surfaces_match_the_strand_rule(case):
+    G, bound = case
+    walks = [c.darts for c in enumerate_cycles(G, bound)] + [w for w, _ in cotree_basis(G.ribbon)]
+    strand_rule_agreement(G.ribbon, walks)
+
+
+def test_intersection_numbers_of_seeded_surfaces_match_the_strand_rule():
+    rng = random.Random("strand-rule")
+    seen = {False: Counter(), True: Counter()}
+    for _ in range(SEEDED):
+        R = seeded_surface(rng)
+        seen[bool(R.boundary_faces)] += strand_rule_agreement(R, [w for w, _ in cotree_basis(R)])
+    # closed and bordered surfaces both occur, each with crossing pairs
+    for numbers in seen.values():
+        assert numbers[0] and numbers[1] and numbers[-1]
+
+
+def test_intersection_of_walks_that_share_an_edge_is_refused_as_the_strand_rule_does():
+    R = schema_to_ribbon("a b a' b'")
+    for rule in (algebraic_intersection, ref.algebraic_intersection):
+        with pytest.raises(ValidationError, match="walks share an edge"):
+            rule(R, (0,), (0, 1))
+        with pytest.raises(ValidationError, match="immediate reversal"):
+            rule(R, (0, 2), (1,))

@@ -1,17 +1,20 @@
 """The package surface: lazy exports, the import graph, the value records.
 
 The import-graph tests start fresh interpreters, so what they see is
-what a command or an ``import surfhom.<layer>`` loads on its own.  The
+what a command or an ``import surfhom.<layer>`` loads on its own; a
+command loads nothing but the standard library and surfhom.  The
 record tests hold each NamedTuple record against a frozen dataclass
 with the same fields, which is what the records were before: repr, hash
 and equality must not tell them apart.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
 import subprocess
 import sys
+import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,12 +72,14 @@ EXPORTS = {
 
 def loaded_modules(statement, *argv):
     """The modules that ``statement`` loads in a fresh interpreter, past
-    those its start-up loaded; ``argv`` follows ``-c`` on its command line."""
+    those its start-up loaded, each mapped to its file (None for a module
+    without one); ``argv`` follows ``-c`` on its command line."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         f"{statement}\n"
-        "sys.stderr.write('\\nLOADED ' + ' '.join(sorted(set(sys.modules) - before)) + '\\n')\n"
+        "loaded = {m: getattr(sys.modules[m], '__file__', None) for m in set(sys.modules) - before}\n"
+        "sys.stderr.write('\\nLOADED ' + repr(loaded) + '\\n')\n"
     )
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -85,7 +90,7 @@ def loaded_modules(statement, *argv):
     assert proc.returncode == 0, proc.stderr
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("LOADED ")
-    return set(last.split()[1:])
+    return ast.literal_eval(last[len("LOADED "):])
 
 
 # runs the command as ``python -m surfhom.cli`` runs it, in-process
@@ -101,7 +106,7 @@ CLI = (
 def test_a_lattice_import_loads_no_catalog_hyperbolic_or_dataclasses():
     loaded = loaded_modules("import surfhom.zlattice")
     assert "surfhom.zlattice" in loaded
-    assert not loaded & {"surfhom.catalog", "surfhom.hyperbolic", "dataclasses"}
+    assert not loaded.keys() & {"surfhom.catalog", "surfhom.hyperbolic", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -114,6 +119,38 @@ def test_commands_off_example3_load_no_hyperbolic(argv):
     loaded = loaded_modules(CLI, *argv)
     assert "surfhom.catalog" in loaded
     assert "surfhom.hyperbolic" not in loaded
+
+
+_PATHS = sysconfig.get_paths()
+# site-packages lies inside the standard library's directory
+STDLIB = {Path(_PATHS[k]).resolve() for k in ("stdlib", "platstdlib")}
+SITE = {Path(_PATHS[k]).resolve() for k in ("purelib", "platlib")}
+
+
+def standard_or_surfhom(name, file):
+    """Whether a loaded module is built into the interpreter, or has its
+    file in the standard library (not site-packages) or in surfhom."""
+    if file is None:
+        return name in sys.builtin_module_names
+    path = Path(file).resolve()
+    if path.is_relative_to(SRC / "surfhom"):
+        return True
+    return (any(path.is_relative_to(p) for p in STDLIB)
+            and not any(path.is_relative_to(p) for p in SITE))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all"),
+    ("minima", "example4", "--procedure", "II", "--bound", "13/12"),
+    ("export", "example3"),
+], ids=" ".join)
+def test_commands_load_only_the_standard_library_and_surfhom(argv):
+    loaded = loaded_modules(CLI, *argv)
+    assert "surfhom.catalog" in loaded and "json" in loaded
+    assert {m: f for m, f in loaded.items() if not standard_or_surfhom(m, f)} == {}
+    # the rule refuses what an installed package would load
+    assert not standard_or_surfhom("pytest", pytest.__file__)
+    assert not standard_or_surfhom("surfhom_missing", None)
 
 
 def test_example3_export_loads_hyperbolic():

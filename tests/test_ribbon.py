@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfhom.homology import homology
-from surfhom.minima import WeightedGraph, is_straight_cycle
+from surfhom.minima import WeightedGraph, enumerate_cycles, is_straight_cycle
 from surfhom.ribbon import (
     RibbonGraph,
     _trace_faces_raw,
@@ -31,7 +32,7 @@ from surfhom.ribbon import (
 )
 
 from . import reference_ribbon as ref
-from .util import tiny_weighted_graphs
+from .util import random_ribbon_graph, tiny_weighted_graphs
 
 # the 20-gon side word whose quotient is the genus-3 catalog surface
 WORD20 = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
@@ -118,6 +119,21 @@ def test_boundary_faces_must_be_ints(mark):
         ribbon_from_dict(data)
     data["boundary_faces"] = [int(mark)]
     assert ribbon_to_dict(ribbon_from_dict(data))["boundary_faces"] == [int(mark)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda R: RibbonGraph(R.rotation, R.twin, [[0]]),
+    lambda R: RibbonGraph(R.rotation, R.twin, 0),
+    lambda R: RibbonGraph(5, R.twin),
+    lambda R: RibbonGraph(R.rotation, 7),
+    lambda R: RibbonGraph([1, 2], R.twin),
+    lambda R: RibbonGraph(R.rotation, R.twin, frozenset(), 3),
+    lambda R: WeightedGraph(R, 5),
+], ids=["boundary-of-lists", "boundary-int", "rotation-int", "twin-int", "cycles-int",
+        "labels-int", "lengths-int"])
+def test_constructor_arguments_that_are_not_containers_are_refused(build):
+    with pytest.raises(ValidationError, match="malformed"):
+        build(torus())
 
 
 def test_walks_on_genus3_word():
@@ -377,3 +393,46 @@ def test_validation_of_tiny_graphs_matches_the_quadratic_one(case, data):
     assert outcome(validate_ribbon, *args) == outcome(ref.validate_ribbon, *args)
     if R.n_darts not in marked:
         assert outcome(validate_ribbon, *args) == ("ok", R.vertex_of)
+
+
+# ---------------------------------------------------------------------------
+# complement components against the union-find they replaced
+
+def walk_systems(rng):
+    """Random surfaces, closed or with marked boundary faces, each with a
+    random system of its enumerated cycles: edge-disjoint, or, about one
+    time in five, two cycles drawn without that care."""
+    R = random_ribbon_graph(rng, max_edges=7)
+    if rng.random() < 0.25:
+        faces = [f[0] for f in trace_faces(R)]
+        R = RibbonGraph(R.rotation, R.twin, rng.sample(faces, rng.randrange(1, len(faces) + 1)))
+    cycles = [c.darts for c in enumerate_cycles(WeightedGraph(R, [1] * R.n_edges), 4)]
+    if rng.random() < 0.2:
+        return R, rng.sample(cycles, min(2, len(cycles)))
+    rng.shuffle(cycles)
+    system, used = [], set()
+    for walk in cycles[:rng.randrange(len(cycles) + 1)]:
+        edge_set = {min(d, R.twin[d]) for d in walk}
+        if not edge_set & used:
+            system.append(walk)
+            used |= edge_set
+    return R, system
+
+
+def component_count(count, R, system):
+    try:
+        return count(R, system)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_complement_components_match_the_union_find():
+    rng = random.Random("complement")
+    seen = set()
+    for _ in range(400):
+        R, system = walk_systems(rng)
+        got = component_count(complement_components, R, system)
+        assert got == component_count(ref.complement_components, R, system), (R, system)
+        seen.add(got)
+    # connected and split complements, and refused overlapping systems
+    assert {1, 2, 3, "system walks are not pairwise edge-disjoint"} <= seen
