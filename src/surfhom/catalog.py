@@ -9,6 +9,16 @@ subgroup indices, component counts and the short-cycle spectrum.
 ``load_example`` re-runs the structural validation on every build, so
 an encoding that stops matching fails loudly rather than silently.
 
+The four genus-2 soul bundles are data rows of one builder
+(``_SOULS``, ``_build_soul``): a soul's curve graph, its eta cycle
+through one labelled edge per curve, its coordinate table, the curve
+totals and the skew that sets its edge lengths.  The builder builds
+each soul's curve graph once.  eta keeps the orientation that
+``walk_from_edge_set`` gives it, which is the orientation the table
+declares; a wrong encoding fails in ``reference_basis_from_table``.
+Nothing is cached: each ``load_example`` call builds a new bundle, and
+example3 builds the example2G soul again.
+
 Bundles:
 
   example1    genus-3 surface glued from a 20-gon word; five curves
@@ -28,12 +38,11 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .homology import ReferenceBasis, reference_basis_from_table
-from .minima import WeightedGraph, make_cycle
+from .minima import WeightedGraph, enumerate_cycles, make_cycle
 from .ribbon import (
     RibbonGraph,
     add_loop,
     dart_of_label,
-    edges,
     schema_to_ribbon,
     subdivide_edge,
     surface_invariants,
@@ -223,123 +232,78 @@ _G2_BASIS = ("alpha1", "beta1", "alpha2", "beta2")
 _G_TABLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, -1), (-1, 0, 2, 1), (0, 0, 1, 0))
 _H_TABLE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, -1), (-1, 1, 2, 1), (0, 0, 1, 0))
 
+_SOUL_G = (_SOUL_G_ITIN, _SOUL_G_ROT, _SOUL_G_ETA, _G_TABLE)
+_SOUL_H = (_SOUL_H_ITIN, _SOUL_H_ROT, _SOUL_H_ETA, _H_TABLE)
 
-def _eta_walk(R, labelled_edges):
-    """The eta cycle through its labelled edges, in the orientation
-    ``walk_from_edge_set`` gives it; ``_build_soul`` picks the one that
-    matches the coordinate table."""
-    return walk_from_edge_set(R, [dart_of_label(R, lab) for lab in labelled_edges])
-
-
-def _build_soul(name, itineraries, rotations, eta_edges, table, weights, expected):
-    closed, walks = build_curve_graph(itineraries, rotations)
-    eta = _eta_walk(closed, eta_edges)
-    curves = dict(walks)
-    reference = None
-    for candidate in (eta, _reverse(closed, eta)):
-        try:
-            reference = reference_basis_from_table(
-                closed, "canonical", _G2_BASIS, table,
-                [walks["alpha"], walks["beta"], walks["gamma"], walks["delta"], candidate],
-                basis_walks={"alpha1": walks["alpha"], "beta1": walks["beta"],
-                             "alpha2": candidate},
-            )
-            curves["eta"] = candidate
-            break
-        except ValueError:
-            continue
-    if reference is None:
-        raise AssertionError(f"{name}: soul encoding fails the coordinate table")
-    bordered = _mark_all_faces(closed)
-    wg = WeightedGraph(closed, weights) if weights is not None else None
-    return ExampleBundle(
-        name, bordered, closed, MappingProxyType(curves), _G2_ORDER, table,
-        reference, wg, MappingProxyType(expected),
-    )
-
-
-def _soul_weights(itineraries, R, curve_totals, eta_walk_darts, skew):
-    """Per-edge lengths preserving each curve's total: on curves that
-    lend an edge to eta, that edge is lightened by the skew and the
-    curve's other edge compensates, making eta the unique shortest
-    cycle of its combinatorial type."""
-    eta_edges = {min(d, R.twin[d]) for d in eta_walk_darts}
-    all_edges = edges(R)
-    labels = dict(zip(all_edges, R.edge_labels))
-    lengths = []
-    for e in all_edges:
-        curve = labels[e].split("[")[0]
-        total = curve_totals[curve]
-        m = len(itineraries[curve])
-        base = Fraction(total, m)
-        curve_edges = [f for f in all_edges if labels[f].split("[")[0] == curve]
-        touched = [f for f in curve_edges if f in eta_edges]
-        if not touched or skew == 0:
-            lengths.append(base)
-        elif e in eta_edges:
-            lengths.append(base - skew)
-        else:
-            lengths.append(base + Fraction(len(touched) * skew, m - len(touched)))
-    return tuple(lengths)
-
-
-def _build_example2G():
-    expected = {
-        "genus": 2,
-        "triple_with_pairwise_one": False,
-    }
-    weights = (Fraction(1),) * 8
-    return _build_soul("example2G", _SOUL_G_ITIN, _SOUL_G_ROT, _SOUL_G_ETA,
-                       _G_TABLE, weights, expected)
-
-
-def _build_example2H():
-    expected = {
-        "genus": 2,
-        "triple_with_pairwise_one": True,
-        "dummy_vertex_curve": "beta",
-    }
-    weights = (Fraction(1),) * 8
-    return _build_soul("example2H", _SOUL_H_ITIN, _SOUL_H_ROT, _SOUL_H_ETA,
-                       _H_TABLE, weights, expected)
-
-
+# unit lengths: every curve has total length 2, so each edge has length 1
+_UNIT_TOTALS = dict.fromkeys(("alpha", "beta", "gamma", "delta"), Fraction(2))
 # perturbed lengths: curve totals 2, 2+e, 2+2e, 2+3e with e = 1/400, and
 # a within-curve skew of 1/400 so the eta cycle is the unique cheapest
 # of the one-edge-per-curve cycles
 _EPS = Fraction(1, 400)
+_PERTURBED_TOTALS = {
+    "alpha": Fraction(2),
+    "beta": 2 + _EPS,
+    "gamma": 2 + 2 * _EPS,
+    "delta": 2 + 3 * _EPS,
+}
 _SKEW = Fraction(1, 400)
 
+_REMARK45_EXPECTED = {
+    "genus": 2,
+    "spectrum_order": ("alpha", "beta", "gamma", "delta", "eta"),
+    "global_minimum": ("alpha", "beta", "gamma", "eta"),
+    "procedure_I_fourth": "delta",
+}
 
-def _build_remark45(name, itineraries, rotations, eta_edges, table):
-    closed, _ = build_curve_graph(itineraries, rotations)
-    totals = {
-        "alpha": Fraction(2),
-        "beta": 2 + _EPS,
-        "gamma": 2 + 2 * _EPS,
-        "delta": 2 + 3 * _EPS,
-    }
-    eta = _eta_walk(closed, eta_edges)
-    weights = _soul_weights(itineraries, closed, totals, eta, _SKEW)
-    expected = {
-        "genus": 2,
-        "spectrum_order": ("alpha", "beta", "gamma", "delta", "eta"),
-        "global_minimum": ("alpha", "beta", "gamma", "eta"),
-        "procedure_I_fourth": "delta",
-    }
-    bundle = _build_soul(name, itineraries, rotations, eta_edges, table,
-                         weights, expected)
-    return bundle
+# name -> (soul, curve totals, skew, expected values)
+_SOULS = {
+    "example2G": (_SOUL_G, _UNIT_TOTALS, 0,
+                  {"genus": 2, "triple_with_pairwise_one": False}),
+    "example2H": (_SOUL_H, _UNIT_TOTALS, 0,
+                  {"genus": 2, "triple_with_pairwise_one": True,
+                   "dummy_vertex_curve": "beta"}),
+    "remark45G": (_SOUL_G, _PERTURBED_TOTALS, _SKEW, _REMARK45_EXPECTED),
+    "remark45H": (_SOUL_H, _PERTURBED_TOTALS, _SKEW, _REMARK45_EXPECTED),
+}
 
 
-def _build_remark45G():
-    return _build_remark45("remark45G", _SOUL_G_ITIN, _SOUL_G_ROT,
-                           _SOUL_G_ETA, _G_TABLE)
+def _soul_lengths(R, itineraries, eta_edges, totals, skew):
+    """Per-edge lengths preserving each curve's total: on a curve that
+    lends edges to eta, those edges are lightened by the skew and the
+    curve's other edges share the difference, making eta the unique
+    shortest cycle of its combinatorial type."""
+    length = {}
+    for curve, verts in itineraries.items():
+        m = len(verts)
+        labels = [f"{curve}[{k}]" for k in range(m)]
+        lent = sum(lab in eta_edges for lab in labels)
+        base = Fraction(totals[curve], m)
+        rest = base + Fraction(lent * skew, m - lent)
+        for lab in labels:
+            length[lab] = base - skew if lab in eta_edges else rest
+    return tuple(length[lab] for lab in R.edge_labels)
 
 
-def _build_remark45H():
-    return _build_remark45("remark45H", _SOUL_H_ITIN, _SOUL_H_ROT,
-                           _SOUL_H_ETA, _H_TABLE)
+def _build_soul(name):
+    """The soul bundle ``name`` of ``_SOULS``, its curve graph built once.
+
+    eta keeps the orientation ``walk_from_edge_set`` gives it, which is
+    the one the coordinate table declares: a wrong encoding fails in
+    ``reference_basis_from_table``."""
+    (itineraries, rotations, eta_edges, table), totals, skew, expected = _SOULS[name]
+    closed, curves = build_curve_graph(itineraries, rotations)
+    curves["eta"] = walk_from_edge_set(closed, [dart_of_label(closed, lab) for lab in eta_edges])
+    reference = reference_basis_from_table(
+        closed, "canonical", _G2_BASIS, table, [curves[c] for c in _G2_ORDER],
+        basis_walks={"alpha1": curves["alpha"], "beta1": curves["beta"],
+                     "alpha2": curves["eta"]},
+    )
+    weights = WeightedGraph(closed, _soul_lengths(closed, itineraries, eta_edges, totals, skew))
+    return ExampleBundle(
+        name, _mark_all_faces(closed), closed, MappingProxyType(curves), _G2_ORDER, table,
+        reference, weights, MappingProxyType(expected),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +325,7 @@ def _genus12_model():
 def _build_example3():
     from . import hyperbolic
 
-    g_bundle = _build_example2G()
+    g_bundle = _build_soul("example2G")
     stats = hyperbolic.example3_assembly()
     expected = {
         "genus": 2,  # the stored soul; the genus-12 statistics live in "assembly"
@@ -441,8 +405,7 @@ def _build_example4():
         basis_walks={nm: walks[c] for nm, c in _K_BASIS_CURVES.items()},
     )
     lengths = []
-    for e in edges(closed):
-        lab = closed.edge_labels[edges(closed).index(e)]
+    for lab in closed.edge_labels:
         curve = lab.split("[")[0]
         k = int(curve[1:])
         iota = Fraction(200 + k, 200)
@@ -470,12 +433,8 @@ def _build_example4():
 
 _BUILDERS = {
     "example1": _build_example1,
-    "example2G": _build_example2G,
-    "example2H": _build_example2H,
     "example3": _build_example3,
     "example4": _build_example4,
-    "remark45G": _build_remark45G,
-    "remark45H": _build_remark45H,
 }
 
 
@@ -486,9 +445,9 @@ def load_example(name):
     walks, reference basis and surface invariants on construction.
     Each call builds a new bundle: nothing is cached.
     """
-    if name not in _BUILDERS:
+    if name not in EXAMPLE_NAMES:
         raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
-    bundle = _BUILDERS[name]()
+    bundle = _build_soul(name) if name in _SOULS else _BUILDERS[name]()
     for walk in bundle.curves.values():
         validate_walk(bundle.closed, walk)
     inv = surface_invariants(bundle.closed)
@@ -507,8 +466,6 @@ def candidate_pool(bundle, bound):
     its class in the bundle's reference coordinates; cycles matching a
     catalog curve carry its name.  Named cycles are cross-checked
     against the declared table."""
-    from .minima import enumerate_cycles
-
     if bundle.weights is None:
         raise ValueError(f"{bundle.name} carries no edge lengths")
     # the enumerated classes are in the coordinates of the closed

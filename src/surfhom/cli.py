@@ -121,8 +121,10 @@ def _soul_checks(b):
     inv = surface_invariants(b.ribbon)
     curves4 = ("alpha", "beta", "gamma", "delta")
     rows = tuple(b.declared[b.curve_order.index(c)] for c in curves4)
-    pool2 = candidate_pool(b, Fraction(2))
+    # one enumeration: the pool is sorted by length, so the cycles of
+    # length two are the ones a bound of 2 enumerates
     pool4 = candidate_pool(b, Fraction(4))
+    pool2 = [c for c in pool4 if c.length <= 2]
     named = [c for c in pool4 if c.cls is not None]
     tr_z = successive_minima_I(named, 0, 4)
     tr_2 = successive_minima_I(named, 2, 4)
@@ -209,14 +211,16 @@ def _checks_example4(b):
     def det_of(ks):
         return det_int(tuple(rows[k] for k in ks))
 
-    pool = candidate_pool(b, e["enumeration_bound"])
+    # one enumeration, at the wider bound; the cycles within 13/12 are
+    # those the narrower bound enumerates, in the same order
+    wider = candidate_pool(b, Fraction(113, 100))
+    pool = tuple(c for c in wider if c.length <= e["enumeration_bound"])
     named = tuple(c.name for c in pool)
     tr = successive_minima_II(pool)
     ok, witness = is_globally_minimal(tr.selected, pool)
     witness_names = tuple(sorted(c.name for c in witness)) if witness else ()
     la = sorted(c.length for c in tr.selected)
     lb = sorted(c.length for c in witness) if witness else []
-    wider = candidate_pool(b, Fraction(113, 100))
     extras = [c for c in wider if c.name is None]
     extra_ok = (
         len(extras) == 2
@@ -315,8 +319,8 @@ def report_to_dict(rep):
     }
 
 
-def print_report(rep, as_json=False, out=None):
-    out = out if out is not None else sys.stdout
+def print_report(rep, as_json=False):
+    out = sys.stdout
     if as_json:
         json.dump(report_to_dict(rep), out, indent=2, sort_keys=True)
         out.write("\n")

@@ -1,11 +1,12 @@
 """First homology of a ribbon-graph surface, with its intersection form.
 
 H1 comes from a tree-cotree decomposition (Eppstein, "Dynamic generators
-of topologically embedded graphs", SODA 2003).  T is a BFS spanning
-tree of the graph and C a spanning tree of the faces across the edges
-not in T, with every boundary walk merged into C's root.  The leftover
-edges L, 2g of them on a closed surface, are the basis: each loop of L
-closed through T has a unit class.  Peeling C from its leaves writes
+of topologically embedded graphs", SODA 2003).  T is the BFS spanning
+tree of the graph that the surface kept from its validation, and C a
+spanning tree of the faces across the edges not in T, with every
+boundary walk merged into C's root.  The leftover edges L, 2g of them
+on a closed surface, are the basis: each loop of L closed through T
+has a unit class.  Peeling C from its leaves writes
 every other non-tree edge as a row over L, because a face boundary is
 null-homologous.  Two loops of L cross exactly when their darts
 interleave in the rotation around the contracted tree T, which one walk
@@ -371,12 +372,13 @@ class SurfaceHomology:
     """
 
     def __init__(self, R):
-        self.twin, self.vertex_of = twin, vof = R.twin, R.vertex_of
+        self.twin = twin = R.twin
+        self.vertex_of = R.vertex_of
         self._walk_class = {}
         self._cotree = None  # cotree_basis, built by its first call
         self._root_paths = None  # vertex -> tree darts from the root, by _tree_path
-        vertex_darts = [[(d, vof[twin[d]]) for d in cyc] for cyc in R.rotation]
-        _, self.parent = _spanning_tree(vertex_darts, 0)
+        # T is the BFS tree that validating R grew from vertex 0
+        self.parent = R._tree_parent
         tree = {d for p in self.parent.values() if p is not None for d in (p, twin[p])}
         self.fundamental_edges = tuple(e for e in edges(R) if e not in tree)
 
@@ -519,7 +521,12 @@ class SurfaceHomology:
         return tuple([twin[d] for d in reversed(up[k:])]) + down[k:]
 
     def pair(self, c1, c2):
-        """Intersection number of two classes."""
+        """Intersection number of two classes, each a tuple of ``rank``
+        ints; anything else raises ValidationError."""
+        for c in (c1, c2):
+            if not (type(c) is tuple and len(c) == self.rank
+                    and all(type(x) is int for x in c)):
+                raise ValidationError(f"class {c!r} is not a tuple of {self.rank} ints")
         return sum(
             a * self.pairing_matrix[i][j] * b
             for i, a in enumerate(c1)

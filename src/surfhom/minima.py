@@ -272,10 +272,6 @@ class MinimaTrace:
     halting: str  # "reached-count" | "complete" | "exhausted"
     modulus: int
 
-    @property
-    def selected_classes(self):
-        return tuple(c.cls for c in self.selected)
-
 
 def _check_classes(candidates, n):
     """Raise ValidationError naming the first candidate class that is not

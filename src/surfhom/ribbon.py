@@ -18,10 +18,11 @@ dart); the remaining faces are the 2-cells.
 One loop traces the cycles of a permutation (``_orbits``): the faces,
 the vertices of a glued polygon and, in ``surfhom.homology``, the walk
 around a spanning tree.  One BFS (``_spanning_tree``) is every graph
-search: the connectivity of the vertices, the components of the faces
+search: the connectivity of the vertices, whose tree the surface keeps
+as the spanning tree of its homology, the components of the faces
 joined across the edges a curve system leaves uncut
-(``complement_components``), and the tree and cotree of
-``surfhom.homology``.
+(``complement_components``), and the cotree of ``surfhom.homology``.
+Each surface runs the vertex BFS once, when it is validated.
 """
 
 from dataclasses import dataclass
@@ -73,8 +74,9 @@ def validate_gluing_word(word):
 # ribbon graphs
 
 # a frozen dataclass, not a NamedTuple: __post_init__ normalises and
-# validates the fields, and vertex_of, the traced faces (``trace_faces``)
-# and the surface's homology are kept in its __dict__
+# validates the fields, and vertex_of, the BFS tree of the vertices
+# (``_tree_parent``), the traced faces (``trace_faces``) and the
+# surface's homology are kept in its __dict__
 @dataclass(frozen=True)
 class RibbonGraph:
     """An oriented combinatorial surface given by a rotation system.
@@ -107,10 +109,6 @@ class RibbonGraph:
         return len(self.twin)
 
     @property
-    def n_vertices(self):
-        return len(self.rotation)
-
-    @property
     def n_edges(self):
         return len(self.twin) // 2
 
@@ -118,9 +116,10 @@ class RibbonGraph:
 def validate_ribbon(R):
     """Check the rotation system's invariants and set R's ``vertex_of``.
 
-    Connectivity is one BFS over the vertices (``_spanning_tree``), and
-    faces are traced only when there are boundary faces to look up among
-    them; R keeps them (``trace_faces``)."""
+    Connectivity is one BFS over the vertices from vertex 0
+    (``_spanning_tree``); R keeps its tree as ``_tree_parent``, the
+    spanning tree of R's homology.  Faces are traced only when there are
+    boundary faces to look up among them; R keeps them (``trace_faces``)."""
     n = len(R.twin)
     if n == 0:
         raise ValidationError("ribbon graph has no darts")
@@ -143,7 +142,8 @@ def validate_ribbon(R):
         for d in cyc:
             vert[d] = v
     vertex_darts = [[(d, vert[R.twin[d]]) for d in cyc] for cyc in R.rotation]
-    if len(_spanning_tree(vertex_darts, 0)[0]) != len(R.rotation):
+    reached, parent = _spanning_tree(vertex_darts, 0)
+    if len(reached) != len(R.rotation):
         raise ValidationError("underlying graph is not connected")
     if R.boundary_faces:
         # True and 0.0 equal a face's smallest dart but are not ints
@@ -152,6 +152,7 @@ def validate_ribbon(R):
         if not R.boundary_faces <= {f[0] for f in trace_faces(R)}:
             raise ValidationError("boundary_faces refers to unknown faces")
     object.__setattr__(R, "vertex_of", tuple(vert))
+    object.__setattr__(R, "_tree_parent", parent)
 
 
 def edges(R):
@@ -432,6 +433,12 @@ def complement_components(R, system):
 # surgery (used to encode curves that cross: subdivide, then add the
 # crossing curve through the new 4-valent vertex)
 
+def _check_dart(R, d):
+    # True and 1.0 equal the dart 1 but are not darts
+    if not (type(d) is int and 0 <= d < len(R.twin)):
+        raise ValidationError(f"dart {d!r} not in graph")
+
+
 def subdivide_edge(R, d):
     """Split the edge of dart d with a midpoint vertex.
 
@@ -439,6 +446,7 @@ def subdivide_edge(R, d):
     used to traverse dart d now traverses first_half then second_half.
     New darts n, n+1 sit at the midpoint; labels get 'a'/'b' suffixes.
     """
+    _check_dart(R, d)
     t = R.twin[d]
     n = len(R.twin)
     # edge1 = {d, n} from vertex_of(d) to the midpoint
@@ -468,6 +476,8 @@ def add_loop(R, after_a, after_b, label=None):
     after_b in the vertex's counterclockwise order; choosing two darts
     that separate a curve's strands makes the new loop cross it.
     """
+    _check_dart(R, after_a)
+    _check_dart(R, after_b)
     vof = R.vertex_of
     v = vof[after_a]
     if vof[after_b] != v or after_a == after_b:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from surfhom import minima
+from surfhom import catalog, minima
 from surfhom.catalog import (
     EXAMPLE_NAMES,
     all_examples,
@@ -62,6 +62,36 @@ def test_load_example_keeps_no_bundle():
     del b
     gc.collect()
     assert surface() is None
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_each_bundle_builds_its_curve_graph_once(monkeypatch, name):
+    # a soul's weights are computed on the graph its bundle holds, and
+    # example3 builds the example2G soul; example1 is glued from a word
+    calls = []
+
+    def counted(itineraries, rotations):
+        calls.append(name)
+        return build(itineraries, rotations)
+
+    build = catalog.build_curve_graph
+    monkeypatch.setattr(catalog, "build_curve_graph", counted)
+    load_example(name)
+    assert len(calls) == (0 if name == "example1" else 1)
+
+
+@pytest.mark.parametrize("name, narrow, wide", [
+    ("example2G", Fraction(2), Fraction(4)),
+    ("example2H", Fraction(2), Fraction(4)),
+    ("example4", Fraction(13, 12), Fraction(113, 100)),
+])
+def test_a_narrower_pool_is_the_short_end_of_a_wider_one(name, narrow, wide):
+    # the check suites enumerate once, at the wider bound, and read the
+    # narrower pool off it: the pools are sorted by (length, walk)
+    pool = candidate_pool(load_example(name), wide)
+    short = candidate_pool(load_example(name), narrow)
+    assert tuple(c for c in pool if c.length <= narrow) == short
+    assert pool[:len(short)] == short
 
 
 def test_polygon_word_is_the_declared_one():

@@ -10,7 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import surfhom
-from surfhom.catalog import load_example
+from surfhom import catalog, cli
+from surfhom.catalog import build_curve_graph, candidate_pool, load_example
 from surfhom.cli import (
     bundle_to_dict,
     bundle_to_dot,
@@ -44,6 +45,29 @@ def test_verify_all_pass():
     code, out = run(["verify", "all"])
     assert code == 0
     assert out.count("== ") == 7
+
+
+def test_verify_all_enumerates_once_per_check_suite(monkeypatch):
+    # each check suite enumerates its cycles once, at its widest bound,
+    # and reads the narrower pools off that one; each soul's curve graph
+    # is built once per bundle (example3 reuses the example2G soul)
+    pools, graphs = [], []
+
+    def counted_pool(bundle, bound):
+        pools.append((bundle.name, bound))
+        return candidate_pool(bundle, bound)
+
+    def counted_graph(itineraries, rotations):
+        graphs.append(sorted(itineraries))
+        return build_curve_graph(itineraries, rotations)
+
+    monkeypatch.setattr(cli, "candidate_pool", counted_pool)
+    monkeypatch.setattr(catalog, "build_curve_graph", counted_graph)
+    code, _ = run(["verify", "all"])
+    assert code == 0
+    assert sorted(name for name, _ in pools) == [
+        "example2G", "example2H", "example4", "remark45G", "remark45H"]
+    assert len(graphs) == 6  # five soul bundles and example4
 
 
 def test_verify_unknown_exits_2():

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import random
 import weakref
 
@@ -45,6 +46,8 @@ from .util import random_ribbon_graph, tiny_weighted_graphs
 
 WORD20 = "1 2 1' 3 4 5 2' 5' 6 3' 7 8 7' 9 6' 10 8' 10' 4' 9'"
 
+homology_module = importlib.import_module("surfhom.homology")
+
 
 def pairs_canonically(R, B):
     """Whether the basis rows B.matrix pair as the standard form S under
@@ -89,6 +92,22 @@ def test_torus_intersection_convention():
     assert H.pair(a, b) == 1
     assert algebraic_intersection(R, (0,), (1,)) == 1
     assert algebraic_intersection(R, (1,), (0,)) == -1
+
+
+@pytest.mark.parametrize("c1, c2", [
+    ((1,), (0, 1)),           # short: was read as (1, 0)
+    ((1, 0, 5), (0, 1, 0)),   # long: was an IndexError
+    ((1, 0), (0, 1, 0)),
+    ([1, 0], (0, 1)),         # a list is not a class
+    ((True, 0), (0, 1)),      # True equals 1 but is not an int
+    ((1, 0), (0, 1.0)),
+    ((1, 0), None),
+], ids=repr)
+def test_pair_refuses_classes_that_are_not_rank_tuples_of_ints(c1, c2):
+    H = homology(schema_to_ribbon("a b a' b'"))
+    assert H.pair((1, 0), (0, 1)) == 1
+    with pytest.raises(ValidationError, match="is not a tuple of 2 ints"):
+        H.pair(c1, c2)
 
 
 def test_cotree_basis_torus():
@@ -199,6 +218,30 @@ def test_faces_are_traced_once_per_surface(monkeypatch):
     surface_invariants(R)
     homology(R)
     assert len(calls) == 1
+
+
+def test_vertices_are_searched_once_per_surface(monkeypatch):
+    # validation's BFS tree of the vertices is the spanning tree of the
+    # homology: building R, its homology and its cotree basis searches
+    # the vertices once (the cotree's search runs over the faces)
+    vertex_searches = []
+
+    def counted(darts_of, root):
+        if isinstance(darts_of, list):  # the faces are searched through a dict
+            vertex_searches.append(root)
+        return search(darts_of, root)
+
+    rng = random.Random(8)
+    surfaces = [schema_to_ribbon(WORD20)] + [random_ribbon_graph(rng, max_edges=9) for _ in range(5)]
+    search = ribbon._spanning_tree
+    monkeypatch.setattr(ribbon, "_spanning_tree", counted)
+    monkeypatch.setattr(homology_module, "_spanning_tree", counted)
+    for S in surfaces:
+        vertex_searches.clear()
+        R = RibbonGraph(S.rotation, S.twin, S.boundary_faces)
+        homology(R)
+        cotree_basis(R)
+        assert vertex_searches == [0]
 
 
 def test_graph_and_homology_are_freed_without_the_cycle_collector():

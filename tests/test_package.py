@@ -12,9 +12,11 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 import sysconfig
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -190,6 +192,53 @@ def test_an_unknown_name_is_refused():
         assert not hasattr(surfhom, name)
     with pytest.raises(ImportError):
         exec("from surfhom import no_such_name", {})
+
+
+# ---------------------------------------------------------------------------
+# dead definitions
+
+def unreferenced_definitions(modules, texts):
+    """(module, line, name) of each function, class, method or property
+    defined in ``modules`` (name -> source) whose name occurs as a word
+    in ``texts`` no more often than it is defined there."""
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    defined = Counter()
+    sites = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] += 1
+                sites.append((module, node.lineno, node.name))
+    return [site for site in sites if words[site[2]] <= defined[site[2]]]
+
+
+def test_every_definition_in_src_is_referenced():
+    # a name in src/ that nothing in src/, tests/ or perfbench/ names
+    # again is dead code; dunders and the lazy exports are exempt
+    root = Path(__file__).resolve().parent.parent
+    modules = {p.name: p.read_text() for p in sorted((root / "src" / "surfhom").glob("*.py"))}
+    others = [p.read_text() for p in (*(root / "tests").glob("*.py"),
+                                      *(root / "perfbench").glob("*.py"))]
+    assert "minima.py" in modules and others
+    dead = [
+        site for site in unreferenced_definitions(modules, [*modules.values(), *others])
+        if not (site[2].startswith("__") and site[2].endswith("__"))
+        and site[2] not in surfhom.__all__
+    ]
+    assert dead == []
+    # the rule's control: a function named only where it is defined is
+    # found, and so is a name defined twice and named nowhere else
+    control = (
+        "def used(): pass\n"
+        "def idle(): return used()\n"
+        "class Twice:\n"
+        "    def twice(self): pass\n"
+        "def twice(): return Twice\n"
+    )
+    found = sorted(unreferenced_definitions({"m.py": control}, [control]))
+    assert found == [("m.py", 2, "idle"), ("m.py", 4, "twice"), ("m.py", 5, "twice")]
+    found = sorted(unreferenced_definitions({"m.py": control}, [control, "idle()"]))
+    assert found == [("m.py", 4, "twice"), ("m.py", 5, "twice")]
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,20 @@ def test_subdivide_and_loop():
     assert len(w) == 2
 
 
+@pytest.mark.parametrize("dart", [99, 4, -1, True, False, 1.0, 0.5, "0", None], ids=repr)
+@pytest.mark.parametrize("surgery", [
+    lambda R, d: subdivide_edge(R, d),
+    lambda R, d: add_loop(R, 2, d),
+    lambda R, d: add_loop(R, d, 2),
+], ids=["subdivide_edge", "add_loop_second", "add_loop_first"])
+def test_surgery_refuses_a_dart_that_is_not_an_int_in_range(surgery, dart):
+    # the torus has darts 0..3: 99 and 4 are past its end, -1 would index
+    # from the end, and True and 1.0 equal the dart 1 but are not ints
+    with pytest.raises(ValidationError) as err:
+        surgery(torus(), dart)
+    assert str(err.value) == f"dart {dart!r} not in graph"
+
+
 def test_canonical_walk_rotation_reflection():
     R = torus()
     # any rotation or reversal of a walk canonicalizes identically
