@@ -129,13 +129,15 @@ def _soul_checks(b):
     tr_z = successive_minima_I(named, 0, 4)
     tr_2 = successive_minima_I(named, 2, 4)
     mod2_rank = _rank_mod_p([c.cls for c in tr_2.selected], 2)
-    triples = []
-    for x, y, z in combinations(curves4, 3):
-        pij = [
-            abs(algebraic_intersection(b.closed, b.curves[p], b.curves[q]))
-            for p, q in ((x, y), (x, z), (y, z))
-        ]
-        triples.append(all(v == 1 for v in pij))
+    # each of the six pairs once; a triple reads its three pairs
+    crossings = {
+        (p, q): abs(algebraic_intersection(b.closed, b.curves[p], b.curves[q]))
+        for p, q in combinations(curves4, 2)
+    }
+    triples = [
+        all(crossings[pair] == 1 for pair in combinations(triple, 2))
+        for triple in combinations(curves4, 3)
+    ]
     checks = [
         _eq("soul thickens to genus 2 with two boundary circles",
             (inv.genus, inv.boundary_count), (2, 2)),

@@ -51,7 +51,6 @@ from .ribbon import (
     ValidationError,
     _orbits,
     _spanning_tree,
-    edge_index,
     edge_of_dart,
     edges,
     trace_faces,
@@ -78,21 +77,20 @@ class ChainComplex(NamedTuple):
 
 
 def chain_complex(R):
-    eix = edge_index(R)
-    vof = R.vertex_of
+    """The boundary maps, with edge i the i-th of ``edges(R)``, oriented
+    along its smaller dart (``R.edge_number``)."""
+    twin, vof, number = R.twin, R.vertex_of, R.edge_number
     V = len(R.rotation)
     E = R.n_edges
     d1 = [[0] * E for _ in range(V)]
-    for e, i in eix.items():
-        t = R.twin[e]
-        d1[vof[t]][i] += 1
+    for i, e in enumerate(edges(R)):
+        d1[vof[twin[e]]][i] += 1
         d1[vof[e]][i] -= 1
     internal = [f for f in trace_faces(R) if f[0] not in R.boundary_faces]
     d2 = [[0] * len(internal) for _ in range(E)]
     for j, face in enumerate(internal):
         for d in face:
-            i = eix[edge_of_dart(R, d)]
-            d2[i][j] += 1 if d < R.twin[d] else -1
+            d2[number[d]][j] += 1 if d < twin[d] else -1
     return ChainComplex(tuple(map(tuple, d1)), tuple(map(tuple, d2)))
 
 

@@ -2,11 +2,16 @@
 
 All lengths are exact rationals; ties between equal-length cycles are
 broken by the canonical dart encoding, so every procedure is a
-deterministic function of its input.  Candidate cycles are edge-simple
-closed walks with no dart followed by its reversal; vertices may
-repeat.  The enumeration searches on integers, the edge lengths scaled
-by their least common denominator, and starts each cycle at the smaller
-dart of its least edge, which makes the walk its own canonical encoding.
+deterministic function of its input.  A ``WeightedGraph`` scales its
+lengths once, when it is built: D is the least common denominator of
+the edge lengths and each dart weighs its edge's length times D, an
+integer, read through the surface's edge numbering (``edge_number``).
+The enumeration, the graph distances and the straightness check all
+run on these integers; a walk's length is one ``Fraction`` of its
+weight over D.  Candidate cycles are edge-simple closed walks with no
+dart followed by its reversal; vertices may repeat.  The enumeration
+starts each cycle at the smaller dart of its least edge, which makes
+the walk its own canonical encoding.
 Its depth-first search takes each vertex's darts in increasing dart
 order, from per-vertex tables kept on the graph, so it finds the walks
 in lexicographic order; it drops each closed walk into the bucket of
@@ -20,7 +25,7 @@ from bisect import bisect_right, insort
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import lcm
 from operator import attrgetter, is_not, lt
 from typing import NamedTuple
@@ -28,8 +33,8 @@ from typing import NamedTuple
 from .homology import homology
 from .ribbon import (
     ValidationError,
+    _check_dart,
     canonical_walk,
-    edge_of_dart,
     edges,
     validate_walk,
 )
@@ -53,38 +58,45 @@ def _exact(x, what):
 
 
 # a frozen dataclass, not a NamedTuple: __post_init__ validates the
-# lengths, and the edge index and search tables are kept in its __dict__
+# lengths, and the scaled weights and search tables are kept in its
+# __dict__
 @dataclass(frozen=True)
 class WeightedGraph:
     """A ribbon graph with an exact positive rational length per edge,
     each given as an int or a ``Fraction`` (``_exact``).
 
-    Its first ``enumerate_cycles`` keeps the search tables on it
-    (``_search``): per vertex, its darts' lengths scaled to integers, in
-    increasing order, and for each k its k lightest darts in decreasing
-    dart order, each with its packed H1 row."""
+    Building it scales the lengths once: ``_denominator`` is their least
+    common denominator D, and ``_weight[d]`` is the length of dart d's
+    edge times D.  Its first ``enumerate_cycles`` keeps the search
+    tables on it (``_search``)."""
 
     ribbon: object
     edge_length: tuple  # aligned with edges(ribbon)
 
     def __post_init__(self):
-        E = edges(self.ribbon)
+        R = self.ribbon
         try:
             lengths = tuple(_exact(x, "edge length") for x in self.edge_length)
         except TypeError as exc:
             raise ValidationError(f"malformed edge lengths: {exc}") from None
-        if len(lengths) != len(E):
+        if len(lengths) != R.n_edges:
             raise ValidationError("one length per edge required")
         if any(l <= 0 for l in lengths):
             raise ValidationError("edge lengths must be positive")
+        D = lcm(*(l.denominator for l in lengths))
+        scaled = [l.numerator * (D // l.denominator) for l in lengths]
         object.__setattr__(self, "edge_length", lengths)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(E)})
+        object.__setattr__(self, "_denominator", D)
+        object.__setattr__(self, "_weight", tuple(map(scaled.__getitem__, R.edge_number)))
 
     def length_of_dart(self, d):
-        return self.edge_length[self._index[edge_of_dart(self.ribbon, d)]]
+        _check_dart(self.ribbon, d)
+        return self.edge_length[self.ribbon.edge_number[d]]
 
     def walk_length(self, walk):
-        return sum((self.length_of_dart(d) for d in walk), Fraction(0))
+        for d in walk:
+            _check_dart(self.ribbon, d)
+        return Fraction(sum(map(self._weight.__getitem__, walk)), self._denominator)
 
 
 class WeightedCycle(NamedTuple):
@@ -137,27 +149,21 @@ def _search(G):
     """The search tables of ``enumerate_cycles``, built on G's first
     enumeration and kept on G, as ``homology(R)`` is kept on R.
 
-    They hold G's edges, the least common denominator D of the lengths,
-    each dart's length scaled by D and, per vertex, its outgoing darts'
-    scaled lengths in increasing order beside ``lightest`` and
-    ``reach``.  Entry k of ``lightest`` is the k lightest of those darts
-    as search steps (dart, scaled length, edge bit, head vertex, the
-    dart's packed row in ``homology(R)``), in decreasing dart order;
-    entry k of ``reach`` is the OR of their edge bits.  Equal lengths
-    are all in a prefix or all out of it, so the ties' order in the sort
-    does not matter."""
+    They hold, per vertex, its outgoing darts' weights (``G._weight``)
+    in increasing order beside ``lightest`` and ``reach``.  Entry k of
+    ``lightest`` is the k lightest of those darts as search steps (dart,
+    weight, edge bit, head vertex, the dart's packed row in
+    ``homology(R)``), in decreasing dart order, the edge bit of edge i
+    being 1 << i; entry k of ``reach`` is the OR of their edge bits.
+    Equal weights are all in a prefix or all out of it, so the ties'
+    order in the sort does not matter."""
     tables = G.__dict__.get("_search")
     if tables is None:
         R = G.ribbon
         twin, vof = R.twin, R.vertex_of
+        weight = G._weight
+        bit = [1 << i for i in R.edge_number]
         packed = homology(R)._packed
-        E = tuple(G._index)  # edges(R), in order
-        D = lcm(*(l.denominator for l in G.edge_length))
-        weight = [0] * len(twin)
-        bit = [0] * len(twin)
-        for i, (e, l) in enumerate(zip(E, G.edge_length)):
-            weight[e] = weight[twin[e]] = l.numerator * (D // l.denominator)
-            bit[e] = bit[twin[e]] = 1 << i
         step = [(d, weight[d], bit[d], vof[twin[d]], packed[d]) for d in range(len(twin))]
         weights, lightest, reach = [], [], []
         for rot in R.rotation:
@@ -170,7 +176,7 @@ def _search(G):
             weights.append([weight[d] for d in darts])
             lightest.append(prefixes)
             reach.append(masks)
-        tables = (E, D, weight, weights, lightest, reach)
+        tables = (weights, lightest, reach)
         object.__setattr__(G, "_search", tables)
     return tables
 
@@ -180,14 +186,13 @@ def enumerate_cycles(G, bound):
     each with its H1 class in the coordinates of ``homology(R)``, which
     this builds when R has none yet.
 
-    Exhaustive backtracking with partial-length pruning, run on
-    integers: every edge length is scaled, once per graph, by the least
-    common denominator D of the lengths, and a partial length L/D is
-    kept exactly when L <= floor(bound * D).  A cycle is reached only
-    from its least edge, as the walk that starts with that edge's
-    smaller dart; that dart occurs nowhere else in the walk or in its
-    reversal, so the walk is its own canonical encoding and no cycle is
-    reached twice.
+    Exhaustive backtracking with partial-length pruning, run on the
+    integer dart weights of G, its lengths scaled by their least common
+    denominator D when G was built: a partial length L/D is kept exactly
+    when L <= floor(bound * D).  A cycle is reached only from its least
+    edge, as the walk that starts with that edge's smaller dart; that
+    dart occurs nowhere else in the walk or in its reversal, so the walk
+    is its own canonical encoding and no cycle is reached twice.
 
     At each step one ``bisect_right`` of the room left into the
     vertex's dart lengths (``_search``) picks its k lightest darts, all
@@ -222,10 +227,11 @@ def enumerate_cycles(G, bound):
     twin, vof = R.twin, R.vertex_of
     H = homology(R)
     packed = H._packed
-    all_edges, D, weight, weights, lightest, reach = _search(G)
+    D, weight = G._denominator, G._weight
+    weights, lightest, reach = _search(G)
     limit = bound.numerator * D // bound.denominator
     walks_of, sums_of = defaultdict(list), defaultdict(list)  # by integer length
-    for i, start in enumerate(all_edges):
+    for i, start in enumerate(edges(R)):
         if weight[start] > limit:
             continue
         home = vof[start]
@@ -506,18 +512,20 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
 # straightness in the graph metric
 
 def shortest_distances(G, source):
-    """Dijkstra over exact rational edge lengths."""
+    """Dijkstra over G's integer dart weights: each distance is the
+    graph distance from ``source`` times D, the least common denominator
+    of G's edge lengths (``G._denominator``)."""
     R = G.ribbon
-    vof = R.vertex_of
-    dist = {source: Fraction(0)}
-    heap = [(Fraction(0), source)]
+    vof, twin, weight = R.vertex_of, R.twin, G._weight
+    dist = {source: 0}
+    heap = [(0, source)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
         for dart in R.rotation[v]:
-            w = vof[R.twin[dart]]
-            nd = d + G.length_of_dart(dart)
+            w = vof[twin[dart]]
+            nd = d + weight[dart]
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
@@ -528,15 +536,15 @@ def is_straight_cycle(G, cycle):
     """Is every along-the-cycle distance realized by the whole graph?
 
     For each pair of vertices on the cycle the shorter arc between them
-    (minimized over repeated visits) must equal the graph distance.
+    (minimized over repeated visits) must equal the graph distance.  Arcs
+    and distances are compared as integers, in units of 1/D: every
+    length of G is a multiple of it.
     """
     walk = cycle.darts if isinstance(cycle, WeightedCycle) else tuple(cycle)
     validate_walk(G.ribbon, walk)
     vof = G.ribbon.vertex_of
     verts = [vof[d] for d in walk]
-    prefix = [Fraction(0)]
-    for d in walk:
-        prefix.append(prefix[-1] + G.length_of_dart(d))
+    prefix = list(accumulate(map(G._weight.__getitem__, walk), initial=0))
     total = prefix[-1]
 
     arc = {}

@@ -23,6 +23,11 @@ as the spanning tree of its homology, the components of the faces
 joined across the edges a curve system leaves uncut
 (``complement_components``), and the cotree of ``surfhom.homology``.
 Each surface runs the vertex BFS once, when it is validated.
+
+Validation also numbers the edges, once per surface: ``edge_number[d]``
+is the position of d's edge in ``edges(R)``, so the label of a dart's
+edge, its length (``surfhom.minima``) and its row of the chain complex
+(``surfhom.homology``) are each one lookup.
 """
 
 from dataclasses import dataclass
@@ -74,9 +79,9 @@ def validate_gluing_word(word):
 # ribbon graphs
 
 # a frozen dataclass, not a NamedTuple: __post_init__ normalises and
-# validates the fields, and vertex_of, the BFS tree of the vertices
-# (``_tree_parent``), the traced faces (``trace_faces``) and the
-# surface's homology are kept in its __dict__
+# validates the fields, and vertex_of, edge_number, the BFS tree of the
+# vertices (``_tree_parent``), the traced faces (``trace_faces``) and
+# the surface's homology are kept in its __dict__
 @dataclass(frozen=True)
 class RibbonGraph:
     """An oriented combinatorial surface given by a rotation system.
@@ -86,6 +91,8 @@ class RibbonGraph:
     boundary_faces  faces (by smallest dart) marked as boundary walks
     edge_labels     optional name per edge, aligned with ``edges()``
     vertex_of       vertex_of[d] is the vertex dart d leaves (derived)
+    edge_number     edge_number[d] is the position of d's edge in
+                    ``edges()`` (derived)
     """
 
     rotation: tuple
@@ -114,7 +121,8 @@ class RibbonGraph:
 
 
 def validate_ribbon(R):
-    """Check the rotation system's invariants and set R's ``vertex_of``.
+    """Check the rotation system's invariants and set R's ``vertex_of``
+    and ``edge_number``.
 
     Connectivity is one BFS over the vertices from vertex 0
     (``_spanning_tree``); R keeps its tree as ``_tree_parent``, the
@@ -127,9 +135,14 @@ def validate_ribbon(R):
         raise ValidationError("odd number of darts")
     if not all(type(d) is int for cyc in (R.twin, *R.rotation) for d in cyc):
         raise ValidationError("darts must be integers")
+    number = [None] * n
+    count = 0
     for d, t in enumerate(R.twin):
         if not 0 <= t < n or R.twin[t] != d or t == d:
             raise ValidationError("twin is not a fixed-point-free involution")
+        if d < t:
+            number[d] = number[t] = count
+            count += 1
     if not all(R.rotation):
         raise ValidationError("vertex with an empty rotation cycle")
     seen = sorted(d for cyc in R.rotation for d in cyc)
@@ -152,6 +165,7 @@ def validate_ribbon(R):
         if not R.boundary_faces <= {f[0] for f in trace_faces(R)}:
             raise ValidationError("boundary_faces refers to unknown faces")
     object.__setattr__(R, "vertex_of", tuple(vert))
+    object.__setattr__(R, "edge_number", tuple(number))
     object.__setattr__(R, "_tree_parent", parent)
 
 
@@ -160,19 +174,23 @@ def edges(R):
     return tuple(d for d in range(len(R.twin)) if d < R.twin[d])
 
 
-def edge_index(R):
-    return {d: i for i, d in enumerate(edges(R))}
-
-
 def edge_of_dart(R, d):
     return min(d, R.twin[d])
 
 
+def _check_dart(R, d):
+    # True and 1.0 equal the dart 1 but are not darts, and -1 would read
+    # the last entry of a table indexed by dart
+    if not (type(d) is int and 0 <= d < len(R.twin)):
+        raise ValidationError(f"dart {d!r} not in graph")
+
+
 def edge_label(R, d):
-    """Label of the edge containing dart d."""
-    if R.edge_labels is None:
-        return f"e{edge_index(R)[edge_of_dart(R, d)]}"
-    return R.edge_labels[edge_index(R)[edge_of_dart(R, d)]]
+    """Label of the edge containing dart d: its entry of ``edge_labels``,
+    or ``e<i>`` for the edge numbered i when R has none."""
+    _check_dart(R, d)
+    i = R.edge_number[d]
+    return f"e{i}" if R.edge_labels is None else R.edge_labels[i]
 
 
 def dart_of_label(R, label):
@@ -351,16 +369,15 @@ def walk_edge_labels(R, walk):
 
 
 def canonical_walk(walk, twin):
-    """Least dart sequence over all rotations of the walk and of its reversal."""
-    m = len(walk)
+    """Least dart sequence over all rotations of the nonempty walk and of
+    its reversal.
+
+    The least sequence starts with the least dart of the two, so only
+    the rotations that start there are compared: one of each, for a
+    walk that uses no edge twice."""
     rev = tuple(twin[d] for d in reversed(walk))
-    best = None
-    for seq in (walk, rev):
-        for i in range(m):
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best
+    low = min(min(walk), min(rev))
+    return min(seq[i:] + seq[:i] for seq in (walk, rev) for i, d in enumerate(seq) if d == low)
 
 
 def walk_from_edge_set(R, darts):
@@ -433,12 +450,6 @@ def complement_components(R, system):
 # surgery (used to encode curves that cross: subdivide, then add the
 # crossing curve through the new 4-valent vertex)
 
-def _check_dart(R, d):
-    # True and 1.0 equal the dart 1 but are not darts
-    if not (type(d) is int and 0 <= d < len(R.twin)):
-        raise ValidationError(f"dart {d!r} not in graph")
-
-
 def subdivide_edge(R, d):
     """Split the edge of dart d with a midpoint vertex.
 
@@ -457,11 +468,8 @@ def subdivide_edge(R, d):
     rotation = [tuple(cyc) for cyc in R.rotation] + [(n, n + 1)]
     labels = None
     if R.edge_labels is not None:
-        base = edge_label(R, d)
-        lab = {}
-        for e, L in zip(edges(R), R.edge_labels):
-            lab[e] = L
-        lab.pop(edge_of_dart(R, d))
+        lab = dict(zip(edges(R), R.edge_labels))
+        base = lab.pop(edge_of_dart(R, d))
         lab[min(d, n)] = base + "a"
         lab[min(n + 1, t)] = base + "b"
         new_edges = sorted(set(lab))

@@ -13,9 +13,12 @@ only Smith form left in the repository, where the library keeps one
 incremental Hermite or quotient-map state per procedure run.  The
 cycle enumeration is the earlier one on
 ``Fraction`` lengths, with a ``canonical_walk`` key and a dedup dict
-per closure.
+per closure, and the straightness check the earlier one too: its
+Dijkstra and its arcs add ``Fraction`` lengths, where the library's
+run on the integer weights that a ``WeightedGraph`` keeps.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +31,7 @@ from surfhom.minima import (
     _tied,
     sorted_lengths,
 )
-from surfhom.ribbon import ValidationError, canonical_walk, edge_of_dart, edges
+from surfhom.ribbon import ValidationError, canonical_walk, edge_of_dart, edges, validate_walk
 from surfhom.zlattice import _check_modulus, as_int_matrix, det_int
 
 from .reference_zlattice import smith_normal_form
@@ -264,3 +267,58 @@ def enumerate_cycles(G, bound):
                 if l2 <= bound:
                     stack.append((walk + (d,), used | {e}, l2))
     return tuple(sorted(found.values(), key=lambda c: (c.length, c.key)))
+
+
+def shortest_distances(G, source):
+    """Dijkstra over exact rational edge lengths."""
+    R = G.ribbon
+    vof = R.vertex_of
+    dist = {source: Fraction(0)}
+    heap = [(Fraction(0), source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for dart in R.rotation[v]:
+            w = vof[R.twin[dart]]
+            nd = d + G.length_of_dart(dart)
+            if w not in dist or nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def is_straight_cycle(G, cycle):
+    """Is every along-the-cycle distance realized by the whole graph?
+
+    For each pair of vertices on the cycle the shorter arc between them
+    (minimized over repeated visits) must equal the graph distance.
+    """
+    walk = cycle.darts if isinstance(cycle, WeightedCycle) else tuple(cycle)
+    validate_walk(G.ribbon, walk)
+    vof = G.ribbon.vertex_of
+    verts = [vof[d] for d in walk]
+    prefix = [Fraction(0)]
+    for d in walk:
+        prefix.append(prefix[-1] + G.length_of_dart(d))
+    total = prefix[-1]
+
+    arc = {}
+    m = len(walk)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            s = (prefix[j] - prefix[i]) % total
+            d = min(s, total - s)
+            key = (verts[i], verts[j])
+            if key not in arc or d < arc[key]:
+                arc[key] = d
+    for v in set(verts):
+        dist = shortest_distances(G, v)
+        for w in set(verts):
+            if v == w:
+                continue
+            if arc[(v, w)] != dist[w]:
+                return False
+    return True

@@ -3,8 +3,10 @@ replaced, kept as the oracle for the differential tests in
 ``tests/test_ribbon.py``; the face tracing that ran anew on every
 call before a surface kept its faces (``trace_faces``), by its own
 loop, so the library's tracer is checked against an independent one;
-and the union-find over faces that ``complement_components`` ran before
-it became a BFS.
+the union-find over faces that ``complement_components`` ran before
+it became a BFS; and the ``canonical_walk`` that compared every
+rotation of a walk and of its reversal, where the library compares only
+the rotations that start at the least dart.
 
 Its connectivity search walks the whole rotation of a dart's vertex for
 every dart it reaches, O(sum of squared degrees) steps, and it traces
@@ -111,3 +113,16 @@ def complement_components(R, system):
             if a != b:
                 parent[a] = b
     return len({find(f) for f in parent})
+
+
+def canonical_walk(walk, twin):
+    """Least dart sequence over all rotations of the walk and of its reversal."""
+    m = len(walk)
+    rev = tuple(twin[d] for d in reversed(walk))
+    best = None
+    for seq in (walk, rev):
+        for i in range(m):
+            cand = seq[i:] + seq[:i]
+            if best is None or cand < best:
+                best = cand
+    return best

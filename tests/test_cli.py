@@ -18,6 +18,7 @@ from surfhom.cli import (
     main,
     run_checks,
 )
+from surfhom.homology import algebraic_intersection
 from surfhom.ribbon import ribbon_from_dict
 
 
@@ -68,6 +69,23 @@ def test_verify_all_enumerates_once_per_check_suite(monkeypatch):
     assert sorted(name for name, _ in pools) == [
         "example2G", "example2H", "example4", "remark45G", "remark45H"]
     assert len(graphs) == 6  # five soul bundles and example4
+
+
+@pytest.mark.parametrize("name", ["example2G", "example2H"])
+def test_soul_checks_compute_each_pairwise_intersection_once(monkeypatch, name):
+    # the four soul curves have six pairs; the four triples read them
+    pairs = []
+
+    def counted(R, w1, w2):
+        pairs.append((w1, w2))
+        return algebraic_intersection(R, w1, w2)
+
+    bundle = load_example(name)
+    monkeypatch.setattr(cli, "algebraic_intersection", counted)
+    checks = cli._soul_checks(bundle)
+    assert len(pairs) == len(set(pairs)) == 6
+    triple = next(c for c in checks if c.label.startswith("a triple of curves"))
+    assert triple.passed
 
 
 def test_verify_unknown_exits_2():

@@ -1,7 +1,8 @@
 """Differential tests: the shared greedy loop, the minimality checks and
 mod-p elimination against the separate implementations in
 ``reference_minima``, on seeded random weighted ribbon graphs and on
-pools of random class vectors."""
+pools of random class vectors; and the integer straightness check
+against the ``Fraction`` one."""
 
 import random
 import re
@@ -343,6 +344,26 @@ def test_greedy_pivots_match_row_by_row_greedy(modulus):
             if rank > len(kept):
                 kept.append(i)
         assert _greedy_pivots(rows, modulus) == kept
+
+
+def test_straightness_matches_reference():
+    # integer Dijkstra and arcs against the Fraction ones, on seeded
+    # graphs whose lengths have mixed denominators
+    rng = random.Random("straightness")
+    seen = set()
+    for _ in range(80):
+        R = random_ribbon_graph(rng, max_edges=6)
+        G = WeightedGraph(R, [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 7)))
+                              for _ in range(R.n_edges)])
+        for c in enumerate_cycles(G, sum(G.edge_length))[:15]:
+            got = minima.is_straight_cycle(G, c)
+            assert got == ref.is_straight_cycle(G, c), (R, G.edge_length, c.darts)
+            seen.add(got)
+        for v in range(len(R.rotation)):
+            dist = minima.shortest_distances(G, v)
+            scaled = {w: x * G._denominator for w, x in ref.shortest_distances(G, v).items()}
+            assert dist == scaled
+    assert seen == {True, False}
 
 
 def test_short_pool_holds_only_for_a_valid_modulus():

@@ -370,6 +370,24 @@ def test_straight_detects_heavy_edge():
     assert is_straight_cycle(G, light_triangle)
 
 
+def test_straightness_runs_on_integers(monkeypatch):
+    # remark45G's lengths are skewed by 1/400; the check scales them by
+    # their common denominator once, when the graph is built, and adds
+    # and compares integers only
+    b = load_example("remark45G")
+    G = b.weights
+    cycles = [b.cycle(n) for n in ("alpha", "beta", "gamma", "delta")]
+    assert {l.denominator for l in G.edge_length} != {1}
+
+    def no_fraction(*args):
+        raise AssertionError("straightness constructed a Fraction")
+
+    monkeypatch.setattr(minima, "Fraction", no_fraction)
+    assert [is_straight_cycle(G, c) for c in cycles] == [True] * 4
+    dist = minima.shortest_distances(G, 0)
+    assert {type(x) for x in dist.values()} == {int}
+
+
 def test_straight_single_loop():
     R = RibbonGraph(((0, 1),), (1, 0))
     G = unit_weights(R)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfhom import ribbon as ribbon_module
 from surfhom.homology import homology
 from surfhom.minima import WeightedGraph, enumerate_cycles, is_straight_cycle
 from surfhom.ribbon import (
@@ -28,6 +29,7 @@ from surfhom.ribbon import (
     validate_gluing_word,
     validate_ribbon,
     validate_walk,
+    walk_edge_labels,
     walk_from_edge_set,
 )
 
@@ -249,6 +251,69 @@ def test_surgery_refuses_a_dart_that_is_not_an_int_in_range(surgery, dart):
     with pytest.raises(ValidationError) as err:
         surgery(torus(), dart)
     assert str(err.value) == f"dart {dart!r} not in graph"
+
+
+def test_edge_number_is_the_position_of_the_edge_in_edges():
+    rng = random.Random("edge-number")
+    for _ in range(200):
+        R = random_ribbon_graph(rng)
+        E = edges(R)
+        assert R.edge_number == tuple(E.index(min(d, R.twin[d])) for d in range(R.n_darts))
+
+
+@pytest.mark.parametrize("dart", [True, False, -1, 4, 1.0, 0.5, "0", None], ids=repr)
+@pytest.mark.parametrize("lookup", [
+    lambda R, d: WeightedGraph(R, (1, 2)).length_of_dart(d),
+    lambda R, d: WeightedGraph(R, (1, 2)).walk_length((0, d)),
+    lambda R, d: edge_label(R, d),
+    lambda R, d: walk_edge_labels(R, (0, d)),
+], ids=["length_of_dart", "walk_length", "edge_label", "walk_edge_labels"])
+def test_lookups_refuse_a_dart_that_is_not_an_int_in_range(lookup, dart):
+    # the torus has darts 0..3: 4 is past its end, -1 would read the
+    # last entry of a table indexed by dart, and True and 1.0 equal the
+    # dart 1 but are not ints
+    with pytest.raises(ValidationError) as err:
+        lookup(torus(), dart)
+    assert str(err.value) == f"dart {dart!r} not in graph"
+
+
+def test_labels_read_the_edge_table(monkeypatch):
+    # a label is one lookup in the table the surface keeps: no call
+    # rebuilds the edge list or names a dart's edge
+    R = schema_to_ribbon(WORD20)
+    unlabelled = RibbonGraph(R.rotation, R.twin)
+    E = edges(R)
+    position = {d: E.index(min(d, R.twin[d])) for d in range(R.n_darts)}
+    face = trace_faces(R)[0]
+
+    def refuse(*args):
+        raise AssertionError("a label rebuilt the edge numbering")
+
+    monkeypatch.setattr(ribbon_module, "edges", refuse)
+    monkeypatch.setattr(ribbon_module, "edge_of_dart", refuse)
+    for d in range(R.n_darts):
+        assert edge_label(R, d) == R.edge_labels[position[d]]
+        assert edge_label(unlabelled, d) == f"e{position[d]}"
+    assert walk_edge_labels(R, face) == tuple(R.edge_labels[position[d]] for d in face)
+    assert walk_edge_labels(unlabelled, face) == tuple(f"e{position[d]}" for d in face)
+
+
+def test_canonical_walk_matches_every_rotation():
+    # random dart sequences, repeats included, on random twin involutions:
+    # the rotations from the least dart decide as all rotations do
+    rng = random.Random("canonical-walk")
+    repeated = 0
+    for _ in range(3000):
+        n = 2 * rng.randrange(1, 6)
+        darts = rng.sample(range(n), n)
+        twin = [None] * n
+        for a, b in zip(darts[::2], darts[1::2]):
+            twin[a], twin[b] = b, a
+        walk = tuple(rng.randrange(n) for _ in range(rng.randrange(1, 9)))
+        rev = tuple(twin[d] for d in reversed(walk))
+        repeated += (walk + rev).count(min(walk + rev)) > 1
+        assert canonical_walk(walk, twin) == ref.canonical_walk(walk, twin), (walk, twin)
+    assert repeated > 100
 
 
 def test_canonical_walk_rotation_reflection():
