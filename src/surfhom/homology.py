@@ -261,6 +261,14 @@ def _symplectic_reduction(G):
     and only if the step still overflows does the width double.  No
     bound on P is proved: forms Q S Q^T with Q lower unitriangular
     reduce by unit pivots alone and drive P far past machine words.
+
+    A flag per row (``unit``) records that no step has changed it: every
+    flag starts set, a step clears the flag of the row it updates, and a
+    flag moves with its row when rows swap; negating a row keeps it.  A
+    row whose flag is set is still +-e_c, so it settles as a slice of a
+    template with the form row +-G[c]: no unpacking and no product.  A
+    canonical word's reduction changes no row at all.  A changed row
+    that is +-e_c again takes the general path, which gives equal values.
     """
     n = len(G)
     packing = _Packing(_START_BYTES, n)
@@ -269,6 +277,8 @@ def _symplectic_reduction(G):
     bound = [1] * n
     top = 1 << (bits - 1)
     order = list(range(n))  # the unit vector each row began as
+    unit = bytearray(b"\x01") * n  # unit[t]: no step has changed row t
+    plus, minus = _unit_templates(n)
     rows, F = [None] * n, [None] * n  # final rows of P, unpacked, and P @ G
     times = _RowTimes(G)
 
@@ -289,12 +299,14 @@ def _symplectic_reduction(G):
 
     def settle(x):
         """Row x joins its pair, and no step changes it after that.  A row
-        that is still a unit vector +-e_c has the form row +-G[c]."""
+        that is still a unit vector +-e_c (``unit[x]``) is a slice of a
+        template and has the form row +-G[c]."""
         c = order[x]
-        if abs(P[x]) == 1 << (8 * packing.size * c):
-            s = -1 if P[x] < 0 else 1
-            rows[x] = (0,) * c + (s,) + (0,) * (n - 1 - c)
-            F[x] = G[c] if s == 1 else tuple(map(neg, G[c]))
+        if unit[x]:
+            if P[x] > 0:
+                rows[x], F[x] = plus[n - c:2 * n - c], G[c]
+            else:
+                rows[x], F[x] = minus[n - c:2 * n - c], tuple(map(neg, G[c]))
         else:
             rows[x] = packing.unpack_one(P[x])
             F[x] = times(rows[x])
@@ -312,6 +324,7 @@ def _symplectic_reduction(G):
             P[b], P[j] = P[j], P[b]
             bound[b], bound[j] = bound[j], bound[b]
             order[b], order[j] = order[j], order[b]
+            unit[b], unit[j] = unit[j], unit[b]
             g[0], g[j - b] = g[j - b], g[0]
         if g[0] < 0:
             P[b] = -P[b]
@@ -323,6 +336,7 @@ def _symplectic_reduction(G):
             nb = bound[i] + abs(q) * bound[b] + abs(c) * bound[a]
             bound[i] = nb if nb < top else fit(i, q, b, c, a)
             P[i] = P[i] - q * P[b] - c * P[a]
+            unit[i] = 0
     return tuple(rows), tuple(F)
 
 
@@ -618,12 +632,26 @@ class ReferenceBasis:
         return coords
 
 
+def _unit_templates(n):
+    """Two tuples of length 2n + 1 from which every signed unit vector of
+    length n is a slice: +e_c and -e_c are [n - c:2 * n - c] of the
+    first and of the second (the ``zlattice.identity`` idiom)."""
+    return (0,) * n + (1,) + (0,) * n, (0,) * n + (-1,) + (0,) * n
+
+
 def standard_symplectic(g):
-    J = [[0] * (2 * g) for _ in range(2 * g)]
-    for i in range(g):
-        J[2 * i][2 * i + 1] = 1
-        J[2 * i + 1][2 * i] = -1
-    return tuple(map(tuple, J))
+    """The standard form S of genus g, 2g x 2g with the blocks
+    ((0, 1), (-1, 0)) on its diagonal: row 2i is e_(2i+1) and row 2i + 1
+    is -e_(2i), each a slice of a template.  A genus that is not an int
+    >= 0 (a bool included) raises ValidationError."""
+    if type(g) is not int or g < 0:
+        raise ValidationError(f"genus {g!r} is not an int >= 0")
+    n = 2 * g
+    plus, minus = _unit_templates(n)
+    rows = []
+    for i in range(0, n, 2):
+        rows += (plus[n - i - 1:2 * n - i - 1], minus[n - i:2 * n - i])
+    return tuple(rows)
 
 
 def class_of_walk(R, walk, basis, modulus=0):
@@ -677,7 +705,10 @@ def symplectic_basis(R):
     P @ G @ P^T == S, so P^-1 = (P @ G)^T @ S exactly.  The reduction
     moves no column, so it returns the rows P @ G as well, and P^-1 is
     read off them: inverting P takes neither an elimination nor a
-    product.
+    product.  A basis row's walk is the first cotree walk whose class
+    is +-P[i], reversed for -P[i]: one dict from each row to its index,
+    where each class is looked up as it is and, only when that misses,
+    negated.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
@@ -686,13 +717,16 @@ def symplectic_basis(R):
     g = H.rank // 2
     # attach representative walks where a basis row is the class of a
     # fundamental cycle, or of one reversed: the first such cycle
-    row_sign = {row: (i, 1) for i, row in enumerate(P)}
-    row_sign.update((tuple(map(neg, row)), (i, -1)) for i, row in enumerate(P))
+    index = {row: i for i, row in enumerate(P)}
     walks = [None] * len(P)
     for walk, cls in cotree_basis(R):
-        i, sign = row_sign.get(cls, (None, 0))
-        if sign and walks[i] is None:
-            walks[i] = walk if sign == 1 else tuple(R.twin[d] for d in reversed(walk))
+        i = index.get(cls)
+        if i is None:
+            i = index.get(tuple(map(neg, cls)))
+            if i is not None and walks[i] is None:
+                walks[i] = tuple(R.twin[d] for d in reversed(walk))
+        elif walks[i] is None:
+            walks[i] = walk
     names = tuple(nm for i in range(1, g + 1) for nm in (f"a{i}", f"b{i}"))
     inverse = _inverse_from_form_rows(F)
     return ReferenceBasis("symplectic", names, P, inverse, standard_symplectic(g), tuple(walks))

@@ -57,14 +57,21 @@ def format_gluing_word(word):
 
 
 def validate_gluing_word(word):
-    """Check the polygon schema invariants; reject non-orientable words."""
+    """Check the polygon schema invariants; reject non-orientable words.
+    Each letter is a (label, primed) tuple: a hashable label and a bool
+    flag, ``True`` for the primed side."""
     if not word:
         raise ValidationError("empty gluing word")
     if len(word) % 2:
         raise ValidationError("gluing word has odd length")
     seen = {}
-    for lab, primed in word:
-        seen.setdefault(lab, []).append(primed)
+    for letter in word:
+        if not (type(letter) is tuple and len(letter) == 2 and type(letter[1]) is bool):
+            raise ValidationError(f"letter {letter!r} is not a (label, bool) pair")
+        try:
+            seen.setdefault(letter[0], []).append(letter[1])
+        except TypeError:
+            raise ValidationError(f"label {letter[0]!r} is not hashable") from None
     for lab, occ in seen.items():
         if len(occ) != 2:
             raise ValidationError(f"label {lab!r} occurs {len(occ)} times, expected 2")

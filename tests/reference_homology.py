@@ -3,9 +3,11 @@ the standalone symplectic reduction, by full row and column operations
 with a Euclid pass, that ``symplectic_basis`` once ran, kept as the
 oracles for ``tests/test_homology_differential.py``, together with
 the intersection form built entry by entry (``interlace_form``) that
-the library's prefix sums replaced, and the strand rule that counted
-the crossings of two walks at their shared vertices before
-``algebraic_intersection`` read the form (``algebraic_intersection``).
+the library's prefix sums replaced, the standard form S built entry by
+entry (``standard_symplectic``), whose rows the library slices from two
+templates, and the strand rule that counted the crossings of two walks
+at their shared vertices before ``algebraic_intersection`` read the
+form (``algebraic_intersection``).
 
 Cycles are coordinatized by the fundamental cycles of a BFS spanning
 tree (one per non-tree edge); the face relations are quotiented out
@@ -15,7 +17,7 @@ Only the vertex table is computed here, since ``surfhom.ribbon`` no
 longer offers the cached one this code read.
 """
 
-from surfhom.homology import ReferenceBasis, cotree_basis, homology, standard_symplectic
+from surfhom.homology import ReferenceBasis, cotree_basis, homology
 from surfhom.ribbon import (
     ValidationError,
     edge_of_dart,
@@ -294,6 +296,16 @@ def interlace_form(R, H):
 # ---------------------------------------------------------------------------
 # the symplectic basis, reduced from the library's intersection form by
 # full row and column operations and checked against S at the end
+
+def standard_symplectic(g):
+    """The standard form S of genus g, built entry by entry: 2g x 2g,
+    with (2i, 2i + 1) = 1 and (2i + 1, 2i) = -1."""
+    J = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        J[2 * i][2 * i + 1] = 1
+        J[2 * i + 1][2 * i] = -1
+    return tuple(map(tuple, J))
+
 
 def _symplectic_inverse(P, G):
     """Exact inverse of a basis P whose pairing P @ G @ P^T is the

@@ -304,6 +304,13 @@ def test_tiny_surfaces_reduce_to_the_standard_form(case):
     assert matmul(B.matrix, B.inverse) == identity(H.rank)
 
 
+@pytest.mark.parametrize("genus", [True, -1, 1.5])
+def test_standard_form_refuses_a_genus_that_is_not_a_natural_int(genus):
+    # True would equal 1 and -1 would give the empty form
+    with pytest.raises(ValidationError):
+        standard_symplectic(genus)
+
+
 @settings(max_examples=200, deadline=None)
 @given(tiny_weighted_graphs())
 def test_tiny_surfaces_faces_genus_and_face_chains(case):

@@ -151,9 +151,16 @@ def test_symplectic_basis_matches_reference(kind):
         assert_same_basis(KINDS[kind](rng))
 
 
-@pytest.mark.parametrize("genus", [10, 20, 40])
+@pytest.mark.parametrize("genus", [10, 20, 30, 40])
 def test_symplectic_basis_of_a_canonical_word_matches_reference(genus):
     assert_same_basis(schema_to_ribbon(canonical_word(genus)))
+
+
+def test_standard_form_matches_reference():
+    # the library slices each row of S from a template; the reference
+    # sets S entry by entry
+    for g in range(61):
+        assert standard_symplectic(g) == ref.standard_symplectic(g), g
 
 
 def test_symplectic_basis_of_larger_random_surfaces_matches_reference():

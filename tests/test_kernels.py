@@ -10,10 +10,11 @@ neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The count
 guards pin that the homology path inverts no matrix, that building a
 surface's homology runs no symplectic reduction, that each symplectic
 basis runs it once, takes no determinant and takes its inverse from
-that reduction, that a pool of enumerated cycles validates no walk,
-and that a procedure or a public Z oracle validates a fixed number of
-matrices however long its pool: counts that repeat exactly on any
-machine.
+that reduction, that a canonical word's reduction multiplies no row by
+the form and unpacks no row, that a pool of enumerated cycles
+validates no walk, and that a procedure or a public Z oracle validates
+a fixed number of matrices however long its pool: counts that repeat
+exactly on any machine.
 """
 
 import importlib
@@ -308,6 +309,24 @@ def test_canonical_word_reduction_multiplies_no_row_by_the_form(monkeypatch):
     monkeypatch.setattr(homology_module._RowTimes, "__call__", lambda self, r: calls.append(r))
     for g in (1, 5, 20):
         assert symplectic_basis(schema_to_ribbon(canonical_word(g))).matrix
+    assert calls == []
+
+
+def test_canonical_word_reduction_unpacks_no_row(monkeypatch):
+    # no step changes a row of a canonical word's basis, so every row
+    # settles flagged as a unit vector, sliced from a template and not
+    # unpacked.  The spies watch the reduction only: the homology build
+    # before it unpacks the form's rows
+    calls = []
+    for g in (1, 5, 20, 30):
+        G = homology(schema_to_ribbon(canonical_word(g))).pairing_matrix
+        with monkeypatch.context() as m:
+            for name in ("unpack", "unpack_one"):
+                fn = getattr(homology_module._Packing, name)
+                m.setattr(homology_module._Packing, name,
+                          lambda self, s, _name=name, _fn=fn: calls.append(_name) or _fn(self, s))
+            P, F = homology_module._symplectic_reduction(G)
+        assert len(P) == len(F) == 2 * g
     assert calls == []
 
 

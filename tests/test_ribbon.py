@@ -71,6 +71,23 @@ def test_word_validation():
         validate_gluing_word(())
 
 
+@pytest.mark.parametrize("word", [
+    [("a", 1), ("b", 1), ("a", -1), ("b", -1)],
+    [("a", None), ("a", True)],
+    [("a", False, 0), ("a", True, 0)],
+    [(["a"], False), (["a"], True)],
+    [("a", 1.0), ("a", 0.0)],
+], ids=["int-flags", "none-flag", "three-tuple", "list-label", "float-flags"])
+def test_word_with_a_malformed_letter_is_refused(word):
+    # each letter is a (hashable label, bool) tuple; anything else is a
+    # ValidationError from both entry points, never a raw KeyError,
+    # ValueError or TypeError, and never a surface
+    with pytest.raises(ValidationError):
+        validate_gluing_word(word)
+    with pytest.raises(ValidationError):
+        schema_to_ribbon(word)
+
+
 def test_genus3_word():
     R = schema_to_ribbon(WORD20)
     inv = surface_invariants(R)
