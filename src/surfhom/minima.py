@@ -18,6 +18,13 @@ in lexicographic order; it drops each closed walk into the bucket of
 its integer length, and the buckets joined in increasing length are in
 (length, encoding) order.  ``WeightedCycle`` is a ``NamedTuple``, so
 the cycles are built as tuples in one pass.
+
+The procedures, the minimality certificates, ``sorted_lengths`` and
+``compare_bases`` compare no two lengths as ``Fraction``s: each call
+scales the lengths it is given by their least common denominator into
+integer keys (``_length_keys``), which order, tie and sort exactly as
+the lengths do, and it refuses a length that is not an int or a
+``Fraction``.
 """
 
 import heapq
@@ -27,7 +34,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import lcm
-from operator import attrgetter, is_not, lt
+from operator import attrgetter, is_not, le
 from typing import NamedTuple
 
 from .homology import homology
@@ -50,11 +57,26 @@ from .zlattice import (
 
 
 def _exact(x, what):
-    """x as a Fraction when its type is exactly int or Fraction, else
-    ValidationError: a float is not exact, and a bool is not a length."""
-    if type(x) in (int, Fraction):
+    """x as a Fraction when its type is exactly int or Fraction (a
+    Fraction is returned as it is), else ValidationError: a float is not
+    exact, and a bool is not a length."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
         return Fraction(x)
     raise ValidationError(f"{what} {x!r} is not an int or a Fraction")
+
+
+def _length_keys(lengths):
+    """Exact lengths as integers in units of 1/D, D their least common
+    denominator, in order: the keys compare exactly as the lengths do,
+    with no ``Fraction`` operation.  Raises ValidationError naming a
+    length that is not an int or a Fraction."""
+    if not set(map(type, lengths)) <= {int, Fraction}:
+        for x in lengths:
+            _exact(x, "cycle length")
+    D = lcm(*map(attrgetter("denominator"), lengths))
+    return [x.numerator * (D // x.denominator) for x in lengths]
 
 
 # a frozen dataclass, not a NamedTuple: __post_init__ validates the
@@ -81,7 +103,7 @@ class WeightedGraph:
             raise ValidationError(f"malformed edge lengths: {exc}") from None
         if len(lengths) != R.n_edges:
             raise ValidationError("one length per edge required")
-        if any(l <= 0 for l in lengths):
+        if any(l.numerator <= 0 for l in lengths):
             raise ValidationError("edge lengths must be positive")
         D = lcm(*(l.denominator for l in lengths))
         scaled = [l.numerator * (D // l.denominator) for l in lengths]
@@ -221,7 +243,7 @@ def enumerate_cycles(G, bound):
     walk, so ``class_of_walk`` of its darts is one lookup.
     """
     bound = _exact(bound, "bound")
-    if bound <= 0:
+    if bound.numerator <= 0:
         raise ValidationError("bound must be positive")
     R = G.ribbon
     twin, vof = R.twin, R.vertex_of
@@ -273,6 +295,14 @@ class TraceEvent(NamedTuple):
 # altered copies of a trace with dataclasses.replace
 @dataclass(frozen=True)
 class MinimaTrace:
+    """The record of one greedy run: ``events`` holds one ``TraceEvent``
+    per candidate decided, in candidate order, ``selected`` the selected
+    cycles in that order, and ``modulus`` the ring (0 for Z, else the
+    prime p of F_p).  ``halting`` says why the run stopped: procedure I
+    "reached-count" once ``count`` classes are selected, procedure II
+    "complete" once ``target`` are, and either one "exhausted" when the
+    candidates run out first."""
+
     events: tuple
     selected: tuple
     halting: str  # "reached-count" | "complete" | "exhausted"
@@ -296,31 +326,36 @@ def _check_classes(candidates, n):
 
 
 def _check_candidates(candidates):
-    """The candidates as a tuple, after checking that each class is an
-    n-tuple of ints, n the width of the first, and that lengths never
+    """The candidates as a tuple and ``key``, the function that gives
+    candidate i's integer length key (``_length_keys``), after checking
+    that each class is an n-tuple of ints, n the width of the first,
+    that each length is an int or a Fraction, and that lengths never
     decrease."""
     candidates = tuple(candidates)
     if candidates:
         cls = candidates[0].cls
         _check_classes(candidates, len(cls) if type(cls) is tuple else 0)
     # the enumeration shares one length object per distinct length, so
-    # only the first length of each run of one object is compared
+    # each run of one object is keyed once, at its start: a long pool
+    # costs a pass at C speed, and a procedure reads keys only for the
+    # prefix it decides
     lengths = list(map(attrgetter("length"), candidates))
-    firsts = list(compress(lengths, map(is_not, lengths, chain((None,), lengths))))
-    if any(map(lt, firsts[1:], firsts)):
+    starts = list(compress(range(len(lengths)), map(is_not, lengths, chain((object(),), lengths))))
+    keys = _length_keys(list(map(lengths.__getitem__, starts)))
+    if keys != sorted(keys):
         raise ValidationError("candidates must be sorted by length")
-    return candidates
+    return candidates, lambda i: keys[bisect_right(starts, i) - 1]
 
 
-def _tied(candidates, i):
-    l = candidates[i].length
-    return (i > 0 and candidates[i - 1].length == l) or (
-        i + 1 < len(candidates) and candidates[i + 1].length == l
-    )
+def _tied(key, i, n):
+    """Does candidate i of n share its length key with a neighbour?"""
+    k = key(i)
+    return (i > 0 and key(i - 1) == k) or (i + 1 < n and key(i + 1) == k)
 
 
-def _greedy(candidates, modulus, limit, state, reasons, halting):
-    """The greedy loop behind both procedures.
+def _greedy(candidates, key, modulus, limit, state, reasons, halting):
+    """The greedy loop behind both procedures, on candidates checked by
+    ``_check_candidates`` and their length key function.
 
     One oracle state serves the whole run: ``state(width, modulus)``
     builds it on the class width, and its ``extend(cls)`` decides a
@@ -332,20 +367,21 @@ def _greedy(candidates, modulus, limit, state, reasons, halting):
     _check_modulus(modulus)
     extend = state(len(candidates[0].cls) if candidates else 0, modulus).extend
     events = []
-    selected = []
+    chosen = []
     for i, c in enumerate(candidates):
-        if limit is not None and len(selected) >= limit:
+        if limit is not None and len(chosen) >= limit:
             break
         if extend(c.cls):
-            events.append(TraceEvent(c, "selected", reasons[0], _tied(candidates, i)))
-            selected.append(c)
+            events.append(TraceEvent(c, "selected", reasons[0], _tied(key, i, len(candidates))))
+            chosen.append(i)
         else:
             events.append(TraceEvent(c, "rejected", reasons[1]))
-    reached = limit is not None and len(selected) >= limit
+    reached = limit is not None and len(chosen) >= limit
     trace = MinimaTrace(
-        tuple(events), tuple(selected), halting if reached else "exhausted", modulus
+        tuple(events), tuple(map(candidates.__getitem__, chosen)),
+        halting if reached else "exhausted", modulus,
     )
-    _assert_sorted(trace)
+    _assert_sorted(list(map(key, chosen)))
     return trace
 
 
@@ -359,7 +395,7 @@ def successive_minima_I(candidates, modulus=0, count=None):
     the trace records every decision.
     """
     return _greedy(
-        _check_candidates(candidates), modulus, count, _span_state,
+        *_check_candidates(candidates), modulus, count, _span_state,
         ("independent", "span-dependent"), "reached-count",
     )
 
@@ -374,25 +410,29 @@ def successive_minima_II(candidates, modulus=0, target=None):
     are selected; the output is a basis whenever the candidate pool
     contains one.
     """
-    candidates = _check_candidates(candidates)
+    candidates, key = _check_candidates(candidates)
     if target is None:
         target = len(candidates[0].cls) if candidates else 0
     return _greedy(
-        candidates, modulus, target, _basis_state,
+        candidates, key, modulus, target, _basis_state,
         ("extendable", "not-extendable"), "complete",
     )
 
 
-def _assert_sorted(trace):
-    lengths = [c.length for c in trace.selected]
-    assert lengths == sorted(lengths), "selection lengths must be non-decreasing"
+def _assert_sorted(keys):
+    """The length keys of a selection never decrease."""
+    assert keys == sorted(keys), "selection lengths must be non-decreasing"
 
 
 # ---------------------------------------------------------------------------
 # the partial order on bases
 
 def sorted_lengths(cycles):
-    return tuple(sorted(c.length for c in cycles))
+    """The cycles' lengths in increasing order, sorted on their integer
+    keys (``_length_keys``)."""
+    cycles = tuple(cycles)
+    keys = _length_keys([c.length for c in cycles])
+    return tuple(cycles[i].length for i in sorted(range(len(cycles)), key=keys.__getitem__))
 
 
 def compare_bases(A, B):
@@ -404,9 +444,10 @@ def compare_bases(A, B):
     """
     if len(A) != len(B):
         raise ValidationError("bases must have the same size")
-    la, lb = sorted_lengths(A), sorted_lengths(B)
-    le_ab = all(a <= b for a, b in zip(la, lb))
-    le_ba = all(b <= a for a, b in zip(la, lb))
+    keys = _length_keys([c.length for c in chain(A, B)])
+    la, lb = sorted(keys[:len(A)]), sorted(keys[len(A):])
+    le_ab = all(map(le, la, lb))
+    le_ba = all(map(le, lb, la))
     if le_ab and le_ba:
         return "equal" if {c.key for c in A} == {c.key for c in B} else "A<=B"
     if le_ab:
@@ -426,16 +467,18 @@ def _is_basis(classes, modulus):
     return bool(M) and len(M) == len(M[0]) and _is_unit(det_int(M), modulus)
 
 
-def _beating_subsets(basis, candidates, modulus):
-    """Bases among the candidates, as large as ``basis``, whose sorted
-    lengths are not pointwise >= those of ``basis``; each comes with its
-    sorted lengths.  The candidates' classes must be checked already."""
-    la = sorted_lengths(basis)
-    for combo in combinations(candidates, len(basis)):
-        if _is_unit(_det([c.cls for c in combo]), modulus):
-            lb = sorted_lengths(combo)
-            if not all(a <= b for a, b in zip(la, lb)):
-                yield combo, lb
+def _beating_subsets(bound, candidates, keys, modulus):
+    """Bases among the candidates, of ``len(bound)`` cycles, whose sorted
+    length keys are not pointwise >= ``bound``, the sorted keys of the
+    basis they are tested against; each comes with its sorted keys.
+    ``keys`` are the candidates' length keys, in the units of ``bound``;
+    the candidates' classes must be checked already."""
+    for combo in combinations(range(len(candidates)), len(bound)):
+        cycles = tuple(map(candidates.__getitem__, combo))
+        if _is_unit(_det([c.cls for c in cycles]), modulus):
+            lb = sorted(map(keys.__getitem__, combo))
+            if not all(map(le, bound, lb)):
+                yield cycles, lb
 
 
 def _greedy_certificate(basis, candidates, modulus):
@@ -453,13 +496,15 @@ def _greedy_certificate(basis, candidates, modulus):
     """
     n = len(basis)
     _check_classes(candidates, n)
+    keys = _length_keys([c.length for c in chain(basis, candidates)])
     if len(candidates) < n:
         return True
-    pool = sorted(candidates, key=lambda c: c.length)
-    kept = _greedy_pivots([c.cls for c in pool], modulus)
+    bound, keys = sorted(keys[:n]), keys[n:]
+    pool = sorted(range(len(candidates)), key=keys.__getitem__)
+    kept = _greedy_pivots([candidates[i].cls for i in pool], modulus)
     if len(kept) < n:
         return True
-    return all(s <= pool[i].length for s, i in zip(sorted_lengths(basis), kept))
+    return all(map(le, bound, [keys[pool[i]] for i in kept]))
 
 
 def is_globally_minimal(basis, candidates, modulus=0):
@@ -482,8 +527,10 @@ def is_globally_minimal(basis, candidates, modulus=0):
     candidates = tuple(candidates)
     if _greedy_certificate(basis, candidates, modulus):
         return True, None
+    keys = _length_keys([c.length for c in chain(basis, candidates)])
+    n = len(basis)
     witness = None
-    for combo, lb in _beating_subsets(basis, candidates, modulus):
+    for combo, lb in _beating_subsets(sorted(keys[:n]), candidates, keys[n:], modulus):
         key = (lb, tuple(sorted(c.key for c in combo)))
         if witness is None or key > witness[0]:
             witness = (key, combo)

@@ -11,7 +11,10 @@ ring has one elimination, picked only here, by ``_span_state`` and
 ``_basis_state``: over F_p both give an echelon basis mod p; over Z,
 Hermite-reduced echelon rows keyed by pivot column decide membership in
 a Z-span, and the quotient map of Z^n onto Z^n / span(rows) decides
-whether a row extends a partial basis.  The public ``in_span`` (one path
+whether a row extends a partial basis.  Both Z states do only the work
+a sparse row needs: a Hermite insertion that takes a new pivot reduces
+only the rows it changes, and the quotient map reads a row at its
+nonzero entries only.  The public ``in_span`` (one path
 in both rings) and ``is_partial_basis`` validate their input and run
 these kernels from scratch; the greedy procedures keep one state for a
 whole run.  The same Hermite rows, carrying a second block through the
@@ -19,8 +22,10 @@ reduction, solve X @ A == I over Z, which gives ``int_inverse`` and the
 rows of ``complete_to_unimodular``.
 """
 
+from bisect import bisect
+from itertools import compress
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 
 class LatticeError(ValueError):
@@ -244,10 +249,7 @@ class _EchelonModP:
             f = r[j]
             if f:
                 r = [(a - f * b) % p for a, b in zip(r, row)]
-        for j in range(self.width):
-            if r[j]:
-                return r, j
-        return r, None
+        return r, next(compress(range(self.width), r), None)
 
     def extend(self, v):
         """Keep v's residue and return True, unless v lies in the span."""
@@ -255,7 +257,7 @@ class _EchelonModP:
         if j is None:
             return False
         inv = pow(r[j], -1, self.p)
-        self.rows.append((j, [a * inv % self.p for a in r]))
+        self.rows.append((j, r if inv == 1 else [a * inv % self.p for a in r]))
         return True
 
 
@@ -278,6 +280,15 @@ class _HermiteRows:
     entry in a pivot column is reduced into [0, pivot), the Hermite
     normal form (Cohen, "A Course in Computational Algebraic Number
     Theory", section 2.4), which keeps the entries bounded.
+
+    The kept rows are in that form between insertions, and a lattice
+    has only one such form, so an insertion may restore it by any
+    sequence of reductions.  A row that takes a new pivot column j is
+    reduced at the later pivots; an earlier row changes only when its
+    entry at column j is out of range, and is then reduced there and at
+    the later pivots; no other pair of rows is read.  A row whose
+    leading entry merges with a kept pivot (their gcd) may change every
+    row, so that insertion reduces every pair of rows again.
     """
 
     __slots__ = ("width", "rows")
@@ -303,12 +314,35 @@ class _HermiteRows:
                 v = [a - q * b for a, b in zip(v, row)]
         return v, None
 
+    def _tidy(self, row, pivots):
+        """row with its entry at each of ``pivots``, in increasing order,
+        reduced into [0, pivot) by the kept row there."""
+        rows = self.rows
+        for jb in pivots:
+            rb = rows[jb]
+            q = row[jb] // rb[jb]
+            if q:
+                row = [a - q * b for a, b in zip(row, rb)]
+        return row
+
     def extend(self, v):
         """Add v to the span and return True, unless it lies there."""
         v, j = self.reduce(v)
         if j is None:
             return False
         rows = self.rows
+        if j not in rows:
+            pivots = sorted(rows)
+            k = bisect(pivots, j)
+            later = pivots[k:]
+            rows[j] = row = self._tidy(v if v[j] > 0 else [-a for a in v], later)
+            p = row[j]
+            for ja in pivots[:k]:
+                ra = rows[ja]
+                q = ra[j] // p
+                if q:
+                    rows[ja] = self._tidy([a - q * b for a, b in zip(ra, row)], later)
+            return True
         while j is not None:
             row = rows.get(j)
             if row is None:
@@ -323,13 +357,7 @@ class _HermiteRows:
             v, j = self.reduce([p * w - x * r for r, w in zip(row, v)])
         pivots = sorted(rows)
         for i, ja in enumerate(pivots):
-            ra = rows[ja]
-            for jb in pivots[i + 1:]:
-                rb = rows[jb]
-                q = ra[jb] // rb[jb]
-                if q:
-                    ra = [a - q * b for a, b in zip(ra, rb)]
-            rows[ja] = ra
+            rows[ja] = self._tidy(rows[ja], pivots[i + 1:])
         return True
 
 
@@ -339,7 +367,9 @@ class _QuotientZ:
 
     A row v extends the partial basis exactly when the entries of v @ Q
     have gcd 1; column operations then bring v @ Q to a single unit
-    entry, and that column is dropped.
+    entry, and that column is dropped.  v @ Q reads each column at v's
+    nonzero entries only, so a class with one nonzero entry costs one
+    read per column.
     """
 
     __slots__ = ("cols",)
@@ -350,7 +380,17 @@ class _QuotientZ:
     def extend(self, v):
         """Add v to the partial basis and return True, if it extends it."""
         cols = self.cols
-        w = [sum(map(mul, v, c)) for c in cols]
+        support = list(compress(range(len(v)), v))
+        if not support:
+            return False
+        if len(support) == 1:
+            i = support[0]
+            x = v[i]
+            w = [x * c[i] for c in cols]
+        else:
+            pick = itemgetter(*support)
+            xs = pick(v)
+            w = [sum(map(mul, xs, pick(c))) for c in cols]
         if gcd(*w) != 1:
             return False
         while True:

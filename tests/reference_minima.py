@@ -15,7 +15,10 @@ cycle enumeration is the earlier one on
 ``Fraction`` lengths, with a ``canonical_walk`` key and a dedup dict
 per closure, and the straightness check the earlier one too: its
 Dijkstra and its arcs add ``Fraction`` lengths, where the library's
-run on the integer weights that a ``WeightedGraph`` keeps.
+run on the integer weights that a ``WeightedGraph`` keeps.  The tie
+flags, the order checks and the sorted length vectors compare the
+``Fraction`` lengths themselves, where the library compares integer
+length keys.
 """
 
 import heapq
@@ -26,15 +29,43 @@ from surfhom.minima import (
     MinimaTrace,
     TraceEvent,
     WeightedCycle,
-    _assert_sorted,
     _check_candidates,
-    _tied,
-    sorted_lengths,
 )
 from surfhom.ribbon import ValidationError, canonical_walk, edge_of_dart, edges, validate_walk
 from surfhom.zlattice import _check_modulus, as_int_matrix, det_int
 
 from .reference_zlattice import smith_normal_form
+
+
+def _tied(candidates, i):
+    l = candidates[i].length
+    return (i > 0 and candidates[i - 1].length == l) or (
+        i + 1 < len(candidates) and candidates[i + 1].length == l
+    )
+
+
+def _assert_sorted(trace):
+    lengths = [c.length for c in trace.selected]
+    assert lengths == sorted(lengths), "selection lengths must be non-decreasing"
+
+
+def sorted_lengths(cycles):
+    return tuple(sorted(c.length for c in cycles))
+
+
+def compare_bases(A, B):
+    if len(A) != len(B):
+        raise ValidationError("bases must have the same size")
+    la, lb = sorted_lengths(A), sorted_lengths(B)
+    le_ab = all(a <= b for a, b in zip(la, lb))
+    le_ba = all(b <= a for a, b in zip(la, lb))
+    if le_ab and le_ba:
+        return "equal" if {c.key for c in A} == {c.key for c in B} else "A<=B"
+    if le_ab:
+        return "A<B"
+    if le_ba:
+        return "B<A"
+    return "incomparable"
 
 
 def rank_mod_p(A, p):

@@ -16,11 +16,20 @@ Z oracles of ``reference_minima``, the Smith-form homology of
 on it, as does ``int_inverse`` (V @ U), so they stay independent of the
 library's Hermite kernels.  Its transforms can grow without bound on
 matrices with entries near 50, so keep its inputs small.
+
+``HermiteRows`` and ``QuotientZ`` are the Z oracles as the library kept
+them before its insertions went sparse: every Hermite insertion reduces
+every pair of kept rows again, and the quotient map takes v @ Q as a
+full inner product with each column.  They keep the library's
+interface, so a test can put them in place of ``_HermiteRows`` and
+``_QuotientZ`` and run the public functions on them.
 """
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
-from surfhom.zlattice import LatticeError, as_int_matrix, identity
+from surfhom.zlattice import LatticeError, _xgcd, as_int_matrix, identity
 
 
 def matmul(A, B):
@@ -190,3 +199,82 @@ def int_inverse(A):
     if any(d != 1 for d in snf.invariant_factors):
         raise LatticeError("matrix is not unimodular")
     return matmul(snf.V, snf.U)
+
+
+class HermiteRows:
+    """Hermite-reduced echelon rows keyed by pivot column; every
+    insertion re-reduces every pair of kept rows."""
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = {}  # pivot column -> row, its pivot > 0
+
+    def reduce(self, v):
+        rows = self.rows
+        for j in range(self.width):
+            x = v[j]
+            if x:
+                row = rows.get(j)
+                if row is None:
+                    return v, j
+                q, r = divmod(x, row[j])
+                if r:
+                    return v, j
+                v = [a - q * b for a, b in zip(v, row)]
+        return v, None
+
+    def extend(self, v):
+        v, j = self.reduce(v)
+        if j is None:
+            return False
+        rows = self.rows
+        while j is not None:
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v if v[j] > 0 else [-a for a in v]
+                break
+            p, x = row[j], v[j]
+            g, a, b = _xgcd(p, x)
+            rows[j] = [a * r + b * w for r, w in zip(row, v)]
+            p, x = p // g, x // g
+            v, j = self.reduce([p * w - x * r for r, w in zip(row, v)])
+        pivots = sorted(rows)
+        for i, ja in enumerate(pivots):
+            ra = rows[ja]
+            for jb in pivots[i + 1:]:
+                rb = rows[jb]
+                q = ra[jb] // rb[jb]
+                if q:
+                    ra = [a - q * b for a, b in zip(ra, rb)]
+            rows[ja] = ra
+        return True
+
+
+class QuotientZ:
+    """The quotient map of Z^n onto Z^n / span(kept rows) as columns;
+    v @ Q is a dense inner product with each column."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, n):
+        self.cols = [list(c) for c in identity(n)]
+
+    def extend(self, v):
+        cols = self.cols
+        w = [sum(map(mul, v, c)) for c in cols]
+        if gcd(*w) != 1:
+            return False
+        while True:
+            nz = [i for i, x in enumerate(w) if x]
+            if len(nz) == 1:
+                break
+            i = min(nz, key=lambda i: abs(w[i]))
+            for j in nz:
+                if j != i:
+                    q = w[j] // w[i]
+                    w[j] -= q * w[i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+        del cols[nz[0]]
+        return True

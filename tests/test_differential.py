@@ -1,8 +1,8 @@
-"""Differential tests: the shared greedy loop, the minimality checks and
-mod-p elimination against the separate implementations in
-``reference_minima``, on seeded random weighted ribbon graphs and on
-pools of random class vectors; and the integer straightness check
-against the ``Fraction`` one."""
+"""Differential tests: the shared greedy loop, the minimality checks,
+the partial order on bases and mod-p elimination against the separate
+implementations in ``reference_minima``, on seeded random weighted
+ribbon graphs and on pools of random class vectors; and the integer
+straightness check against the ``Fraction`` one."""
 
 import random
 import re
@@ -104,6 +104,28 @@ def test_subset_searches_match_reference(modulus):
             for lemma_modulus in MODULI:
                 assert outcome(minima.verify_lemma_procI_minimal, tr, pool, lemma_modulus) == \
                     outcome(ref.verify_lemma_procI_minimal, tr, pool, lemma_modulus)
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_partial_order_matches_reference(modulus):
+    # integer length keys against the Fraction comparisons of the
+    # reference; sorted_lengths hands back the very length objects, in
+    # the order a stable sort of the Fractions gives
+    verdicts = set()
+    for g, pool in POOLS:
+        # each basis in length order and reversed
+        bases = searched_bases(g, pool, modulus)
+        bases += tuple(B[::-1] for B in bases)
+        for A in bases:
+            got = minima.sorted_lengths(A)
+            assert got == ref.sorted_lengths(A)
+            assert all(a is b for a, b in zip(got, ref.sorted_lengths(A)))
+            for B in bases:
+                # bases of different sizes are refused by both
+                verdict = outcome(minima.compare_bases, A, B)
+                assert verdict == outcome(ref.compare_bases, A, B)
+                verdicts.add(verdict)
+    assert {"equal", "A<B", "B<A", "not a basis"} <= verdicts
 
 
 def greedy_witness_mod_p(M, v, p):

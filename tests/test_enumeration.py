@@ -241,9 +241,9 @@ def test_weighted_cycle_is_a_tuple_record():
 
 
 def test_cycles_of_one_length_share_one_length_object():
-    # _check_candidates compares only the first length of each run of
-    # one object, so equal lengths must be one object and distinct ones
-    # different objects
+    # the procedures key each run of one length object once
+    # (minima._check_candidates), so equal lengths should be one object
+    # and distinct ones different objects
     for _, G in weighted_graphs(17, 40):
         cycles = enumerate_cycles(G, sum(G.edge_length))
         for a, b in zip(cycles, cycles[1:]):

@@ -1,8 +1,11 @@
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfhom import minima
 from surfhom.catalog import candidate_pool, load_example
@@ -23,6 +26,7 @@ from surfhom.minima import (
 from surfhom.ribbon import RibbonGraph, ValidationError, schema_to_ribbon, surface_invariants
 from surfhom.zlattice import LatticeError, as_int_matrix, det_int, subgroup_index
 
+from . import reference_minima as ref
 from .util import random_ribbon_graph
 
 
@@ -210,7 +214,7 @@ def test_length_order_is_checked_per_distinct_length_object():
         lengths = [shared[v] if rng.random() < 0.5 else Fraction(v) for v in values]
         pool = [WeightedCycle(base.darts, l, base.key, base.cls) for l in lengths]
         if ordered_by_old_loop(pool):
-            assert minima._check_candidates(pool) == tuple(pool)
+            assert minima._check_candidates(pool)[0] == tuple(pool)
         else:
             refused += 1
             with pytest.raises(ValidationError, match="^candidates must be sorted by length$"):
@@ -230,6 +234,138 @@ def test_unsorted_pools_of_distinct_equal_lengths_are_refused(lengths):
     assert len({id(c.length) for c in pool}) == len(pool)
     with pytest.raises(ValidationError, match="^candidates must be sorted by length$"):
         successive_minima_I(pool, 0, 2)
+
+
+def torus_basis_and_pool():
+    """The unit torus's four cycles of length 2 and a basis among them."""
+    G = torus_graph()
+    pool = attach_all(G, enumerate_cycles(G, Fraction(2)))
+    return successive_minima_II(pool).selected, pool
+
+
+LENGTH_ENTRY_POINTS = {
+    "successive_minima_I": lambda basis, pool: successive_minima_I(pool, 0, 2),
+    "successive_minima_II": lambda basis, pool: successive_minima_II(pool),
+    "is_globally_minimal": lambda basis, pool: is_globally_minimal(basis, pool),
+    "verify_lemma_procI_minimal": lambda basis, pool: verify_lemma_procI_minimal(
+        MinimaTrace((), basis, "reached-count", 0), pool),
+    "sorted_lengths": lambda basis, pool: minima.sorted_lengths(pool),
+    "compare_bases": lambda basis, pool: compare_bases(basis[:1], pool[:1]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LENGTH_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [1.5, True, Decimal(2), float("nan"), "x", None],
+                         ids=["float", "bool", "Decimal", "nan", "str", "None"])
+def test_candidate_lengths_must_be_ints_or_fractions(entry, value):
+    # the procedures, the certificates, sorted_lengths and compare_bases
+    # refuse a length that is not exactly an int or a Fraction and name
+    # it, as WeightedGraph does for edge lengths; the pool holds the bad
+    # length first, and then a single cycle, which the certificates
+    # decide without sorting
+    basis, pool = torus_basis_and_pool()
+    bad = pool[0]._replace(length=value)
+    for cycles in ([bad] + pool[1:], [bad]):
+        with pytest.raises(ValidationError, match=f"^cycle length {re.escape(repr(value))} "
+                           "is not an int or a Fraction$"):
+            LENGTH_ENTRY_POINTS[entry](basis, cycles)
+
+
+def test_candidate_lengths_may_be_ints_and_fractions_together():
+    basis, pool = torus_basis_and_pool()
+    # the torus's lengths are whole numbers; every other one becomes an int
+    mixed = [c._replace(length=int(c.length)) if i % 2 else c for i, c in enumerate(pool)]
+    assert {type(c.length) for c in mixed} == {int, Fraction}
+    for entry in sorted(LENGTH_ENTRY_POINTS):
+        assert LENGTH_ENTRY_POINTS[entry](basis, mixed) == LENGTH_ENTRY_POINTS[entry](basis, pool)
+
+
+fraction_values = st.one_of(
+    st.integers(-6, 40),
+    st.fractions(min_value=-6, max_value=40, max_denominator=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(fraction_values, st.booleans()), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_integer_length_keys_order_like_the_lengths(values, rng):
+    # a length drawn again is the same object or an equal distinct one,
+    # an int or a Fraction
+    held = {}
+    lengths = []
+    for x, fresh in values:
+        if x in held and not fresh:
+            lengths.append(held[x])
+        else:
+            y = Fraction(x) if type(x) is int and rng.random() < 0.5 else x
+            lengths.append(held.setdefault(x, y) if not fresh else y)
+    rng.shuffle(lengths)
+    ordered = sorted(lengths)
+    # the procedures key a sorted pool once per run of one object, where
+    # the certificates key every length
+    pool = [WeightedCycle((0,), l, (0,), (1,)) for l in ordered]
+    key = minima._check_candidates(pool)[1]
+    for order, keys in ((lengths, minima._length_keys(lengths)),
+                        (ordered, list(map(key, range(len(pool)))))):
+        assert all(type(k) is int for k in keys)
+        for a, ka in zip(order, keys):
+            for b, kb in zip(order, keys):
+                assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+
+
+def enumerated_pool_with_ties():
+    """A genus-2 pool of 14 enumerated cycles, with tied lengths and
+    lengths that are not whole numbers."""
+    rng = random.Random(11)
+    while True:
+        R = random_ribbon_graph(rng, max_edges=6, min_edges=6, vertices=2)
+        if surface_invariants(R).genus == 2:
+            break
+    G = WeightedGraph(R, [Fraction(rng.choice((2, 3, 4)), rng.choice((2, 3))) for _ in range(6)])
+    pool = attach_all(G, enumerate_cycles(G, sum(G.edge_length)))[:14]
+    lengths = [c.length for c in pool]
+    assert len(set(lengths)) < len(lengths) and {l.denominator for l in lengths} != {1}
+    return pool
+
+
+def test_procedures_and_certificates_compare_no_fractions():
+    # every length comparison runs on integer keys: with each comparison
+    # of Fraction raising, the procedures, the certificates (a passing
+    # case) and the partial order decide an enumerated pool exactly as
+    # the reference, which compares the Fractions themselves
+    pool = enumerated_pool_with_ties()
+
+    def no_comparison(self, other):
+        raise AssertionError("a Fraction was compared")
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            mp.setattr(Fraction, name, no_comparison)
+        for modulus in (0, 2, 3):
+            t1 = successive_minima_I(pool, modulus, 4)
+            t2 = successive_minima_II(pool, modulus)
+            runs.append((
+                t1, t2,
+                verify_lemma_procI_minimal(t1, pool, modulus),
+                is_globally_minimal(t2.selected, pool, modulus),
+                compare_bases(t1.selected, t2.selected),
+                minima.sorted_lengths(t2.selected),
+            ))
+    with pytest.raises(AssertionError, match="a Fraction was compared"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__lt__", no_comparison)
+            sorted(c.length for c in reversed(pool))
+    ties = 0
+    for modulus, (t1, t2, lemma, minimal, order, lengths) in zip((0, 2, 3), runs):
+        assert t1 == ref.successive_minima_I(pool, modulus, 4)
+        assert t2 == ref.successive_minima_II(pool, modulus)
+        assert lemma is True and minimal == (True, None)
+        assert order == ref.compare_bases(t1.selected, t2.selected)
+        assert lengths == ref.sorted_lengths(t2.selected)
+        ties += sum(e.tie_break for e in t1.events + t2.events)
+    assert ties > 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfhom import zlattice
 from surfhom.zlattice import (
     LatticeError,
     as_int_matrix,
@@ -448,3 +449,152 @@ def test_complete_empty_with_ambient():
     assert abs(det_int(added)) == 1
     with pytest.raises(LatticeError):
         complete_to_unimodular(())
+
+
+# ---------------------------------------------------------------------------
+# the sparse Z oracles against the reference kernels: a Hermite insertion
+# that takes a new pivot reduces only the rows it changes, and the quotient
+# map dots a vector at its nonzero entries only; the reference re-reduces
+# every pair of rows and dots every entry.  The Hermite form of a lattice
+# is unique, so the two must agree exactly, row dicts included.
+
+def sparse_rows(width):
+    """Rows of ``width`` entries, mostly zero, with negative entries and
+    multiples of one another, so insertions merge pivots (a gcd) as
+    well as take new ones."""
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9))
+    return st.lists(
+        st.lists(entry, min_size=width, max_size=width).map(tuple), min_size=1, max_size=7
+    )
+
+
+extend_sequences = st.integers(1, 6).flatmap(
+    lambda width: st.tuples(st.just(width), st.integers(0, 3)).flatmap(
+        lambda wa: st.tuples(st.just(wa[0]), sparse_rows(wa[0] + wa[1]))
+    )
+)
+
+
+def insertion_merges(H, v):
+    """Does inserting v into the Hermite rows H merge a kept pivot?"""
+    _, j = H.reduce(v)
+    return j is not None and j in H.rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(extend_sequences)
+def test_hermite_rows_match_the_full_pass_reference(case):
+    # the rows past ``width`` are augmented columns that ride along
+    width, vs = case
+    H, R = zlattice._HermiteRows(width), ref.HermiteRows(width)
+    for v in vs:
+        assert H.reduce(v) == R.reduce(v)
+        assert H.extend(v) == R.extend(v)
+        # a kept row is a list or, when no step changed it, the tuple
+        # given: a tuple never equals a list, so this compares types too
+        assert H.rows == R.rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: sparse_rows(n)))
+def test_quotient_map_matches_the_dense_reference(vs):
+    n = len(vs[0])
+    Q, R = zlattice._QuotientZ(n), ref.QuotientZ(n)
+    for v in vs:
+        assert Q.extend(v) == R.extend(v)
+        assert Q.cols == R.cols
+
+
+def public_z_results(M, v, square):
+    """What the public Z functions return on M, v and a square matrix,
+    a refusal recorded as its message."""
+    def attempt(f, *args):
+        try:
+            return f(*args)
+        except LatticeError as exc:
+            return ("refused", str(exc))
+
+    return (
+        in_span(M, v, 0),
+        subgroup_index(M),
+        is_partial_basis(M, 0),
+        attempt(complete_to_unimodular, M),
+        attempt(int_inverse, square),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    sparse_rows(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+    st.randoms(use_true_random=False),
+)))
+def test_public_z_oracles_match_the_reference_kernels(case):
+    M, v, rng = case
+    M = as_int_matrix(M)
+    n = len(v)
+    # a unimodular square about half the time, so int_inverse answers
+    square = random_unimodular(rng, n) if rng.random() < 0.5 else as_int_matrix(
+        (M * n)[:n])
+    new = public_z_results(M, v, square)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlattice, "_HermiteRows", ref.HermiteRows)
+        mp.setattr(zlattice, "_QuotientZ", ref.QuotientZ)
+        old = public_z_results(M, v, square)
+    assert new == old
+
+
+def test_the_random_sequences_cover_merges_new_pivots_and_refusals():
+    # a seeded draw of the insertions the tests above make: gcd merges,
+    # new pivots and vectors already in the span all occur
+    rng = random.Random(20261020)
+    entries = (0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9)
+    seen = {"merge": 0, "new pivot": 0, "in span": 0}
+    for _ in range(300):
+        width = rng.randrange(1, 7)
+        H = zlattice._HermiteRows(width)
+        for _ in range(rng.randrange(1, 8)):
+            v = tuple(rng.choice(entries) for _ in range(width))
+            kind = "merge" if insertion_merges(H, v) else "new pivot"
+            if not H.extend(v):
+                kind = "in span"
+            seen[kind] += 1
+    assert min(seen.values()) > 50, seen
+
+
+class RecordingRow(list):
+    """A kept row that records the columns read from it by index."""
+
+    def __init__(self, row, log):
+        super().__init__(row)
+        self.log = log
+
+    def __getitem__(self, j):
+        self.log.append((id(self), j))
+        return super().__getitem__(j)
+
+
+def test_a_new_pivot_reads_no_pair_of_rows_it_leaves_unchanged():
+    # the kept rows of a 6-column lattice with pivots 0, 2, 3 and 5;
+    # inserting a row with leading column 1 takes a new pivot, changes
+    # only the rows whose entry at column 1 is out of range, and reads
+    # no kept row at another row's pivot unless the insertion changed it
+    H = zlattice._HermiteRows(6)
+    for v in ((2, 5, 1, 7, 0, 3), (0, 0, 3, 1, 4, 2), (0, 0, 0, 2, 1, 1), (0, 0, 0, 0, 0, 5)):
+        H.extend(v)
+    R = ref.HermiteRows(6)
+    R.rows = {j: list(r) for j, r in H.rows.items()}
+    v = (0, 3, 1, 4, 0, 2)
+    assert not insertion_merges(H, v)
+    log = []
+    H.rows = {j: RecordingRow(r, log) for j, r in H.rows.items()}
+    kept = dict(H.rows)
+    assert set(kept) == {0, 2, 3, 5}
+    assert H.extend(v) and R.extend(v)
+    assert H.rows == R.rows and set(H.rows) == {0, 1, 2, 3, 5}
+    unchanged = {id(r): j for j, r in kept.items() if H.rows[j] is r}
+    changed = set(kept) - set(unchanged.values())
+    assert unchanged and changed
+    reads = [(unchanged[i], j) for i, j in log if i in unchanged]
+    # each unchanged row is read at its own pivot (as the pivot that
+    # reduces another row) or at the new column 1, never at another pivot
+    assert all(j == own or j == 1 for own, j in reads), reads
