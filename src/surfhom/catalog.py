@@ -474,9 +474,14 @@ def candidate_pool(bundle, bound):
     names = {}
     for n in bundle.curve_order:
         names[bundle.cycle(n).key] = n
+    # many cycles share a class (example 4 at bound 6: 59,224 cycles in
+    # 9,545 classes), so each distinct class is expressed once
+    expressed = {}
     pool = []
     for c in enumerate_cycles(bundle.weights, bound):
-        cls = bundle.reference.express(c.cls)
+        cls = expressed.get(c.cls)
+        if cls is None:
+            cls = expressed[c.cls] = bundle.reference.express(c.cls)
         name = names.get(c.key)
         if name is not None:
             declared = bundle.declared[bundle.curve_order.index(name)]

@@ -14,7 +14,9 @@ starts each cycle at the smaller dart of its least edge, which makes
 the walk its own canonical encoding.
 Its depth-first search takes each vertex's darts in increasing dart
 order, from per-vertex tables kept on the graph, so it finds the walks
-in lexicographic order; it drops each closed walk into the bucket of
+in lexicographic order, and below twice the total length it cuts each
+walk that the graph distances to its start vertex say cannot close
+within the bound; it drops each closed walk into the bucket of
 its integer length, and the buckets joined in increasing length are in
 (length, encoding) order.  ``WeightedCycle`` is a ``NamedTuple``, so
 the cycles are built as tuples in one pass.
@@ -52,6 +54,8 @@ from .zlattice import (
     _greedy_pivots,
     _span_state,
     as_int_matrix,
+    # not called here: test_rebinding_reaches_names_imported_by_other_modules
+    # in perfbench/test_perfbench.py reads minima.det_int
     det_int,
 )
 
@@ -178,7 +182,9 @@ def _search(G):
     ``homology(R)``), in decreasing dart order, the edge bit of edge i
     being 1 << i; entry k of ``reach`` is the OR of their edge bits.
     Equal weights are all in a prefix or all out of it, so the ties'
-    order in the sort does not matter."""
+    order in the sort does not matter.  A fourth table, empty at first,
+    takes the integer distances to each start vertex that a bounded
+    enumeration needs, as a list indexed by vertex."""
     tables = G.__dict__.get("_search")
     if tables is None:
         R = G.ribbon
@@ -198,7 +204,7 @@ def _search(G):
             weights.append([weight[d] for d in darts])
             lightest.append(prefixes)
             reach.append(masks)
-        tables = (weights, lightest, reach)
+        tables = (weights, lightest, reach, {})
         object.__setattr__(G, "_search", tables)
     return tables
 
@@ -221,12 +227,24 @@ def enumerate_cycles(G, bound):
     the darts short enough to take, which the stack then pops in
     increasing dart order; a step whose k darts all lie on edges the
     walk has used already (their OR of edge bits, ``reach``, adds none)
-    takes none of them and skips the loop.  The starts run in increasing
-    dart order too, a walk is found before its extensions and each
-    subtree is finished before its next sibling starts, so the walks are
-    found in lexicographic order (the preorder of a backtracking search;
-    Read and Tarjan, "Bounds on backtrack algorithms for listing cycles,
-    paths, and spanning trees", Networks 1975).  Each closed walk goes
+    takes none of them and skips the loop.  A dart of weight w to vertex
+    h is taken only when w + back[h] fits the room left, back[h] being
+    the integer distance from h to the walk's start vertex
+    (``shortest_distances``, run once per start vertex and kept on G
+    with the ``_search`` tables).  The rest of a closed walk through
+    that dart is a walk from h back to the start, never shorter than
+    back[h], so the test cuts only walks that cannot close within the
+    bound.  At a bound of at least twice G's total length no distances
+    are built and no dart is tested against them: a walk of length L is
+    at most L from its start, and an edge-simple walk is at most the
+    total length long, so every walk that fits can still close.
+
+    The starts run in increasing dart order too, a walk is found before
+    its extensions and each subtree is finished before its next sibling
+    starts, so the walks are found in lexicographic order (the preorder
+    of a backtracking search; Read and Tarjan, "Bounds on backtrack
+    algorithms for listing cycles, paths, and spanning trees", Networks
+    1975); a cut subtree holds no closed walk.  Each closed walk goes
     to the bucket of its integer length, which keeps that order, so the
     buckets joined in increasing length give the results sorted by
     (length, canonical encoding): only the distinct lengths are sorted,
@@ -250,13 +268,21 @@ def enumerate_cycles(G, bound):
     H = homology(R)
     packed = H._packed
     D, weight = G._denominator, G._weight
-    weights, lightest, reach = _search(G)
+    weights, lightest, reach, back_of = _search(G)
     limit = bound.numerator * D // bound.denominator
+    vertices = range(len(R.rotation))
+    # sum(weight) counts each edge twice: twice the total length
+    close_all = limit >= sum(weight)
+    back = None
     walks_of, sums_of = defaultdict(list), defaultdict(list)  # by integer length
     for i, start in enumerate(edges(R)):
         if weight[start] > limit:
             continue
         home = vof[start]
+        if not close_all:
+            back = back_of.get(home)
+            if back is None:
+                back = back_of[home] = list(map(shortest_distances(G, home).__getitem__, vertices))
         # edges up to and including the start edge start out used, so
         # the walk takes no edge below its first one
         stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]], packed[start])]
@@ -266,10 +292,17 @@ def enumerate_cycles(G, bound):
             if at == home:
                 walks_of[length].append(walk)
                 sums_of[length].append(s)
-            k = bisect_right(weights[at], limit - length)
-            if reach[at][k] | used != used:
+            room = limit - length
+            k = bisect_right(weights[at], room)
+            if reach[at][k] | used == used:
+                continue
+            if back is None:  # every walk that fits can still close
                 for d, w, b, head, p in lightest[at][k]:
                     if not used & b:
+                        push((walk + (d,), used | b, length + w, head, s + p))
+            else:
+                for d, w, b, head, p in lightest[at][k]:
+                    if not used & b and w + back[head] <= room:
                         push((walk + (d,), used | b, length + w, head, s + p))
     order = sorted(walks_of)
     walks = list(chain.from_iterable(map(walks_of.__getitem__, order)))
@@ -353,6 +386,13 @@ def _tied(key, i, n):
     return (i > 0 and key(i - 1) == k) or (i + 1 < n and key(i + 1) == k)
 
 
+def _check_limit(limit, what):
+    """Refuse a selection limit that is neither None nor an int >= 0; a
+    bool is not a count."""
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValidationError(f"{what} {limit!r} is not None or an int >= 0")
+
+
 def _greedy(candidates, key, modulus, limit, state, reasons, halting):
     """The greedy loop behind both procedures, on candidates checked by
     ``_check_candidates`` and their length key function.
@@ -394,6 +434,7 @@ def successive_minima_I(candidates, modulus=0, count=None):
     span.  Stops after ``count`` selections (or candidate exhaustion);
     the trace records every decision.
     """
+    _check_limit(count, "count")
     return _greedy(
         *_check_candidates(candidates), modulus, count, _span_state,
         ("independent", "span-dependent"), "reached-count",
@@ -410,6 +451,7 @@ def successive_minima_II(candidates, modulus=0, target=None):
     are selected; the output is a basis whenever the candidate pool
     contains one.
     """
+    _check_limit(target, "target")
     candidates, key = _check_candidates(candidates)
     if target is None:
         target = len(candidates[0].cls) if candidates else 0
@@ -464,7 +506,7 @@ def _is_unit(d, modulus):
 
 def _is_basis(classes, modulus):
     M = as_int_matrix(classes)
-    return bool(M) and len(M) == len(M[0]) and _is_unit(det_int(M), modulus)
+    return bool(M) and len(M) == len(M[0]) and _is_unit(_det(M), modulus)
 
 
 def _beating_subsets(bound, candidates, keys, modulus):

@@ -7,19 +7,21 @@ module.
 
 The span and extendability oracles are incremental: a state is built
 one row at a time and a candidate costs one reduction against it.  Each
-ring has one elimination, picked only here, by ``_span_state`` and
-``_basis_state``: over F_p both give an echelon basis mod p; over Z,
-Hermite-reduced echelon rows keyed by pivot column decide membership in
-a Z-span, and the quotient map of Z^n onto Z^n / span(rows) decides
-whether a row extends a partial basis.  Both Z states do only the work
-a sparse row needs: a Hermite insertion that takes a new pivot reduces
-only the rows it changes, and the quotient map reads a row at its
-nonzero entries only.  The public ``in_span`` (one path
-in both rings) and ``is_partial_basis`` validate their input and run
-these kernels from scratch; the greedy procedures keep one state for a
-whole run.  The same Hermite rows, carrying a second block through the
-reduction, solve X @ A == I over Z, which gives ``int_inverse`` and the
-rows of ``complete_to_unimodular``.
+ring has one elimination, picked only here: over F_p an echelon basis
+mod p (``_echelon_mod_p``, which ``_span_state``, ``_basis_state``,
+``_greedy_pivots`` and ``_rank_mod_p`` all call), on bit rows over F_2,
+where a row operation is one XOR, and on lists of residues for an odd
+p; over Z, Hermite-reduced echelon rows keyed by pivot column decide
+membership in a Z-span, and the quotient map of Z^n onto
+Z^n / span(rows) decides whether a row extends a partial basis.  Both
+Z states do only the work a sparse row needs: a Hermite insertion that
+takes a new pivot reduces only the rows it changes, and the quotient
+map reads a row at its nonzero entries only.  The public ``in_span``
+(one path in every ring) and ``is_partial_basis`` validate their input
+and run these kernels from scratch; the greedy procedures keep one
+state for a whole run.  The same Hermite rows, carrying a second block
+through the reduction, solve X @ A == I over Z, which gives
+``int_inverse`` and the rows of ``complete_to_unimodular``.
 """
 
 from bisect import bisect
@@ -201,7 +203,7 @@ def _check_modulus(modulus):
 
 
 def _rank_mod_p(A, p):
-    return sum(map(_EchelonModP(p, len(A[0]) if A else 0).extend, A))
+    return sum(map(_echelon_mod_p(p, len(A[0]) if A else 0).extend, A))
 
 
 def _greedy_pivots(rows, modulus):
@@ -213,7 +215,7 @@ def _greedy_pivots(rows, modulus):
     nothing is checked.
     """
     if modulus:
-        extend = _EchelonModP(modulus, len(rows[0])).extend
+        extend = _echelon_mod_p(modulus, len(rows[0])).extend
         return [i for i, row in enumerate(rows) if extend(row)]
     return [j for j, _, _ in _bareiss_scan(transpose(rows))]
 
@@ -259,6 +261,64 @@ class _EchelonModP:
         inv = pow(r[j], -1, self.p)
         self.rows.append((j, r if inv == 1 else [a * inv % self.p for a in r]))
         return True
+
+
+class _EchelonMod2:
+    """An echelon basis over F_2 on bit rows, grown one row at a time.
+
+    A row is one int with a byte per column, the low bit of byte i
+    holding entry i mod 2, so a row operation is one XOR.  Each kept row
+    is keyed by its lowest set bit among the first ``width`` bytes, its
+    pivot; further columns ride along, as in ``_EchelonModP``, which
+    this follows in ``reduce`` and ``extend``.  A row is reduced by
+    clearing its lowest set bit with the row keyed there, until that bit
+    is no pivot.  The residue may differ from the insertion-order
+    reduction of ``_EchelonModP``, but the two differ by an element of
+    the span, whose lowest set bit is a pivot: so they have one leading
+    column, both keep the same rows, and both give a row in the span
+    one residue (its riding columns are the one combination of the
+    independent kept rows)."""
+
+    __slots__ = ("mask", "rows")
+
+    def __init__(self, width):
+        self.mask = (1 << 8 * width) - 1
+        self.rows = {}  # lowest set bit -> row
+
+    def _residue(self, v):
+        """v's reduced bit row, and its lowest set bit among the first
+        ``width`` bytes, or 0 when it has none."""
+        r = int.from_bytes(bytes([x & 1 for x in v]), "little")
+        rows, mask = self.rows, self.mask
+        while True:
+            low = r & -r
+            if not low & mask:
+                return r, 0
+            row = rows.get(low)
+            if row is None:
+                return r, low
+            r ^= row
+
+    def reduce(self, v):
+        """v's residue modulo the kept rows, entries in [0, 2), and its
+        leading column (None when the first ``width`` entries are all
+        even: v lies in the span)."""
+        r, low = self._residue(v)
+        return list(r.to_bytes(len(v), "little")), low.bit_length() // 8 if low else None
+
+    def extend(self, v):
+        """Keep v's residue and return True, unless v lies in the span."""
+        r, low = self._residue(v)
+        if low:
+            self.rows[low] = r
+            return True
+        return False
+
+
+def _echelon_mod_p(p, width):
+    """An empty echelon basis over F_p on ``width`` pivot columns: bit
+    rows for p = 2, ``_EchelonModP`` for an odd prime."""
+    return _EchelonMod2(width) if p == 2 else _EchelonModP(p, width)
 
 
 def _xgcd(a, b):
@@ -409,12 +469,12 @@ class _QuotientZ:
 
 def _span_state(n, modulus):
     """An empty span oracle on n columns over Z (``modulus`` 0) or F_p."""
-    return _EchelonModP(modulus, n) if modulus else _HermiteRows(n)
+    return _echelon_mod_p(modulus, n) if modulus else _HermiteRows(n)
 
 
 def _basis_state(n, modulus):
     """An empty partial-basis oracle on n columns over Z or F_p."""
-    return _EchelonModP(modulus, n) if modulus else _QuotientZ(n)
+    return _echelon_mod_p(modulus, n) if modulus else _QuotientZ(n)
 
 
 def in_span(M, v, modulus=0):

@@ -6,9 +6,13 @@ bordered surfaces and example4, at bounds that fall on a cycle length,
 between lengths and off the common denominator of the lengths; on
 graphs whose edges all have one length and on graphs whose vertices
 meet their darts by length in reverse dart order, at and just below
-every cycle length, which pins the order of equal-length cycles; and, on
-tiny graphs drawn by Hypothesis, with a brute force over every oriented
-dart sequence.  Every enumerated class is checked against the class of
+every cycle length, which pins the order of equal-length cycles; on
+graphs of 6-10 vertices and 20-30 edges at bounds growing from the
+shortest cycle length, where the cut by the distances back to a walk's
+start must keep every cycle; and, on tiny graphs drawn by Hypothesis,
+with a brute force over every oriented dart sequence.  The distances
+are built once per start vertex of a graph and never at twice its
+total length or more.  Every enumerated class is checked against the class of
 the validated walk, and the homology's table of enumerated walks
 against the validating path of ``class_of_walk``, which must still
 refuse darts that only equal ints.  The cycles, built as tuples in one
@@ -27,6 +31,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 
+from surfhom import minima
 from surfhom.catalog import load_example
 from surfhom.homology import cotree_basis, homology
 from surfhom.minima import WeightedCycle, WeightedGraph, enumerate_cycles
@@ -399,6 +404,120 @@ def test_enumerating_again_keeps_one_entry_per_cycle():
     # a cycle found again carries the class object the table keeps
     by_walk = {c.darts: c.cls for c in long}
     assert all(by_walk[c.darts] is c.cls for c in short)
+
+
+# ---------------------------------------------------------------------------
+# the distance cut: a dart to vertex h is taken only when the walk can
+# still get back from h to its start within the bound
+
+def search_shaped_graphs(seed, n):
+    """``n`` random closed graphs of 6-10 vertices and 20-30 edges, the
+    shapes of the benchmark's procedure pools, with lengths of 6-30 over
+    denominators 1, 7, 8 and 12."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        R = random_ribbon_graph(rng, max_edges=30, min_edges=20, vertices=rng.randrange(6, 11))
+        lengths = [Fraction(rng.randint(6, 30), rng.choice(DENOMINATORS)) for _ in range(R.n_edges)]
+        yield WeightedGraph(R, lengths)
+
+
+def growing_bounds(G, most=400):
+    """Bounds from G's shortest cycle length up by factors of 5/4 toward
+    its total length, up to the first that admits more than ``most``
+    cycles: every edge-simple circuit of a 20-edge graph is far too many
+    to list."""
+    bound = min(G.edge_length)
+    while not enumerate_cycles(G, bound):
+        bound *= Fraction(5, 4)
+    bounds = [enumerate_cycles(G, bound)[0].length]
+    while bounds[-1] < sum(G.edge_length) and len(enumerate_cycles(G, bounds[-1])) <= most:
+        bounds.append(min(bounds[-1] * Fraction(5, 4), sum(G.edge_length)))
+    return bounds
+
+
+def test_search_shaped_graphs_match_reference():
+    emitted = 0
+    for G in search_shaped_graphs(2304, 10):
+        assert 6 <= len(G.ribbon.rotation) <= 10 and 20 <= G.ribbon.n_edges <= 30
+        bounds = growing_bounds(G)
+        assert len(bounds) > 5
+        for bound in bounds:
+            emitted += len(assert_matches_reference(G, bound))
+    assert emitted > 10000
+
+
+class CountedSteps(list):
+    """A step table of ``_search`` that counts the loops run over it."""
+
+    def __init__(self, steps, counter):
+        super().__init__(steps)
+        self.counter = counter
+
+    def __iter__(self):
+        self.counter[0] += 1
+        return super().__iter__()
+
+
+def counting_search_loops(G):
+    """G's search tables with every step list counting its loops, and
+    the counter."""
+    counter = [0]
+    for prefixes in minima._search(G)[1]:
+        prefixes[:] = [CountedSteps(steps, counter) for steps in prefixes]
+    return counter
+
+
+def test_the_distance_cut_keeps_the_cycles_and_cuts_walks():
+    # the search with every distance taken as 0 expands more walks and
+    # finds the same cycles
+    cut = uncut = 0
+    for G in search_shaped_graphs(1975, 6):
+        bound = growing_bounds(G, most=200)[-1]
+        H = WeightedGraph(G.ribbon, G.edge_length)
+        vertices = range(len(H.ribbon.rotation))
+        minima._search(H)[3].update(dict.fromkeys(vertices, [0] * len(vertices)))
+        counts = counting_search_loops(G), counting_search_loops(H)
+        assert summary(enumerate_cycles(G, bound)) == summary(enumerate_cycles(H, bound))
+        cut, uncut = cut + counts[0][0], uncut + counts[1][0]
+    assert cut < uncut * 3 / 4, (cut, uncut)
+
+
+def counting_distances(monkeypatch):
+    sources = []
+    real = minima.shortest_distances
+
+    def counting(G, source):
+        sources.append(source)
+        return real(G, source)
+
+    monkeypatch.setattr(minima, "shortest_distances", counting)
+    return sources
+
+
+def test_distances_are_built_once_per_start_vertex(monkeypatch):
+    sources = counting_distances(monkeypatch)
+    for G in search_shaped_graphs(42, 3):
+        sources.clear()
+        R = G.ribbon
+        bounds = growing_bounds(G, most=200)
+        for bound in bounds + bounds:
+            enumerate_cycles(G, bound)
+        starts = {R.vertex_of[d] for d in edges(R) if G.length_of_dart(d) <= bounds[-1]}
+        assert len(sources) == len(set(sources)) and set(sources) == starts
+
+
+def test_no_distances_at_twice_the_total_length(monkeypatch):
+    sources = counting_distances(monkeypatch)
+    for _, G in weighted_graphs(43, 40, vertices=3):
+        total = sum(G.edge_length)
+        for bound in (2 * total, 3 * total, 2 * total + Fraction(1, 13)):
+            assert_matches_reference(G, bound)
+        assert sources == []
+        # just below, the distances of every start vertex are built
+        assert_matches_reference(G, 2 * total - Fraction(1, 13 * G._denominator))
+        R = G.ribbon
+        assert sorted(sources) == sorted({R.vertex_of[d] for d in edges(R)})
+        sources.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,41 @@ def test_empty_pool_checks_modulus():
             proc((), 4)
 
 
+def unread_candidates():
+    """A candidate iterable that fails the test when it is read."""
+    raise AssertionError("a candidate was read")
+    yield
+
+
+@pytest.mark.parametrize("proc", [successive_minima_I, successive_minima_II])
+@pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3", True, False, Fraction(2), Decimal(2)],
+                         ids=["negative", "float", "integral float", "str", "True", "False",
+                              "Fraction", "Decimal"])
+def test_procedures_refuse_a_count_that_is_not_an_int_from_0(proc, value):
+    # without this check True counted as 1 and selected a class, -1
+    # halted at once as "reached-count", 1.5 selected 2 classes and "3"
+    # raised a bare TypeError
+    G = torus_graph()
+    pool = attach_all(G, enumerate_cycles(G, Fraction(2)))
+    name = "count" if proc is successive_minima_I else "target"
+    for candidates in (pool, unread_candidates()):
+        with pytest.raises(ValidationError, match=f"^{name} {re.escape(repr(value))} "):
+            proc(candidates, 0, value)
+
+
+def test_procedures_take_a_count_of_none_or_an_int_from_0():
+    G = torus_graph()
+    pool = attach_all(G, enumerate_cycles(G, Fraction(2)))
+    for proc, halting in ((successive_minima_I, "reached-count"),
+                          (successive_minima_II, "complete")):
+        tr = proc(pool, 0, 0)
+        assert tr.selected == () and tr.events == () and tr.halting == halting
+        assert len(proc(pool, 0, 1).selected) == 1
+        assert len(proc(pool, 0, None).selected) == 2
+    assert successive_minima_II(pool, 0, None).halting == "complete"
+    assert successive_minima_I(pool, 0, None).halting == "exhausted"
+
+
 def test_procedure_II_example4():
     b = load_example("example4")
     pool = candidate_pool(b, Fraction(13, 12))
@@ -400,6 +435,32 @@ def test_globally_minimal_rejects_empty_basis():
     pool = candidate_pool(b, Fraction(13, 12))
     with pytest.raises(ValidationError):
         is_globally_minimal([], pool)
+
+
+def test_a_basis_is_validated_once(monkeypatch):
+    # _is_basis builds its matrix with as_int_matrix and takes the
+    # determinant of that matrix as it is, with no second validation
+    from surfhom import zlattice
+
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return as_int_matrix(rows)
+
+    monkeypatch.setattr(minima, "as_int_matrix", counting)
+    monkeypatch.setattr(zlattice, "as_int_matrix", counting)
+    basis, pool = torus_basis_and_pool()
+    for classes, modulus, verdict in (([c.cls for c in basis], 0, True),
+                                      ([(2, 0), (0, 1)], 0, False),
+                                      ([(2, 1), (0, 1)], 2, False),
+                                      ([(1, 0)], 0, False)):
+        calls.clear()
+        assert minima._is_basis(classes, modulus) is verdict
+        assert len(calls) == 1
+    calls.clear()
+    assert is_globally_minimal(basis, pool) == (True, None)
+    assert len(calls) == 1
 
 
 def test_globally_minimal_example4_witness():

@@ -598,3 +598,107 @@ def test_a_new_pivot_reads_no_pair_of_rows_it_leaves_unchanged():
     # each unchanged row is read at its own pivot (as the pivot that
     # reduces another row) or at the new column 1, never at another pivot
     assert all(j == own or j == 1 for own, j in reads), reads
+
+
+# ---------------------------------------------------------------------------
+# F_2 on bit rows against the residue lists of _EchelonModP(2, width), the
+# one elimination for odd primes: a bit row is reduced at its lowest set
+# bit in any order, a residue list in insertion order, so residues of
+# vectors outside the span may differ, but flags, leading columns and the
+# residues of vectors in the span may not
+
+def f2_case(rng, width, riding):
+    """Rows of ``width + riding`` entries, sparse, with entries that are
+    negative or beyond +-1 and many rows that are combinations mod 2 of
+    a few generators, and probe vectors in and out of their span."""
+    entries = (0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 5, -7)
+    n = width + riding
+
+    def vector():
+        return tuple(rng.choice(entries) for _ in range(n))
+
+    gens = [vector() for _ in range(rng.randrange(0, min(width, 6) + 1))]
+
+    def combination():
+        v = [0] * n
+        for g in gens:
+            if rng.random() < 0.5:
+                v = [a + rng.choice((1, -1, 3)) * b for a, b in zip(v, g)]
+        return tuple(v)
+
+    rows = [combination() if gens and rng.random() < 0.6 else vector()
+            for _ in range(rng.randrange(0, 12))]
+    probes = [combination() if gens and rng.random() < 0.5 else vector() for _ in range(6)]
+    return rows, probes
+
+
+def f2_cases(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        # every width from 0 to 40 occurs, most of them more than once
+        width = i % 41 if i < 82 else rng.randrange(0, 41)
+        riding = rng.randrange(0, 4)
+        yield width, riding, *f2_case(rng, width, riding)
+
+
+def in_span_on(state, M, v):
+    """``in_span`` over F_2 run on the given empty state of width len(v)."""
+    n = len(v)
+    for row, e in zip(M, identity(len(M))):
+        state.extend(row + e)
+    rest, j = state.reduce(tuple(-x for x in v) + (0,) * len(M))
+    return (False, None) if j is not None else (True, tuple(rest[n:]))
+
+
+def test_bit_rows_match_the_residue_lists_mod_2():
+    seen = {"kept": 0, "refused": 0, "probe in span": 0, "probe outside": 0}
+    for width, riding, rows, probes in f2_cases(2023, 400):
+        bits, lists = zlattice._EchelonMod2(width), zlattice._EchelonModP(2, width)
+        for v in rows:
+            assert bits.reduce(v)[1] == lists.reduce(v)[1]
+            flag = bits.extend(v)
+            assert flag == lists.extend(v)
+            seen["kept" if flag else "refused"] += 1
+        for v in probes:
+            (r2, j2), (rp, jp) = bits.reduce(v), lists.reduce(v)
+            assert j2 == jp
+            assert all(x in (0, 1) for x in r2) and len(r2) == width + riding
+            if j2 is None:
+                assert r2 == rp
+                seen["probe in span"] += 1
+            else:
+                seen["probe outside"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_f2_entry_points_match_the_residue_lists():
+    for width, _, rows, probes in f2_cases(1968, 300):
+        M = as_int_matrix(row[:width] for row in rows)
+        reference = lambda n: zlattice._EchelonModP(2, n)
+        for v in probes:
+            v = v[:width]
+            assert in_span(M, v, 2) == in_span_on(reference(width), M, v)
+        assert is_partial_basis(M, 2) == all(map(reference(width).extend, M))
+        if M:
+            assert zlattice._rank_mod_p(M, 2) == sum(map(reference(width).extend, M))
+            extend = reference(width).extend
+            assert zlattice._greedy_pivots(list(M), 2) == [i for i, r in enumerate(M) if extend(r)]
+
+
+def test_f2_states_are_bit_rows_and_odd_primes_keep_residue_lists(monkeypatch):
+    for n in (0, 3):
+        assert type(zlattice._span_state(n, 2)) is zlattice._EchelonMod2
+        assert type(zlattice._basis_state(n, 2)) is zlattice._EchelonMod2
+        assert type(zlattice._span_state(n, 3)) is zlattice._EchelonModP
+        assert type(zlattice._basis_state(n, 5)) is zlattice._EchelonModP
+
+    def refuse(p, width):
+        raise AssertionError("residue lists used over F_2")
+
+    monkeypatch.setattr(zlattice, "_EchelonModP", refuse)
+    M = ((1, 0, 3), (3, 0, 1), (0, -2, 1), (2, 5, 4))
+    # mod 2 the rows are (1, 0, 1) twice, (0, 0, 1) and (0, 1, 0)
+    assert zlattice._rank_mod_p(M, 2) == 3
+    assert zlattice._greedy_pivots(list(M), 2) == [0, 2, 3]
+    assert in_span(M, (1, 1, 0), 2) == (True, (1, 0, 1, 1))
+    assert not is_partial_basis(M, 2)
