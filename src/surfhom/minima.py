@@ -13,13 +13,15 @@ dart followed by its reversal; vertices may repeat.  The enumeration
 starts each cycle at the smaller dart of its least edge, which makes
 the walk its own canonical encoding.
 Its depth-first search takes each vertex's darts in increasing dart
-order, from per-vertex tables kept on the graph, so it finds the walks
-in lexicographic order, and below twice the total length it cuts each
-walk that the graph distances to its start vertex say cannot close
-within the bound; it drops each closed walk into the bucket of
-its integer length, and the buckets joined in increasing length are in
-(length, encoding) order.  ``WeightedCycle`` is a ``NamedTuple``, so
-the cycles are built as tuples in one pass.
+order, so it finds the walks in lexicographic order.  Below twice the
+total length it reads tables kept on the graph and cuts each walk that
+the graph distances say cannot close within the bound; at twice the
+total length or more, where no walk is cut, a node's children come
+from a memo of the call keyed by its vertex and free edges.  It drops
+each closed walk into the bucket of its integer length, and the
+buckets joined in increasing length are in (length, encoding) order.
+``WeightedCycle`` is a ``NamedTuple``, so the cycles are built as
+tuples in one pass.
 
 The procedures, the minimality certificates, ``sorted_lengths`` and
 ``compare_bases`` compare no two lengths as ``Fraction``s: each call
@@ -34,9 +36,10 @@ from bisect import bisect_right, insort
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import lcm
-from operator import attrgetter, is_not, le
+from operator import attrgetter, is_not, le, or_
 from typing import NamedTuple
 
 from .homology import homology
@@ -93,8 +96,9 @@ class WeightedGraph:
 
     Building it scales the lengths once: ``_denominator`` is their least
     common denominator D, and ``_weight[d]`` is the length of dart d's
-    edge times D.  Its first ``enumerate_cycles`` keeps the search
-    tables on it (``_search``)."""
+    edge times D.  Its first bounded ``enumerate_cycles``, at a bound
+    below twice its total length, keeps the search tables on it
+    (``_search``)."""
 
     ribbon: object
     edge_length: tuple  # aligned with edges(ribbon)
@@ -172,8 +176,9 @@ def make_cycle(G, walk, cls=None, name=None):
 
 
 def _search(G):
-    """The search tables of ``enumerate_cycles``, built on G's first
-    enumeration and kept on G, as ``homology(R)`` is kept on R.
+    """The search tables of ``enumerate_cycles`` below twice G's total
+    length, built on G's first such enumeration and kept on G, as
+    ``homology(R)`` is kept on R.
 
     They hold, per vertex, its outgoing darts' weights (``G._weight``)
     in increasing order beside ``lightest`` and ``reach``.  Entry k of
@@ -209,6 +214,12 @@ def _search(G):
     return tables
 
 
+def _free_steps(darts, free, step, bit):
+    """The steps of those of ``darts`` whose edge bit is in ``free``, in
+    order: a node's children in the close-all search."""
+    return [step[d] for d in darts if bit[d] & free]
+
+
 def enumerate_cycles(G, bound):
     """All cycles of length <= bound, up to rotation and reflection,
     each with its H1 class in the coordinates of ``homology(R)``, which
@@ -222,10 +233,21 @@ def enumerate_cycles(G, bound):
     dart occurs nowhere else in the walk or in its reversal, so the walk
     is its own canonical encoding and no cycle is reached twice.
 
-    At each step one ``bisect_right`` of the room left into the
-    vertex's dart lengths (``_search``) picks its k lightest darts, all
-    the darts short enough to take, which the stack then pops in
-    increasing dart order; a step whose k darts all lie on edges the
+    A bound of at least twice G's total length cuts no walk (a walk of
+    length L is at most L from its start, and an edge-simple walk is at
+    most the total length long), and it has a search of its own, the
+    close-all search.  Per call it builds each dart's edge bit, each
+    vertex's darts in decreasing dart order and mask of incident edge
+    bits, and one empty memo per vertex.  A node with no free (incident,
+    unused) edge has no children; any other node reads the steps of the
+    darts on its free edges from its vertex's memo under those edges,
+    built on a miss (``_free_steps``).  No room, ``bisect_right``,
+    distance or ``_search`` table is used, and nothing is kept on G.
+
+    Below that bound, at each step one ``bisect_right`` of the room left
+    into the vertex's dart lengths (``_search``) picks its k lightest
+    darts, all the darts short enough to take, which the stack then pops
+    in increasing dart order; a step whose k darts all lie on edges the
     walk has used already (their OR of edge bits, ``reach``, adds none)
     takes none of them and skips the loop.  A dart of weight w to vertex
     h is taken only when w + back[h] fits the room left, back[h] being
@@ -234,10 +256,7 @@ def enumerate_cycles(G, bound):
     with the ``_search`` tables).  The rest of a closed walk through
     that dart is a walk from h back to the start, never shorter than
     back[h], so the test cuts only walks that cannot close within the
-    bound.  At a bound of at least twice G's total length no distances
-    are built and no dart is tested against them: a walk of length L is
-    at most L from its start, and an edge-simple walk is at most the
-    total length long, so every walk that fits can still close.
+    bound.
 
     The starts run in increasing dart order too, a walk is found before
     its extensions and each subtree is finished before its next sibling
@@ -268,39 +287,56 @@ def enumerate_cycles(G, bound):
     H = homology(R)
     packed = H._packed
     D, weight = G._denominator, G._weight
-    weights, lightest, reach, back_of = _search(G)
     limit = bound.numerator * D // bound.denominator
-    vertices = range(len(R.rotation))
-    # sum(weight) counts each edge twice: twice the total length
-    close_all = limit >= sum(weight)
-    back = None
     walks_of, sums_of = defaultdict(list), defaultdict(list)  # by integer length
-    for i, start in enumerate(edges(R)):
-        if weight[start] > limit:
-            continue
-        home = vof[start]
-        if not close_all:
+    # sum(weight) counts each edge twice: twice the total length
+    if limit >= sum(weight):
+        # every walk fits and can still close
+        bit = [1 << i for i in R.edge_number]
+        step = [(d, weight[d], bit[d], vof[twin[d]], packed[d]) for d in range(len(twin))]
+        darts_at = [sorted(rot, reverse=True) for rot in R.rotation]
+        incident = [reduce(or_, map(bit.__getitem__, rot), 0) for rot in R.rotation]
+        memo = [{} for _ in R.rotation]
+        for i, start in enumerate(edges(R)):
+            home = vof[start]
+            # edges up to and including the start edge start out used, so
+            # the walk takes no edge below its first one
+            stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]], packed[start])]
+            push = stack.append
+            while stack:
+                walk, used, length, at, s = stack.pop()
+                if at == home:
+                    walks_of[length].append(walk)
+                    sums_of[length].append(s)
+                free = incident[at] & ~used
+                if not free:
+                    continue
+                children = memo[at].get(free)
+                if children is None:
+                    children = memo[at][free] = _free_steps(darts_at[at], free, step, bit)
+                for d, w, b, head, p in children:
+                    push((walk + (d,), used | b, length + w, head, s + p))
+    else:
+        weights, lightest, reach, back_of = _search(G)
+        vertices = range(len(R.rotation))
+        for i, start in enumerate(edges(R)):
+            if weight[start] > limit:
+                continue
+            home = vof[start]
             back = back_of.get(home)
             if back is None:
                 back = back_of[home] = list(map(shortest_distances(G, home).__getitem__, vertices))
-        # edges up to and including the start edge start out used, so
-        # the walk takes no edge below its first one
-        stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]], packed[start])]
-        push = stack.append
-        while stack:
-            walk, used, length, at, s = stack.pop()
-            if at == home:
-                walks_of[length].append(walk)
-                sums_of[length].append(s)
-            room = limit - length
-            k = bisect_right(weights[at], room)
-            if reach[at][k] | used == used:
-                continue
-            if back is None:  # every walk that fits can still close
-                for d, w, b, head, p in lightest[at][k]:
-                    if not used & b:
-                        push((walk + (d,), used | b, length + w, head, s + p))
-            else:
+            stack = [((start,), (2 << i) - 1, weight[start], vof[twin[start]], packed[start])]
+            push = stack.append
+            while stack:
+                walk, used, length, at, s = stack.pop()
+                if at == home:
+                    walks_of[length].append(walk)
+                    sums_of[length].append(s)
+                room = limit - length
+                k = bisect_right(weights[at], room)
+                if reach[at][k] | used == used:
+                    continue
                 for d, w, b, head, p in lightest[at][k]:
                     if not used & b and w + back[head] <= room:
                         push((walk + (d,), used | b, length + w, head, s + p))

@@ -221,6 +221,12 @@ PINNED_STDOUT = {
         "51619140e8b6df6e7ba4799f24f8f3882af62676f4b754f6efef40407b46aedb",
     "minima remark45G --procedure I --bound 4":
         "f3eb13cd0c4753f84692ac29cdec8c1eb7aea6f1aba51c3a4c4a8570ab12b25b",
+    # exactly twice example 2H's total length, and far past remark
+    # 4.5 G's: the search that lists every cycle
+    "minima example2H --procedure II --bound 16":
+        "c02246381c082f88d83f0a8b9b1c883dcabab98a51064da4497f6aa014c17b78",
+    "minima remark45G --procedure I --bound 100":
+        "f3eb13cd0c4753f84692ac29cdec8c1eb7aea6f1aba51c3a4c4a8570ab12b25b",
     "export example3 --format json":
         "fc34ea1d53dc1fa037c938c83a7f25283112cecc4546517bb369dbe878fae0c5",
     "verify all --modulus 2 --json":

@@ -12,7 +12,15 @@ shortest cycle length, where the cut by the distances back to a walk's
 start must keep every cycle; and, on tiny graphs drawn by Hypothesis,
 with a brute force over every oriented dart sequence.  The distances
 are built once per start vertex of a graph and never at twice its
-total length or more.  Every enumerated class is checked against the class of
+total length or more.  There the search of its own that lists every
+cycle is compared with the reference at twice the total length, just
+above it and at three times it, on seeded bouquets of 1-6 loops,
+multi-vertex graphs with loops and parallel edges, bordered surfaces
+and tiny graphs drawn by Hypothesis; it calls neither ``bisect_right``
+nor ``shortest_distances``, keeps no search tables on the graph and
+builds each child list of a (vertex, free edges) at most once per
+call.  On simple graphs its vertex-simple cycles are the simple cycles
+of ``networkx``.  Every enumerated class is checked against the class of
 the validated walk, and the homology's table of enumerated walks
 against the validating path of ``class_of_walk``, which must still
 refuse darts that only equal ints.  The cycles, built as tuples in one
@@ -25,7 +33,7 @@ import dataclasses
 import importlib
 import random
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import lcm
 
 import pytest
@@ -131,14 +139,20 @@ def test_one_vertex_bouquets_match_reference():
         assert_matches_reference(G, sum(G.edge_length) * Fraction(rng.randint(1, 8), 8))
 
 
-def test_bordered_surfaces_match_reference():
-    rng = random.Random(10)
-    emitted = 0
-    for _, G in weighted_graphs(10, 25):
+def bordered_graphs(seed, n):
+    """The graphs of ``weighted_graphs(seed, n)`` on surfaces with a
+    random nonempty set of their faces as boundary."""
+    rng = random.Random(seed)
+    for _, G in weighted_graphs(seed, n):
         R = G.ribbon
         faces = [f[0] for f in trace_faces(R)]
         bordered = RibbonGraph(R.rotation, R.twin, rng.sample(faces, rng.randrange(1, len(faces) + 1)))
-        G = WeightedGraph(bordered, G.edge_length)
+        yield WeightedGraph(bordered, G.edge_length)
+
+
+def test_bordered_surfaces_match_reference():
+    emitted = 0
+    for G in bordered_graphs(10, 25):
         emitted += len(assert_matches_reference(G, sum(G.edge_length) * Fraction(3, 4)))
     assert emitted > 100
 
@@ -554,3 +568,158 @@ def test_tiny_graphs_match_brute_force(case):
     assert summary(cycles) == summary(ref.enumerate_cycles(G, bound))
     order = [(c.length, c.key) for c in cycles]
     assert all(a < b for a, b in zip(order, order[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the close-all search: at twice the total length or more no walk is cut,
+# and the children of a node come from a memo of the call keyed by its
+# vertex and its free edges
+
+def close_all_bounds(G):
+    """Twice G's total length, the least bound at which no walk is cut
+    (its integer limit is the sum of the dart weights), that plus 1/13,
+    a multiple of no 1/D, and three times the total length."""
+    total = sum(G.edge_length)
+    limit = 2 * total * G._denominator
+    assert limit.denominator == 1 and limit.numerator == sum(G._weight)
+    return 2 * total, 2 * total + Fraction(1, 13), 3 * total
+
+
+def bouquet(rng, loops):
+    """A one-vertex graph of ``loops`` loops, its darts in a shuffled
+    rotation, with lengths over the denominators 1, 7, 8 and 12."""
+    darts = list(range(2 * loops))
+    rng.shuffle(darts)
+    R = RibbonGraph((tuple(darts),), tuple(d ^ 1 for d in range(2 * loops)))
+    return WeightedGraph(R, [Fraction(rng.randint(1, 24), rng.choice(DENOMINATORS))
+                             for _ in range(loops)])
+
+
+def test_close_all_bouquets_match_reference():
+    # a bouquet of k loops has sum of C(k, j) (j-1)! 2^(j-1) cycles
+    rng = random.Random(29)
+    counts = {1: 1, 2: 4, 3: 17, 4: 96, 5: 729, 6: 7060}
+    for loops in range(1, 7):
+        for _ in range(2 if loops < 6 else 1):
+            G = bouquet(rng, loops)
+            for bound in close_all_bounds(G):
+                assert len(assert_matches_reference(G, bound)) == counts[loops]
+
+
+def test_close_all_multi_vertex_graphs_match_reference():
+    loops = parallel = emitted = 0
+    for _, G in weighted_graphs(2910, 60):
+        R = G.ribbon
+        if len(R.rotation) == 1:
+            continue
+        ends = [frozenset((R.vertex_of[d], R.vertex_of[R.twin[d]])) for d in edges(R)]
+        links = [e for e in ends if len(e) == 2]
+        loops += len(links) < len(ends)
+        parallel += len(set(links)) < len(links)
+        cycles = [assert_matches_reference(G, bound) for bound in close_all_bounds(G)]
+        assert summary(cycles[0]) == summary(cycles[1]) == summary(cycles[2])
+        emitted += len(cycles[0])
+    assert loops > 10 and parallel > 10 and emitted > 1000
+
+
+def test_close_all_bordered_surfaces_match_reference():
+    emitted = 0
+    for G in bordered_graphs(2911, 25):
+        for bound in close_all_bounds(G):
+            emitted += len(assert_matches_reference(G, bound))
+    assert emitted > 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs())
+def test_tiny_graphs_at_twice_the_total_length_match_reference(case):
+    G, _ = case
+    bound = 2 * sum(G.edge_length)
+    cycles = assert_matches_reference(G, bound)
+    assert {c.key: c.length for c in cycles} == brute_force(G, bound)
+
+
+def test_close_all_search_reads_no_tables_and_lists_children_once(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the close-all search cuts no walk")
+
+    monkeypatch.setattr(minima, "bisect_right", refused)
+    monkeypatch.setattr(minima, "shortest_distances", refused)
+    built = []
+    real = minima._free_steps
+
+    def counted(darts, free, step, bit):
+        built.append((tuple(darts), free))
+        return real(darts, free, step, bit)
+
+    monkeypatch.setattr(minima, "_free_steps", counted)
+    G = bouquet(random.Random(14), 6)
+    for bound in close_all_bounds(G):
+        # each call builds its own lists, at most one per free set of
+        # the six loops, for 7,060 nodes
+        built.clear()
+        assert len(enumerate_cycles(G, bound)) == 7060
+        assert len(built) == len(set(built)) <= 2 ** 6
+        assert "_search" not in G.__dict__
+    for _, G in weighted_graphs(2912, 30):
+        built.clear()
+        enumerate_cycles(G, 2 * sum(G.edge_length))
+        assert len(built) == len(set(built))
+        assert "_search" not in G.__dict__
+
+
+# ---------------------------------------------------------------------------
+# vertex-simple cycles against networkx
+
+def simple_graphs(seed, n):
+    """``n`` random connected graphs of 3-7 vertices with no loop and no
+    parallel edge, as ribbon graphs with shuffled rotations and lengths
+    over the denominators 1, 7, 8 and 12."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        V = rng.randrange(3, 8)
+        order = list(range(V))
+        rng.shuffle(order)
+        ends = {frozenset((rng.choice(order[:i]), v)) for i, v in enumerate(order) if i}
+        pairs = [frozenset(p) for p in combinations(range(V), 2)]
+        E = min(V + rng.randrange(1, 6), len(pairs))
+        while len(ends) < E:
+            ends.add(rng.choice(pairs))
+        rotation = [[] for _ in range(V)]
+        for k, (u, v) in enumerate(map(sorted, ends)):
+            rotation[u].append(2 * k)
+            rotation[v].append(2 * k + 1)
+        for darts in rotation:
+            rng.shuffle(darts)
+        R = RibbonGraph(tuple(map(tuple, rotation)), tuple(d ^ 1 for d in range(2 * len(ends))))
+        yield WeightedGraph(R, [Fraction(rng.randint(1, 24), rng.choice(DENOMINATORS))
+                                for _ in range(R.n_edges)])
+
+
+def vertex_cycle(vertices):
+    """A cyclic vertex sequence up to rotation and reflection."""
+    n = len(vertices)
+    turns = [tuple(vertices[i:] + vertices[:i]) for i in range(n)]
+    back = list(reversed(vertices))
+    return min(turns + [tuple(back[i:] + back[:i]) for i in range(n)])
+
+
+def test_vertex_simple_cycles_match_networkx():
+    nx = pytest.importorskip("networkx")
+    compared = 0
+    for G in simple_graphs(1975, 40):
+        R = G.ribbon
+        vof = R.vertex_of
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(R.rotation)))
+        graph.add_edges_from((vof[d], vof[R.twin[d]]) for d in edges(R))
+        assert graph.number_of_edges() == R.n_edges and nx.number_of_selfloops(graph) == 0
+        ours = []
+        for c in enumerate_cycles(G, 2 * sum(G.edge_length)):
+            vertices = [vof[d] for d in c.darts]
+            if len(set(vertices)) == len(vertices):
+                ours.append(vertex_cycle(vertices))
+        theirs = [vertex_cycle(list(cycle)) for cycle in nx.simple_cycles(graph)]
+        assert len(ours) == len(set(ours)) and sorted(ours) == sorted(theirs)
+        compared += len(ours)
+    assert compared > 500
