@@ -15,7 +15,10 @@ intersection form in a few big-integer steps (``SurfaceHomology``).
 The intersection number of two walks is the form on their classes
 (``algebraic_intersection``).
 
-The build computes H1 and its intersection form G only.
+The build computes H1 only: the class of every dart.  The intersection
+form G is built on the first read of ``pairing_matrix`` and kept, so
+the enumeration, the procedures and the certificates, which read
+classes and nothing else, never build it.
 ``symplectic_basis`` runs the integer symplectic reduction of G on each
 call: rows P of a basis with P @ G @ P^T equal to the standard form S.
 It pivots on units only: G is the interlace form of a one-vertex,
@@ -100,9 +103,9 @@ _SIGNED_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 def _digit_bytes(bound):
     """Bytes per digit that hold every integer of absolute value up to
-    ``bound``: the least width with a struct code that does, else the
-    widest one doubled until it does."""
-    w = min((w for w in _SIGNED_CODE if bound < 1 << (8 * w - 1)), default=max(_SIGNED_CODE))
+    ``bound``: the least power of two that does, so the least width with
+    a struct code (``_SIGNED_CODE``) when one does."""
+    w = 1
     while bound >> (8 * w - 1):
         w *= 2
     return w
@@ -357,16 +360,18 @@ class SurfaceHomology:
                        start of a fundamental cycle
     basis_edges        the leftover edges L: fundamental_class of the
                        i-th one is the i-th unit vector
-    pairing_matrix     intersection numbers of the L loops, read off
-                       prefix sums over the ring of darts around the
-                       contracted tree: the sum up to a ring position
-                       packs, one signed byte per loop f, whether f's
-                       tail and head come before it, so the difference
-                       of two sums is the row of the arc between them
+    pairing_matrix     intersection numbers of the L loops, built on
+                       its first read and kept (``_build_form``): read
+                       off prefix sums over the ring of darts around
+                       the contracted tree, where the sum up to a ring
+                       position packs, one signed byte per loop f,
+                       whether f's tail and head come before it, so the
+                       difference of two sums is the row of the arc
+                       between them
     twin, vertex_of    the surface's dart tables, all that walks need;
-                       the surface itself is not kept, so R and its
-                       homology are freed together as soon as R is
-                       dropped
+                       the surface itself is not kept, only its
+                       rotation for the form, so R and its homology
+                       are freed together as soon as R is dropped
 
     The walks built on the surface, valid by construction, are kept in
     a table from walk to an entry holding the kept walk object and its
@@ -389,6 +394,8 @@ class SurfaceHomology:
         self._walk_class = {}
         self._cotree = None  # cotree_basis, built by its first call
         self._root_paths = None  # vertex -> tree darts from the root, by _tree_path
+        self._rotation = R.rotation  # read by _build_form only
+        self._form = None  # pairing_matrix, built by its first read
         # T is the BFS tree that validating R grew from vertex 0
         self.parent = R._tree_parent
         tree = {d for p in self.parent.values() if p is not None for d in (p, twin[p])}
@@ -426,12 +433,25 @@ class SurfaceHomology:
             packed[down] = sum(packed[d] for d, _ in face_darts[f] if d != twin[down])
             packed[twin[down]] = -packed[down]
 
+    @property
+    def pairing_matrix(self):
+        """Built by ``_build_form`` on the first read; every later read
+        returns the same tuple."""
+        if self._form is None:
+            self._form = self._build_form()
+        return self._form
+
+    def _build_form(self):
+        """The rows of the intersection form, read off prefix sums over
+        the ring of darts around the contracted tree T."""
+        twin, parent = self.twin, self.parent
+        tree = {d for p in parent.values() if p is not None for d in (p, twin[p])}
         # the rotation at the one vertex left after contracting T: the walk
         # around T, stepping across each tree dart and past every other
         # one, is one cycle through every dart (``_orbits``), and the ring
         # is its non-tree darts
         nxt = [None] * len(twin)
-        for cyc in R.rotation:
+        for cyc in self._rotation:
             for i, d in enumerate(cyc):
                 nxt[cyc[i - 1]] = d
         (around,) = _orbits([nxt[twin[d]] if d in tree else nxt[d] for d in range(len(twin))])
@@ -448,8 +468,8 @@ class SurfaceHomology:
             step[twin[e]] = 1 << (8 * i)
         ends = list(accumulate([step.get(d, 0) for d in ring], initial=0))
         pos = {d: i for i, d in enumerate(ring)}
-        self.pairing_matrix = tuple([form.unpack_one(ends[pos[e]] - ends[pos[twin[e]] + 1])
-                                     for e in self.basis_edges])
+        return tuple([form.unpack_one(ends[pos[e]] - ends[pos[twin[e]] + 1])
+                      for e in self.basis_edges])
 
     # -- coordinates ------------------------------------------------------
 
@@ -539,8 +559,9 @@ class SurfaceHomology:
             if not (type(c) is tuple and len(c) == self.rank
                     and all(type(x) is int for x in c)):
                 raise ValidationError(f"class {c!r} is not a tuple of {self.rank} ints")
+        G = self.pairing_matrix
         return sum(
-            a * self.pairing_matrix[i][j] * b
+            a * G[i][j] * b
             for i, a in enumerate(c1)
             if a
             for j, b in enumerate(c2)

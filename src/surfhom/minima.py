@@ -86,6 +86,29 @@ def _length_keys(lengths):
     return [x.numerator * (D // x.denominator) for x in lengths]
 
 
+def _as_cycles(cycles):
+    """The cycles as a tuple; anything that is not iterable raises
+    ValidationError naming it."""
+    try:
+        it = iter(cycles)
+    except TypeError:
+        raise ValidationError(f"candidates {cycles!r} are not an iterable of cycles") from None
+    return tuple(it)
+
+
+def _fields(cycles, name):
+    """The attribute ``name`` of each cycle, in a list; a candidate
+    without it raises ValidationError naming it.  Only a failure walks
+    the cycles one by one."""
+    try:
+        return list(map(attrgetter(name), cycles))
+    except AttributeError:
+        for c in cycles:
+            if not hasattr(c, name):
+                raise ValidationError(f"candidate {c!r} is not a cycle") from None
+        raise
+
+
 # a frozen dataclass, not a NamedTuple: __post_init__ validates the
 # lengths, and the scaled weights and search tables are kept in its
 # __dict__
@@ -384,7 +407,7 @@ def _check_classes(candidates, n):
     the lengths and the entry types of each distinct class object, as
     candidates share them; only a failure walks the classes one by
     one."""
-    classes = list(map(attrgetter("cls"), candidates))
+    classes = _fields(candidates, "cls")
     distinct = dict(zip(map(id, classes), classes)).values()
     if set(map(type, classes)) <= {tuple} and set(map(len, distinct)) <= {n} and \
             set(map(type, chain.from_iterable(distinct))) <= {int}:
@@ -400,15 +423,15 @@ def _check_candidates(candidates):
     that each class is an n-tuple of ints, n the width of the first,
     that each length is an int or a Fraction, and that lengths never
     decrease."""
-    candidates = tuple(candidates)
+    candidates = _as_cycles(candidates)
     if candidates:
-        cls = candidates[0].cls
+        cls = getattr(candidates[0], "cls", None)
         _check_classes(candidates, len(cls) if type(cls) is tuple else 0)
     # the enumeration shares one length object per distinct length, so
     # each run of one object is keyed once, at its start: a long pool
     # costs a pass at C speed, and a procedure reads keys only for the
     # prefix it decides
-    lengths = list(map(attrgetter("length"), candidates))
+    lengths = _fields(candidates, "length")
     starts = list(compress(range(len(lengths)), map(is_not, lengths, chain((object(),), lengths))))
     keys = _length_keys(list(map(lengths.__getitem__, starts)))
     if keys != sorted(keys):
@@ -508,9 +531,9 @@ def _assert_sorted(keys):
 def sorted_lengths(cycles):
     """The cycles' lengths in increasing order, sorted on their integer
     keys (``_length_keys``)."""
-    cycles = tuple(cycles)
-    keys = _length_keys([c.length for c in cycles])
-    return tuple(cycles[i].length for i in sorted(range(len(cycles)), key=keys.__getitem__))
+    lengths = _fields(_as_cycles(cycles), "length")
+    keys = _length_keys(lengths)
+    return tuple(lengths[i] for i in sorted(range(len(lengths)), key=keys.__getitem__))
 
 
 def compare_bases(A, B):
@@ -520,14 +543,15 @@ def compare_bases(A, B):
     "incomparable"; the non-strict verdicts only occur for distinct
     bases with identical length vectors.
     """
+    A, B = _as_cycles(A), _as_cycles(B)
     if len(A) != len(B):
         raise ValidationError("bases must have the same size")
-    keys = _length_keys([c.length for c in chain(A, B)])
+    keys = _length_keys(_fields(A + B, "length"))
     la, lb = sorted(keys[:len(A)]), sorted(keys[len(A):])
     le_ab = all(map(le, la, lb))
     le_ba = all(map(le, lb, la))
     if le_ab and le_ba:
-        return "equal" if {c.key for c in A} == {c.key for c in B} else "A<=B"
+        return "equal" if set(_fields(A, "key")) == set(_fields(B, "key")) else "A<=B"
     if le_ab:
         return "A<B"
     if le_ba:
@@ -574,7 +598,7 @@ def _greedy_certificate(basis, candidates, modulus):
     """
     n = len(basis)
     _check_classes(candidates, n)
-    keys = _length_keys([c.length for c in chain(basis, candidates)])
+    keys = _length_keys(_fields(basis, "length") + _fields(candidates, "length"))
     if len(candidates) < n:
         return True
     bound, keys = sorted(keys[:n]), keys[n:]
@@ -599,13 +623,13 @@ def is_globally_minimal(basis, candidates, modulus=0):
     ties fall back to the canonical cycle encodings.
     """
     _check_modulus(modulus)
-    basis = tuple(basis)
-    if not _is_basis([c.cls for c in basis], modulus):
+    basis = _as_cycles(basis)
+    if not _is_basis(_fields(basis, "cls"), modulus):
         raise ValidationError("input cycles do not form a basis")
-    candidates = tuple(candidates)
+    candidates = _as_cycles(candidates)
     if _greedy_certificate(basis, candidates, modulus):
         return True, None
-    keys = _length_keys([c.length for c in chain(basis, candidates)])
+    keys = _length_keys(_fields(basis + candidates, "length"))
     n = len(basis)
     witness = None
     for combo, lb in _beating_subsets(sorted(keys[:n]), candidates, keys[n:], modulus):
@@ -628,9 +652,9 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
     """
     _check_modulus(modulus)
     selected = trace.selected
-    if not selected or not _is_basis([c.cls for c in selected], trace.modulus):
+    if not selected or not _is_basis(_fields(selected, "cls"), trace.modulus):
         raise ValidationError("trace does not form a basis; nothing to verify")
-    return _greedy_certificate(selected, tuple(candidates), modulus)
+    return _greedy_certificate(selected, _as_cycles(candidates), modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ library refuses them.  The reduction moves no column and reads its
 inverse off the form rows P @ G; that inverse must equal the
 reference's product G @ P^T @ (-S).
 
-The intersection form is read off prefix sums over the contracted ring;
-it must equal the form built entry by entry from one indicator list per
-basis loop, on tiny, seeded random and one-vertex surfaces.  The faces a
+The intersection form is read off prefix sums over the contracted ring
+on its first read; it must equal the form built entry by entry from one
+indicator list per basis loop, on tiny, seeded random, one-vertex and
+catalog surfaces, and a second read must return the same object.  The faces a
 surface keeps and the fundamental walks read off kept root paths must
 equal those traced anew and walked up to the root.
 
@@ -39,6 +40,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+from surfhom.catalog import EXAMPLE_NAMES, load_example
 from surfhom.homology import (
     SurfaceHomology,
     _inverse_from_form_rows,
@@ -409,8 +411,19 @@ def seeded_surface(rng):
 
 
 def assert_form_as_before(R):
+    # the first read builds the form, and a second read returns it
     H = SurfaceHomology(R)
-    assert H.pairing_matrix == ref.interlace_form(R, H), R
+    form = H.pairing_matrix
+    assert form == ref.interlace_form(R, H), R
+    assert H.pairing_matrix is form
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_form_of_catalog_surfaces_matches_indicator_lists(name):
+    # as presented, bordered for the ribbon-graph souls, and capped
+    bundle = load_example(name)
+    for R in (bundle.ribbon, bundle.closed):
+        assert_form_as_before(R)
 
 
 @settings(max_examples=200, deadline=None)

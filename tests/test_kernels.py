@@ -11,14 +11,17 @@ guards pin that the homology path inverts no matrix, that building a
 surface's homology runs no symplectic reduction, that each symplectic
 basis runs it once, takes no determinant and takes its inverse from
 that reduction, that a canonical word's reduction multiplies no row by
-the form and unpacks no row, that a pool of enumerated cycles
-validates no walk, and that a procedure or a public Z oracle validates
-a fixed number of matrices however long its pool: counts that repeat
-exactly on any machine.
+the form and unpacks no row, that nothing reading classes alone builds
+the intersection form and its first reader builds it once, that a pool
+of enumerated cycles validates no walk, and that a procedure or a
+public Z oracle validates a fixed number of matrices however long its
+pool: counts that repeat exactly on any machine.  One guard pins the
+memory that the homology of a surface of 6,400 edges keeps.
 """
 
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,8 +30,23 @@ from hypothesis import strategies as st
 
 import surfhom
 from surfhom.catalog import EXAMPLE_NAMES, candidate_pool, load_example
-from surfhom.homology import cotree_basis, homology, symplectic_basis
-from surfhom.minima import WeightedGraph, enumerate_cycles, successive_minima_I, successive_minima_II
+from surfhom.homology import (
+    algebraic_intersection,
+    class_vector,
+    complete_system_cotree,
+    cotree_basis,
+    homology,
+    reference_basis_from_table,
+    symplectic_basis,
+)
+from surfhom.minima import (
+    WeightedGraph,
+    enumerate_cycles,
+    is_globally_minimal,
+    successive_minima_I,
+    successive_minima_II,
+    verify_lemma_procI_minimal,
+)
 from surfhom.ribbon import (
     RibbonGraph,
     schema_to_ribbon,
@@ -263,7 +281,7 @@ def count_reductions(monkeypatch):
 
 
 def test_homology_build_runs_no_symplectic_reduction(monkeypatch):
-    # the build computes H1 and its intersection form only, on every
+    # the build computes H1 only, on every
     # closed surface of the catalog and on a random one with 1,600 edges
     surfaces = [load_example(name).closed for name in EXAMPLE_NAMES]
     surfaces.append(random_ribbon_graph(random.Random(3), max_edges=1600, min_edges=1600,
@@ -328,6 +346,118 @@ def test_canonical_word_reduction_unpacks_no_row(monkeypatch):
             P, F = homology_module._symplectic_reduction(G)
         assert len(P) == len(F) == 2 * g
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# count guards: the intersection form is built on its first read, once
+
+def count_form_builds(monkeypatch):
+    """The homologies whose intersection form is built from now on, one
+    entry per build (``SurfaceHomology._build_form``)."""
+    built = []
+    build = homology_module.SurfaceHomology._build_form
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(homology_module.SurfaceHomology, "_build_form", counted)
+    return built
+
+
+def test_classes_alone_build_no_form(monkeypatch):
+    # the enumeration, walk classes, the cotree basis and its completion,
+    # both procedures and both certificates read classes and nothing else:
+    # on one-vertex and multi-vertex closed surfaces and a bordered one
+    surfaces = [schema_to_ribbon(canonical_word(g)) for g in (1, 2, 3)]
+    surfaces += [RibbonGraph(R.rotation, R.twin) for R in random_closed_surfaces(30)[:6]]
+    R = next(R for R in random_closed_surfaces(30) if len(trace_faces(R)) > 1)
+    surfaces.append(RibbonGraph(R.rotation, R.twin, {trace_faces(R)[0][0]}))
+    built = count_form_builds(monkeypatch)
+    certified = 0
+    for R in surfaces:
+        H = homology(R)
+        pool = enumerate_cycles(WeightedGraph(R, (Fraction(1),) * R.n_edges), Fraction(3))
+        assert [H.class_of_walk(c.darts) for c in pool] == [c.cls for c in pool]
+        walks = [w for w, _ in cotree_basis(R)]
+        assert [class_vector(R, w) for w in walks] == [c for _, c in cotree_basis(R)]
+        complete_system_cotree(R, walks[:1])
+        first, second = successive_minima_I(pool), successive_minima_II(pool)
+        if len(second.selected) == H.rank:
+            # procedure II's trace is a Z-basis, which the lemma's check needs
+            is_globally_minimal(second.selected, pool)
+            verify_lemma_procI_minimal(second, pool)
+            certified += 1
+    assert certified >= 3 and first.selected
+    assert built == []
+
+
+def one_vertex_surfaces():
+    """Fresh one-vertex closed surfaces: canonical words and random
+    rotations, each loop its own fundamental walk, so any two of those
+    walks share no edge."""
+    rng = random.Random(5)
+    surfaces = [schema_to_ribbon(canonical_word(g)) for g in (1, 4)]
+    while len(surfaces) < 6:
+        R = random_ribbon_graph(rng, max_edges=8, min_edges=3, vertices=1)
+        if surface_invariants(R).genus:
+            surfaces.append(R)
+    return surfaces
+
+
+def form_readers(R):
+    """Each reader of the intersection form of R's homology, by name, as
+    a call of no arguments.  The declared table that
+    ``reference_basis_from_table`` reads is the symplectic basis of a
+    copy of R, so setting it up builds no form of R's own homology."""
+    H = homology(R)
+    walks = [w for w, _ in cotree_basis(R)]
+    B = symplectic_basis(RibbonGraph(R.rotation, R.twin))
+    table = [B.express(H.class_of_walk(w)) for w in walks]
+    return {
+        "pairing_matrix": lambda: H.pairing_matrix,
+        "pair": lambda: H.pair(H.class_of_walk(walks[0]), H.class_of_walk(walks[1])),
+        "symplectic_basis": lambda: symplectic_basis(R),
+        "reference_basis_from_table": lambda: reference_basis_from_table(
+            R, "table", B.names, table, walks),
+        "algebraic_intersection": lambda: algebraic_intersection(R, walks[0], walks[1]),
+    }
+
+
+FORM_READERS = ("algebraic_intersection", "pair", "pairing_matrix",
+                "reference_basis_from_table", "symplectic_basis")
+
+
+@pytest.mark.parametrize("first", FORM_READERS)
+def test_each_homology_builds_its_form_once(monkeypatch, first):
+    # whichever reader comes first builds the form; every later read of
+    # any reader, however often, returns the kept form
+    surfaces = one_vertex_surfaces()
+    readers = [form_readers(R) for R in surfaces]
+    built = count_form_builds(monkeypatch)
+    for R, read in zip(surfaces, readers):
+        for name in (first, *FORM_READERS, *FORM_READERS):
+            read[name]()
+        assert built[-1] is homology(R)
+        assert homology(R).pairing_matrix is homology(R).pairing_matrix
+    assert built == [homology(R) for R in surfaces]
+
+
+def test_homology_of_6400_edges_keeps_under_30_mb_and_builds_no_form(monkeypatch):
+    # without its intersection form, a closed surface of 6,400 edges and
+    # 3,200 vertices keeps its packed dart classes and tree and little
+    # else: the unpacked form alone kept about 80 MB
+    R = random_ribbon_graph(random.Random(3), max_edges=6400, min_edges=6400, vertices=3200)
+    built = count_form_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        H = homology(R)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert H.rank == 2 * surface_invariants(R).genus > 0
+    assert kept <= 30_000_000, kept
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

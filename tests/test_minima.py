@@ -315,6 +315,50 @@ def test_candidate_lengths_may_be_ints_and_fractions_together():
         assert LENGTH_ENTRY_POINTS[entry](basis, mixed) == LENGTH_ENTRY_POINTS[entry](basis, pool)
 
 
+CANDIDATE_ENTRY_POINTS = {
+    **LENGTH_ENTRY_POINTS,
+    "compare_bases": lambda basis, pool: compare_bases(pool, pool),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CANDIDATE_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [7, "ab", None, (1, 2)], ids=["int", "str", "None", "tuple"])
+def test_a_candidate_that_is_not_a_cycle_is_refused(entry, value):
+    # a candidate with no class or no length is named, wherever it
+    # stands in the pool, as a malformed class or length is
+    basis, pool = torus_basis_and_pool()
+    for cycles in (pool + [value], [value] + pool, [value]):
+        with pytest.raises(ValidationError, match=f"^candidate {re.escape(repr(value))} "
+                           "is not a cycle$"):
+            CANDIDATE_ENTRY_POINTS[entry](basis, cycles)
+
+
+@pytest.mark.parametrize("entry", sorted(CANDIDATE_ENTRY_POINTS))
+def test_a_pool_that_is_not_iterable_is_refused(entry):
+    basis, _ = torus_basis_and_pool()
+    with pytest.raises(ValidationError, match="^candidates None are not an iterable of cycles$"):
+        CANDIDATE_ENTRY_POINTS[entry](basis, None)
+
+
+@pytest.mark.parametrize("value", [7, None], ids=["int", "None"])
+def test_a_basis_cycle_that_is_not_a_cycle_is_refused(value):
+    # the certificates name a non-cycle in the basis they test as well
+    basis, pool = torus_basis_and_pool()
+    bad = basis[:-1] + (value,)
+    match = f"^candidate {re.escape(repr(value))} is not a cycle$"
+    with pytest.raises(ValidationError, match=match):
+        is_globally_minimal(bad, pool)
+    with pytest.raises(ValidationError, match=match):
+        verify_lemma_procI_minimal(MinimaTrace((), bad, "reached-count", 0), pool)
+
+
+def test_compare_bases_takes_any_iterable():
+    basis, pool = torus_basis_and_pool()
+    assert compare_bases(iter(basis), iter(basis)) == compare_bases(basis, basis) == "equal"
+    assert compare_bases(iter(pool[:2]), (c for c in pool[2:])) == \
+        compare_bases(pool[:2], pool[2:])
+
+
 fraction_values = st.one_of(
     st.integers(-6, 40),
     st.fractions(min_value=-6, max_value=40, max_denominator=24),
