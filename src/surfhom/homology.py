@@ -1,4 +1,5 @@
-"""First homology of a ribbon-graph surface, with its intersection form.
+"""First homology of a ribbon-graph surface, with its intersection form
+and a canonical basis.
 
 H1 comes from a tree-cotree decomposition (Eppstein, "Dynamic generators
 of topologically embedded graphs", SODA 2003).  T is the BFS spanning
@@ -8,46 +9,40 @@ boundary walk merged into C's root.  The leftover edges L, 2g of them
 on a closed surface, are the basis: each loop of L closed through T
 has a unit class.  Peeling C from its leaves writes
 every other non-tree edge as a row over L, because a face boundary is
-null-homologous.  Two loops of L cross exactly when their darts
-interleave in the rotation around the contracted tree T, which one walk
-around T reads off: prefix sums over that ring give each row of the
-intersection form in a few big-integer steps (``SurfaceHomology``).
-The intersection number of two walks is the form on their classes
+null-homologous.  Contracting T leaves one vertex; the ends of the
+loops of L in its rotation are a one-face chord word
+(``SurfaceHomology._chord_word``), and two loops cross exactly when
+their chords interleave.  Prefix sums over the word give each row of
+the intersection form G in a few big-integer steps, and the
+intersection number of two walks is the form on their classes
 (``algebraic_intersection``).
 
-The build computes H1 only: the class of every dart.  The intersection
-form G is built on the first read of ``pairing_matrix`` and kept, so
-the enumeration, the procedures and the certificates, which read
-classes and nothing else, never build it.
-``symplectic_basis`` runs the integer symplectic reduction of G on each
-call: rows P of a basis with P @ G @ P^T equal to the standard form S.
-It pivots on units only: G is the interlace form of a one-vertex,
-one-face chord diagram, and the chords slid off a handle form another,
-so every pivot is +-1: no surface of the test suite, the benchmark or
-31,560 random ones needed a Euclid pass (``_symplectic_reduction``).
-It moves no column: it chooses each pair through a permutation of the
-rows and computes the form row P[x] @ G of each row once it is final,
-so F = P @ G holds at the end and P^-1 = F^T @ S is read off F with no
-further product.
+The build computes H1 only: the class of every dart.  G is built on the
+first read of ``pairing_matrix`` and kept, so the enumeration, the
+procedures and the certificates, which read classes and nothing else,
+never build it.  ``symplectic_basis`` never builds it either: on each
+call it reduces the chord word (``_reduce_word``) to rows P with
+P @ G @ P^T equal to the standard form S.  Each step slides a handle
+off the word (Lazarus, Pocchiola, Vegter and Verroust, SoCG 2001), which
+is one rank-2 step of the symplectic reduction of G, and the form row
+P[x] @ G of each settled row is its chord's crossings, so P^-1 is read
+off the word with no product.
 
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
 digits of a fixed byte width, so adding multiples of rows is big-integer
-arithmetic.  The reduction packs its basis rows P at 8-byte digits and
-keeps a bound per row; past the width it resets the bounds to the rows'
-true maxima first and doubles the width only if that is not enough.
-A row r times G (``_RowTimes``) is the sum of G's packed rows over r's
-nonzeros, at the least width that holds every entry of the product,
-from the exact bound sum_j |r_j| * max |G|.  The build packs each
-dart's class once, at digits that hold any edge-simple walk's class, so
-the class of an enumerated cycle is a sum of its darts' packed rows,
-and one ``_Unpacked`` table per surface unpacks each distinct sum once.
+arithmetic.  The reduction packs its settled rows at 1-byte digits and
+widens them only when a new row's bound passes the width.  The build
+packs each dart's class once, at digits that hold any edge-simple
+walk's class, so the class of an enumerated cycle is a sum of its
+darts' packed rows, and one ``_Unpacked`` table per surface unpacks
+each distinct sum once.
 """
 
 import struct
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
-from operator import mul, neg, or_
+from itertools import accumulate, chain
+from operator import invert, neg
 from typing import NamedTuple
 
 from .ribbon import (
@@ -167,43 +162,18 @@ class _Packing:
 class _Unpacked(dict):
     """Packed sum -> class: a missing sum is unpacked and kept, so every
     read of one sum returns the same class object
-    (``SurfaceHomology._class``)."""
+    (``SurfaceHomology._class``).  ``bits`` is the digit width in bits:
+    the packed class s * e_c is s * 2^(bits * c)."""
 
-    __slots__ = ("unpack",)
+    __slots__ = ("unpack", "bits")
 
     def __init__(self, packing):
         self.unpack = packing.unpack_one
+        self.bits = 8 * packing.size
 
     def __missing__(self, s):
         cls = self[s] = self.unpack(s)
         return cls
-
-
-class _RowTimes:
-    """The product r @ G of an integer row r with a fixed integer matrix
-    G: the sum of G's packed rows (``_Packing``) over the nonzero entries
-    of r, unpacked.  Its entries are at most sum_j |r_j| times the
-    largest |G| entry in absolute value; G is packed at the first call,
-    at the least width that holds that bound, and packed again, wider,
-    when a later row needs more."""
-
-    __slots__ = ("G", "largest", "packing", "rows", "top")
-
-    def __init__(self, G):
-        self.G = G
-        self.largest = self.packing = self.rows = None
-        self.top = 0
-
-    def __call__(self, r):
-        nz = list(compress(r, r))
-        if self.largest is None:
-            self.largest = max(map(abs, set(chain.from_iterable(self.G))), default=0)
-        reach = sum(map(abs, nz)) * self.largest
-        if reach >= self.top:
-            self.packing = _Packing(_digit_bytes(reach), len(self.G))
-            self.rows = self.packing.pack(self.G)
-            self.top = 1 << (8 * self.packing.size - 1)
-        return self.packing.unpack_one(sum(map(mul, nz, compress(self.rows, r))))
 
 
 def _inverse_from_form_rows(F):
@@ -218,129 +188,124 @@ def _inverse_from_form_rows(F):
     return tuple(zip(*columns))
 
 
-_NOT_UNIMODULAR = "intersection form of a closed surface must be unimodular"
+def _reduce_word(word):
+    """The canonical basis of the chord word of 2g basis loops
+    (``SurfaceHomology._chord_word``): its rows P, with P @ G @ P^T == S
+    for the word's interlace form G, the inverse P^-1, and per row the
+    pair (c, s) when the row is s * e_c, else None.
 
-# digit width in bytes at which the reduction packs its basis rows
-_START_BYTES = 8
+    It is the symplectic reduction of G, taken on the word itself.  Step
+    k settles rows a = 2k and b = 2k + 1.  Each row left began as the
+    unit vector e_c of its chord c (``order``), and pairs with another
+    row left as their chords cross in the current word: +1 when the
+    other chord's tail, and not its head, lies strictly inside the arc
+    from c's tail to c's head; -1 the other way round.  The first later
+    row whose chord crosses a's moves to b, negated if that crossing is
+    -1.  Every later row i then takes, with q = (a, i) and c = (i, b),
+        P[i] <- P[i] - q * P[b] - c * P[a],
+    which pairs it to zero with a and b, and the handle (a, b) slides
+    off the word: a X b Y a' Z b' U becomes Z Y X U, whose interlace
+    form is the reduced form (Lazarus, Pocchiola, Vegter and Verroust,
+    SoCG 2001).  A chord of a one-face word crosses some other chord;
+    a pivot chord that crosses none raises AssertionError.
 
+    A row keeps its steps (``terms``: ``terms[c]`` the rows it
+    subtracts, ``terms[~c]`` those it adds) and sums them once, when it
+    settles, over the packed settled rows (``_Packing``, 1-byte digits
+    first).  Its bound is 1 plus the exact maxima of those rows; when
+    that passes the digit width, every settled row is packed again, at
+    the least width that holds it.  A row that took no step is a slice
+    of a template.
 
-def _symplectic_reduction(G):
-    """Rows P of a basis in which the antisymmetric integer form G (zero
-    diagonal) is the standard form S, P @ G @ P^T == S exactly, and the
-    rows P @ G: the pair (P, P @ G).
-
-    Step k takes basis rows a = k and b = k + 1 to a canonical pair.
-    Entry (x, t) of the reduced form, the pairing of rows x and t, is
-    F[x] . P[t], where F[x] = P[x] @ G is computed (``_RowTimes``) once
-    row x has joined its pair and stops changing.  The first later row
-    whose entry with a is a unit moves to b, and row b is negated if
-    that entry is -1.  One rank-2 step per later row i, with q = (a, i)
-    and c = (i, b) = -(b, i),
-        P[i] <- P[i] - q * P[b] - c * P[a]
-    makes row i pair to zero with both a and b.  A later row t began as
-    the unit vector e_c, c = ``order[t]``, and has only taken multiples
-    of earlier pairs' rows, which pair to zero with a and b, so it pairs
-    with them as F[a][c] and F[b][c].  No column is ever moved, so
-    F = P @ G at the end, and P^-1 is read off F
-    (``_inverse_from_form_rows``).
-
-    A surface's form always has a unit pivot.  The tree-cotree form is
-    the interlace form of a one-vertex, one-face chord diagram, entries
-    in {-1, 0, 1}.  The other chords slide off a handle (a, b) that
-    crosses once and still form such a diagram (the canonical polygonal
-    schema: Lazarus, Pocchiola, Vegter and Verroust, SoCG 2001), and as
-    the projection onto <a, b>^perp is unique, their classes are the
-    rows the step leaves.  So the reduced form keeps entries in
-    {-1, 0, 1}.  The test suite, the benchmark, the catalog and 31,560
-    random surfaces never reached a pair without a unit pivot.  Every step is
-    unimodular, so success proves det(G) = 1; a form with a pair that
-    has no unit pivot (every form that is not unimodular, and forms that
-    only a Euclid pass would reduce) raises AssertionError.
-
-    Each row of P is one int (``_Packing``, from ``_START_BYTES``-byte
-    digits), so a rank-2 step is two big-int multiply-adds.  Each row
-    keeps a bound on its entries.  When a step would push a bound past
-    the digit width, every bound is reset to its row's true maximum,
-    and only if the step still overflows does the width double.  No
-    bound on P is proved: forms Q S Q^T with Q lower unitriangular
-    reduce by unit pivots alone and drive P far past machine words.
-
-    A flag per row (``unit``) records that no step has changed it: every
-    flag starts set, a step clears the flag of the row it updates, and a
-    flag moves with its row when rows swap; negating a row keeps it.  A
-    row whose flag is set is still +-e_c, so it settles as a slice of a
-    template with the form row +-G[c]: no unpacking and no product.  A
-    canonical word's reduction changes no row at all.  A changed row
-    that is +-e_c again takes the general path, which gives equal values.
+    The form row P[x] @ G of a settled row is its chord's crossings when
+    it settles: the rows settled before pair to zero with it, and every
+    row left pairs with it as the chords cross.  So the rows P @ G, and
+    P^-1 = (P @ G)^T @ S (``_inverse_from_form_rows``), are read off the
+    word.
     """
-    n = len(G)
-    packing = _Packing(_START_BYTES, n)
-    bits = 8 * packing.size
-    P = [1 << i for i in range(0, bits * n, bits)]
-    bound = [1] * n
-    top = 1 << (bits - 1)
-    order = list(range(n))  # the unit vector each row began as
-    unit = bytearray(b"\x01") * n  # unit[t]: no step has changed row t
+    n = len(word) // 2
+    chord = [*range(n), *range(n - 1, -1, -1)]  # label -> its chord
+    sign = [1] * n + [-1] * n  # label -> +1 at a tail, -1 at a head
+    order = list(range(n))  # row -> the chord it began as
+    at = chord[:]  # label -> the row of its chord
+    terms = [[] for _ in range(2 * n)]
     plus, minus = _unit_templates(n)
-    rows, F = [None] * n, [None] * n  # final rows of P, unpacked, and P @ G
-    times = _RowTimes(G)
+    packing = _Packing(1, n)
+    rows, packed, bound, units, F = [], [], [], [], []
 
-    def fit(i, q, j, c, k):
-        """The bound of P[i] - q * P[j] - c * P[k], a step past the digit
-        width, after making room for it: every bound is reset to its
-        row's true maximum, and only if the new bound still overflows
-        does the width double, as often as it needs (``_digit_bytes``)."""
-        nonlocal packing, top
-        flat = packing.unpack(P)
-        bound[:] = [max(map(abs, flat[r * n:r * n + n])) for r in range(n)]
-        nb = bound[i] + abs(q) * bound[j] + abs(c) * bound[k]
-        if nb >= top:
+    def settle(c, s):
+        """Append the row of chord c, times s, to the settled rows."""
+        nonlocal packing
+        add, sub = terms[~c], terms[c]
+        if not (add or sub):
+            rows.append(plus[n - c:2 * n - c] if s > 0 else minus[n - c:2 * n - c])
+            packed.append(s << (8 * packing.size * c))
+            bound.append(1)
+            units.append((c, s))
+            return
+        nb = 1 + sum(map(bound.__getitem__, add)) + sum(map(bound.__getitem__, sub))
+        if nb >> (8 * packing.size - 1):
             packing = _Packing(_digit_bytes(nb), n)
-            P[:] = packing.pack([flat[r * n:r * n + n] for r in range(n)])
-            top = 1 << (8 * packing.size - 1)
-        return nb
-
-    def settle(x):
-        """Row x joins its pair, and no step changes it after that.  A row
-        that is still a unit vector +-e_c (``unit[x]``) is a slice of a
-        template and has the form row +-G[c]."""
-        c = order[x]
-        if unit[x]:
-            if P[x] > 0:
-                rows[x], F[x] = plus[n - c:2 * n - c], G[c]
-            else:
-                rows[x], F[x] = minus[n - c:2 * n - c], tuple(map(neg, G[c]))
-        else:
-            rows[x] = packing.unpack_one(P[x])
-            F[x] = times(rows[x])
+            packed[:] = packing.pack(rows)
+        bits = 8 * packing.size
+        p = (1 << bits * c) + sum(map(packed.__getitem__, add)) - sum(map(packed.__getitem__, sub))
+        p = p if s > 0 else -p
+        row = packing.unpack_one(p)
+        rows.append(row)
+        packed.append(p)
+        bound.append(max(map(abs, row)))
+        u = abs(p)
+        top = u.bit_length() - 1
+        units.append((top // bits, 1 if p > 0 else -1) if u == 1 << top and not top % bits
+                     else None)
 
     for a in range(0, n, 2):
-        b = a + 1
-        settle(a)
-        Fa = F[a]
-        g = [Fa[c] for c in order[b:]]
-        units = [g.index(u) for u in (1, -1) if u in g]
-        if not units:
-            raise AssertionError(_NOT_UNIMODULAR)
-        j = b + min(units)
-        if j != b:
-            P[b], P[j] = P[j], P[b]
-            bound[b], bound[j] = bound[j], bound[b]
-            order[b], order[j] = order[j], order[b]
-            unit[b], unit[j] = unit[j], unit[b]
-            g[0], g[j - b] = g[j - b], g[0]
-        if g[0] < 0:
-            P[b] = -P[b]
-        settle(b)
-        Fb = F[b]
-        h = [Fb[c] for c in order[b + 1:]]
-        for i in compress(range(b + 1, n), map(or_, g[1:], h)):
-            q, c = g[i - b], -h[i - b - 1]
-            nb = bound[i] + abs(q) * bound[b] + abs(c) * bound[a]
-            bound[i] = nb if nb < top else fit(i, q, b, c, a)
-            P[i] = P[i] - q * P[b] - c * P[a]
-            unit[i] = 0
-    return tuple(rows), tuple(F)
+        b, ca = a + 1, order[a]
+        i = word.index(ca)
+        word = word[i:] + word[:i]
+        m, j = len(word), word.index(~ca)
+        # the word from a's tail is a X b Y a' Z b' U.  cross: the labels
+        # inside a's arc of the chords that cross a, read off the shorter
+        # side of a
+        if 2 * j <= m:
+            arc = word[1:j]
+            cross = set(arc).difference(map(invert, arc))
+        else:
+            arc = word[j + 1:]
+            cross = set(map(invert, arc)).difference(arc)
+        if not cross:
+            raise AssertionError(f"pivot chord {ca} crosses no other chord")
+        t = min(map(at.__getitem__, cross))
+        cb = order[t]
+        if t != b:
+            order[b], order[t] = cb, order[b]
+            at[cb] = at[~cb] = b
+            at[order[t]] = at[~order[t]] = t
+        s = 1 if cb in cross else -1
+        settle(ca, 1)
+        settle(cb, s)
+        # b's ends at u inside a's arc and at v past a'.  crossed: the
+        # labels outside them, in U a X, of the chords that cross b
+        inner = cb if s > 0 else ~cb
+        u, v = word.index(inner, 1, j), word.index(~inner, j + 1)
+        if m < 2 * (v - u):
+            arc = word[v + 1:] + word[:u]
+            crossed = set(arc).difference(map(invert, arc))
+        else:
+            arc = word[u + 1:v]
+            crossed = set(map(invert, arc)).difference(arc)
+        word = word[j + 1:v] + word[u + 1:j] + word[1:u] + word[v + 1:]
+        # P[a] @ G and P[b] @ G, and the step of each later row, whose
+        # label y names the list of ``terms`` that takes the row
+        Fa, Fb = [0] * n, [0] * n
+        for y in cross:
+            terms[y].append(b)
+            Fa[chord[y]] = sign[y]
+        for y in crossed:
+            terms[y].append(a)
+            Fb[chord[y]] = sign[~y]
+        F += (Fa, Fb)
+    return tuple(rows), _inverse_from_form_rows(F), units
 
 
 class _WalkClass(NamedTuple):
@@ -362,8 +327,8 @@ class SurfaceHomology:
                        i-th one is the i-th unit vector
     pairing_matrix     intersection numbers of the L loops, built on
                        its first read and kept (``_build_form``): read
-                       off prefix sums over the ring of darts around
-                       the contracted tree, where the sum up to a ring
+                       off prefix sums over the chord word of the L
+                       loops (``_chord_word``), where the sum up to a
                        position packs, one signed byte per loop f,
                        whether f's tail and head come before it, so the
                        difference of two sums is the row of the arc
@@ -394,7 +359,7 @@ class SurfaceHomology:
         self._walk_class = {}
         self._cotree = None  # cotree_basis, built by its first call
         self._root_paths = None  # vertex -> tree darts from the root, by _tree_path
-        self._rotation = R.rotation  # read by _build_form only
+        self._rotation = R.rotation  # read by _chord_word only
         self._form = None  # pairing_matrix, built by its first read
         # T is the BFS tree that validating R grew from vertex 0
         self.parent = R._tree_parent
@@ -443,33 +408,39 @@ class SurfaceHomology:
 
     def _build_form(self):
         """The rows of the intersection form, read off prefix sums over
-        the ring of darts around the contracted tree T."""
+        the chord word (``_chord_word``).  Loop f crosses loop e when
+        exactly one end of f lies strictly inside the arc of the word
+        from e's tail to its head: +1 when that end is f's tail.
+        ends[p] packs, one signed byte per loop f, [tail_f < p] -
+        [head_f < p], and ends[2n] is 0, so on either side of the word's
+        cut the arc's row is ends[head_e] - ends[tail_e + 1], every entry
+        -1, 0 or 1."""
+        word = self._chord_word()
+        n = self.rank
+        form = _Packing(1, n)
+        ends = list(accumulate([1 << 8 * x if x >= 0 else -1 << 8 * ~x for x in word], initial=0))
+        pos = [0] * (2 * n)
+        for p, x in enumerate(word):
+            pos[x] = p
+        return tuple([form.unpack_one(ends[pos[~i]] - ends[pos[i] + 1]) for i in range(n)])
+
+    def _chord_word(self):
+        """The ends of the basis loops in their order around the
+        contracted tree T: the i-th loop e reads i at its tail twin[e]
+        and ~i at its head e.  The walk around T, stepping across each
+        tree dart and past every other one, is one cycle through every
+        dart (``_orbits``): the rotation at the one vertex left."""
         twin, parent = self.twin, self.parent
         tree = {d for p in parent.values() if p is not None for d in (p, twin[p])}
-        # the rotation at the one vertex left after contracting T: the walk
-        # around T, stepping across each tree dart and past every other
-        # one, is one cycle through every dart (``_orbits``), and the ring
-        # is its non-tree darts
         nxt = [None] * len(twin)
         for cyc in self._rotation:
             for i, d in enumerate(cyc):
                 nxt[cyc[i - 1]] = d
         (around,) = _orbits([nxt[twin[d]] if d in tree else nxt[d] for d in range(len(twin))])
-        ring = [d for d in around if d not in tree]
-        # loop f crosses loop e when exactly one end of f lies strictly
-        # inside the ring arc from twin[e] to e: +1 when that end is twin[f].
-        # ends[p] packs, one signed byte per loop f, [tail_f < p] - [head_f < p];
-        # ends[L] is 0, so on either side of the ring's cut the arc's row is
-        # ends[head_e] - ends[tail_e + 1], every entry -1, 0 or 1
-        form = _Packing(1, self.rank)
-        step = {}
+        label = {}
         for i, e in enumerate(self.basis_edges):
-            step[e] = -1 << (8 * i)
-            step[twin[e]] = 1 << (8 * i)
-        ends = list(accumulate([step.get(d, 0) for d in ring], initial=0))
-        pos = {d: i for i, d in enumerate(ring)}
-        return tuple([form.unpack_one(ends[pos[e]] - ends[pos[twin[e]] + 1])
-                      for e in self.basis_edges])
+            label[twin[e]], label[e] = i, ~i
+        return [label[d] for d in around if d in label]
 
     # -- coordinates ------------------------------------------------------
 
@@ -721,35 +692,45 @@ def symplectic_basis(R):
     and every other pairing 0, so the intersection matrix is exactly the
     standard block form S.
 
-    Each call runs the symplectic reduction of the intersection form G
-    of R's homology (``_symplectic_reduction``), whose rows P have
-    P @ G @ P^T == S, so P^-1 = (P @ G)^T @ S exactly.  The reduction
-    moves no column, so it returns the rows P @ G as well, and P^-1 is
-    read off them: inverting P takes neither an elimination nor a
-    product.  A basis row's walk is the first cotree walk whose class
-    is +-P[i], reversed for -P[i]: one dict from each row to its index,
-    where each class is looked up as it is and, only when that misses,
-    negated.
+    Each call reduces the chord word of R's basis loops
+    (``_reduce_word``), which gives the rows P, with P @ G @ P^T == S for
+    the intersection form G, and P^-1 read off the word; G itself is
+    never built.  A basis row's walk is the first cotree walk whose class
+    is +-P[i], reversed for -P[i].  A class s * e_c is matched to the
+    row that is +-e_c by (c, s); only the other classes are looked up
+    in a dict from the other rows to their index, each as it is and,
+    only when that misses, negated.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
     H = homology(R)
-    P, F = _symplectic_reduction(H.pairing_matrix)
+    P, inverse, units = _reduce_word(H._chord_word())
     g = H.rank // 2
     # attach representative walks where a basis row is the class of a
     # fundamental cycle, or of one reversed: the first such cycle
-    index = {row: i for i, row in enumerate(P)}
+    unit_rows = {u: i for i, u in enumerate(units) if u}
+    index = None
+    bits = H._class.bits
     walks = [None] * len(P)
-    for walk, cls in cotree_basis(R):
-        i = index.get(cls)
-        if i is None:
-            i = index.get(tuple(map(neg, cls)))
-            if i is not None and walks[i] is None:
-                walks[i] = tuple(R.twin[d] for d in reversed(walk))
-        elif walks[i] is None:
-            walks[i] = walk
+    for e, (walk, cls) in zip(H.fundamental_edges, cotree_basis(R)):
+        p = H._packed[e]
+        if not p:
+            continue
+        top = abs(p).bit_length() - 1
+        if abs(p) == 1 << top:
+            s = 1 if p > 0 else -1
+            i, j = unit_rows.get((top // bits, s)), unit_rows.get((top // bits, -s))
+        else:
+            if index is None:
+                index = {row: i for i, (row, u) in enumerate(zip(P, units)) if not u}
+            i = index.get(cls)
+            j = None if i is not None else index.get(tuple(map(neg, cls)))
+        if i is not None:
+            if walks[i] is None:
+                walks[i] = walk
+        elif j is not None and walks[j] is None:
+            walks[j] = tuple(R.twin[d] for d in reversed(walk))
     names = tuple(nm for i in range(1, g + 1) for nm in (f"a{i}", f"b{i}"))
-    inverse = _inverse_from_form_rows(F)
     return ReferenceBasis("symplectic", names, P, inverse, standard_symplectic(g), tuple(walks))
 
 

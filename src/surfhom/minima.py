@@ -651,8 +651,11 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
     that the selection is drawn from the candidates.
     """
     _check_modulus(modulus)
-    selected = trace.selected
-    if not selected or not _is_basis(_fields(selected, "cls"), trace.modulus):
+    try:
+        selected, ring = trace.selected, trace.modulus
+    except AttributeError:
+        raise ValidationError(f"trace {trace!r} is not a procedure trace") from None
+    if not selected or not _is_basis(_fields(selected, "cls"), ring):
         raise ValidationError("trace does not form a basis; nothing to verify")
     return _greedy_certificate(selected, _as_cycles(candidates), modulus)
 

@@ -7,17 +7,24 @@ basis A, read off as the old classes of the new basis loops: every old
 class is the new class times A, and A carries the old pairing to the
 new one.
 
-``symplectic_basis`` runs its own reduction on each call, with one
-rank-2 step per row at a unit pivot; the reference reduces by
-full row and column operations, with a Euclid pass where a pivot is not
-a unit.  A surface's form always has a unit pivot, so on every surface
-their bases must be equal field by field, and so must the reductions of
-forms Q S Q^T with Q lower unitriangular, whose basis rows run far past
-machine words.  Forms U S U^T whose first row has no unit entry are
-unimodular but not a surface's: the reference reduces them, and the
-library refuses them.  The reduction moves no column and reads its
-inverse off the form rows P @ G; that inverse must equal the
-reference's product G @ P^T @ (-S).
+``symplectic_basis`` reduces the chord word of the basis loops: one
+handle slide per pair, which is one rank-2 step of the symplectic
+reduction of the form.  The reference (``reference_homology``) reduces
+the form by full row and column operations, with a Euclid pass where a
+pivot is not a unit; the unit-pivot reduction of the form that the
+library ran before (``unit_pivot_reduction``, ``unit_pivot_basis``)
+takes the word's pivots.  On every surface the three bases must be
+equal field by field, up to random rotations of 800 and 1,600 edges,
+where only the unit-pivot oracle is fast enough and the word
+reduction's packed rows widen.  That a handle slide leaves the reduced
+form is checked on its own, on random one-face words.  A word whose
+pivot chord crosses no other chord is not a surface's, and is refused.
+The unit-pivot oracle keeps its own checks: its reduction of forms
+Q S Q^T with Q lower unitriangular, whose basis rows run far past
+machine words, and at small starting digit widths, must equal the
+reference's, and forms that are not a surface's (no unit pivot, not
+unimodular) are refused.  The inverse read off the form rows P @ G must
+equal the reference's product G @ P^T @ (-S).
 
 The intersection form is read off prefix sums over the contracted ring
 on its first read; it must equal the form built entry by entry from one
@@ -44,8 +51,7 @@ from surfhom.catalog import EXAMPLE_NAMES, load_example
 from surfhom.homology import (
     SurfaceHomology,
     _inverse_from_form_rows,
-    _RowTimes,
-    _symplectic_reduction,
+    _reduce_word,
     algebraic_intersection,
     cotree_basis,
     homology,
@@ -65,7 +71,13 @@ from surfhom.zlattice import det_int, identity, int_inverse, matmul, transpose, 
 
 from . import reference_homology as ref
 from . import reference_ribbon
-from .util import canonical_word, random_ribbon_graph, tiny_weighted_graphs
+from .util import (
+    canonical_word,
+    interlace_form,
+    random_ribbon_graph,
+    reduced_form,
+    tiny_weighted_graphs,
+)
 
 PER_KIND = 300
 
@@ -136,8 +148,8 @@ def test_fundamental_walk_refuses_a_tree_dart():
             H.fundamental_walk(d)
 
 
-def assert_same_basis(R):
-    new, old = symplectic_basis(R), ref.symplectic_basis(R)
+def assert_same_basis(R, reference=ref.symplectic_basis):
+    new, old = symplectic_basis(R), reference(R)
     assert new.matrix == old.matrix, R
     assert new.inverse == old.inverse, R
     assert new.pairing == old.pairing, R
@@ -180,9 +192,60 @@ def test_symplectic_basis_of_a_400_edge_surface_matches_reference():
     H = homology(R)
     assert R.n_edges == 400 and H.rank >= 190
     G = H.pairing_matrix
-    assert _symplectic_reduction(G)[0] == ref.symplectic_reduction(G)[0]
+    assert ref.unit_pivot_reduction(G)[0] == ref.symplectic_reduction(G)[0]
+    assert _reduce_word(H._chord_word())[0] == ref.symplectic_reduction(G)[0]
     assert_same_basis(R)
+    assert_same_basis(R, ref.unit_pivot_basis)
 
+
+
+@pytest.mark.parametrize("edges", [800, 1600])
+def test_symplectic_basis_of_a_random_rotation_matches_the_unit_pivot_oracle(monkeypatch, edges):
+    # a random rotation on edges / 2 vertices, genus about edges / 4: the
+    # sums that settle its basis rows pass 1-byte digits, so the packed
+    # rows widen, and the basis must still be the oracle's, byte for byte
+    R = random_ribbon_graph(random.Random(3), max_edges=edges, min_edges=edges,
+                            vertices=edges // 2)
+    H = homology(R)
+    widths = []
+
+    class Spy(homology_module._Packing):
+        __slots__ = ()
+
+        def __init__(self, size, count):
+            widths.append(size)
+            super().__init__(size, count)
+
+    with monkeypatch.context() as m:
+        m.setattr(homology_module, "_Packing", Spy)
+        new = symplectic_basis(R)
+    assert widths[0] == 1 and max(widths) > 1
+    assert H.rank >= edges // 2 - 10
+    assert new == ref.unit_pivot_basis(RibbonGraph(R.rotation, R.twin))
+
+
+def test_slide_of_a_handle_leaves_the_reduced_form_on_one_face_words():
+    # on a one-vertex, one-face chord word a X b Y a' Z b' U, where b is
+    # any chord that crosses a and either end of a comes first, the
+    # interlace form of Z Y X U is the form that one rank-2 step of the
+    # symplectic reduction leaves on the other chords
+    rng = random.Random("slide")
+    checked = 0
+    for genus in range(1, 9):
+        for _ in range(40):
+            word = homology(one_vertex_word(rng, genus))._chord_word()
+            a = rng.choice(word)
+            i = word.index(a)
+            word = word[i:] + word[:i]
+            G = interlace_form(word)
+            ca = a if a >= 0 else ~a
+            cb = rng.choice([x for x in G[ca] if G[ca][x]])
+            j = word.index(~a)
+            u, v = sorted((word.index(cb), word.index(~cb)))
+            X, Y, Z, U = word[1:u], word[u + 1:j], word[j + 1:v], word[v + 1:]
+            assert interlace_form(Z + Y + X + U) == reduced_form(G, ca, cb), word
+            checked += 1
+    assert checked == 320
 
 def unimodular(rng, n, multipliers=(-3, -2, -1, 1, 2, 3)):
     """A random integer matrix of determinant +-1: the identity under
@@ -217,7 +280,7 @@ def test_reduction_refuses_unimodular_forms_without_a_unit_pivot():
     for form in non_unit_forms(20261018, 60):
         assert ref.symplectic_reduction(form)[1] == standard_symplectic(len(form) // 2)
         with pytest.raises(AssertionError, match="must be unimodular"):
-            _symplectic_reduction(form)
+            ref.unit_pivot_reduction(form)
 
 
 def unitriangular(rng, n, entries=(-10 ** 9, -10 ** 6, 10 ** 6, 10 ** 9)):
@@ -239,7 +302,7 @@ def huge_entry_forms():
 def test_reduction_of_forms_with_huge_entries_matches_reference():
     # unit pivots alone, at basis entries far beyond machine words
     for form in huge_entry_forms():
-        P = _symplectic_reduction(form)[0]
+        P = ref.unit_pivot_reduction(form)[0]
         assert max(abs(x) for r in P for x in r) > 2 ** 64 or len(form) < 6
         assert P == ref.symplectic_reduction(form)[0]
 
@@ -253,7 +316,19 @@ def test_reduction_of_forms_with_huge_entries_matches_reference():
 ])
 def test_reduction_refuses_a_form_that_is_not_unimodular(form):
     with pytest.raises(AssertionError, match="must be unimodular"):
-        _symplectic_reduction(form)
+        ref.unit_pivot_reduction(form)
+
+
+@pytest.mark.parametrize("word", [
+    [0, ~0, 1, ~1],
+    [1, ~1, 0, ~0],
+    [0, 1, ~1, ~0, 2, 3, ~2, ~3],
+])
+def test_word_reduction_refuses_a_pivot_chord_that_crosses_no_chord(word):
+    # such a word has more than one face, so no surface's basis loops
+    # read it
+    with pytest.raises(AssertionError, match="crosses no other chord"):
+        _reduce_word(word)
 
 
 def random_surfaces(seed, count, min_edges=20, max_edges=40):
@@ -275,10 +350,10 @@ def test_reduction_at_a_small_starting_width_matches_reference(monkeypatch, star
     # do for surfaces, whose rows keep small entries (at two bytes only
     # the larger ones pass the width), or the width doubles, up to digits
     # wider than any struct code
-    monkeypatch.setattr(homology_module, "_START_BYTES", start)
+    monkeypatch.setattr(ref, "_START_BYTES", start)
     made, formed, resets = [], [], []
 
-    class Spy(homology_module._Packing):
+    class Spy(ref._Packing):
         __slots__ = ()
 
         def __init__(self, size, count):
@@ -296,11 +371,11 @@ def test_reduction_at_a_small_starting_width_matches_reference(monkeypatch, star
             return super().unpack(packed)
 
     forms = [*random_surface_forms(5, 20), *random_surface_forms(6, 5, 60, 80), *huge_entry_forms()]
-    monkeypatch.setattr(homology_module, "_Packing", Spy)
+    monkeypatch.setattr(ref, "_Packing", Spy)
     reset_only = widened = widest = 0
     for form in forms:
         del made[:], formed[:], resets[:]
-        assert _symplectic_reduction(form)[0] == ref.symplectic_reduction(form)[0], form
+        assert ref.unit_pivot_reduction(form)[0] == ref.symplectic_reduction(form)[0], form
         widths = [p.size for p in made if p not in formed]
         assert widths[0] == start
         widened += len(widths) > 1
@@ -325,7 +400,7 @@ def test_inverse_of_a_basis_with_entries_past_machine_words_matches_reference():
         # the reduction's product of one row with the form, at entries
         # past machine words
         assert max(abs(x) for r in F for x in r) > 2 ** 63 or n == 2
-        times = _RowTimes(G)
+        times = ref._RowTimes(G)
         assert [times(row) for row in P] == list(F)
 
 
@@ -339,7 +414,7 @@ def test_inverse_read_off_the_reduction_matches_reference():
     # forms with huge entries: the reduction's rows are P @ G, and the
     # inverse read off them
     for form in huge_entry_forms():
-        P, F = _symplectic_reduction(form)
+        P, F = ref.unit_pivot_reduction(form)
         assert F == matmul(P, form), form
         inverse = _inverse_from_form_rows(F)
         assert inverse == ref._symplectic_inverse(P, form), form
@@ -351,8 +426,11 @@ def test_inverse_read_off_the_reduction_matches_reference():
 # pass succeeds, and its basis is the reference's, which keeps that pass
 
 def assert_reduced_as_the_reference_does(R):
-    G = homology(R).pairing_matrix
-    assert _symplectic_reduction(G)[0] == ref.symplectic_reduction(G)[0], R
+    H = homology(R)
+    G = H.pairing_matrix
+    P = ref.symplectic_reduction(G)[0]
+    assert ref.unit_pivot_reduction(G)[0] == P, R
+    assert _reduce_word(H._chord_word())[0] == P, R
     assert_same_basis(R)
 
 

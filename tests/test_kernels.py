@@ -264,9 +264,9 @@ def test_bordered_surface_needs_no_smith_form(monkeypatch):
 
 
 def count_reductions(monkeypatch):
-    """Calls of ``_det``, ``det_int`` and ``_symplectic_reduction`` from
-    now on, counted wherever ``zlattice`` or ``homology`` looks them up."""
-    counts = {"_det": 0, "det_int": 0, "_symplectic_reduction": 0}
+    """Calls of ``_det``, ``det_int`` and ``_reduce_word`` from now on,
+    counted wherever ``zlattice`` or ``homology`` looks them up."""
+    counts = {"_det": 0, "det_int": 0, "_reduce_word": 0}
     for name in counts:
         fn = getattr(zlattice, name, None) or getattr(homology_module, name)
 
@@ -291,7 +291,7 @@ def test_homology_build_runs_no_symplectic_reduction(monkeypatch):
         assert not R.boundary_faces
         H = homology(RibbonGraph(R.rotation, R.twin))
         assert H.rank == 2 * surface_invariants(R).genus
-    assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 0}
+    assert counts == {"_det": 0, "det_int": 0, "_reduce_word": 0}
 
 
 def test_each_symplectic_basis_reduces_once_and_takes_no_determinant(monkeypatch):
@@ -306,12 +306,12 @@ def test_each_symplectic_basis_reduces_once_and_takes_no_determinant(monkeypatch
         first, second = symplectic_basis(R), symplectic_basis(R)
         assert first == second and first.matrix is not second.matrix
         assert set(vars(H)) == kept
-    assert counts == {"_det": 0, "det_int": 0, "_symplectic_reduction": 4}
+    assert counts == {"_det": 0, "det_int": 0, "_reduce_word": 4}
 
 
 def test_symplectic_basis_reads_its_inverse_off_the_reduction(monkeypatch):
-    # the reduction returns the form rows P @ G, so P^-1 = (P @ G)^T @ S
-    # takes no product of P with G
+    # the word reduction reads the form rows P @ G off the chord word, so
+    # P^-1 = (P @ G)^T @ S takes no product
     calls = []
     monkeypatch.setattr(homology_module, "matmul", lambda A, B: calls.append(A))
     for R in (schema_to_ribbon(canonical_word(20)), *random_closed_surfaces(30)[:10]):
@@ -321,30 +321,30 @@ def test_symplectic_basis_reads_its_inverse_off_the_reduction(monkeypatch):
 
 
 def test_canonical_word_reduction_multiplies_no_row_by_the_form(monkeypatch):
-    # every basis row of a canonical word's reduction stays a signed unit
-    # vector +-e_c, whose form row is +-G[c]: no row is multiplied by G
+    # the reduction reads the chord word, so no form is built for it and
+    # no row is multiplied by one
     calls = []
-    monkeypatch.setattr(homology_module._RowTimes, "__call__", lambda self, r: calls.append(r))
+    monkeypatch.setattr(homology_module, "matmul", lambda A, B: calls.append(A))
+    built = count_form_builds(monkeypatch)
     for g in (1, 5, 20):
         assert symplectic_basis(schema_to_ribbon(canonical_word(g))).matrix
-    assert calls == []
+    assert calls == built == []
 
 
 def test_canonical_word_reduction_unpacks_no_row(monkeypatch):
     # no step changes a row of a canonical word's basis, so every row
-    # settles flagged as a unit vector, sliced from a template and not
-    # unpacked.  The spies watch the reduction only: the homology build
-    # before it unpacks the form's rows
+    # settles as a unit vector, sliced from a template and not unpacked.
+    # The spies watch the reduction only
     calls = []
     for g in (1, 5, 20, 30):
-        G = homology(schema_to_ribbon(canonical_word(g))).pairing_matrix
+        word = homology(schema_to_ribbon(canonical_word(g)))._chord_word()
         with monkeypatch.context() as m:
             for name in ("unpack", "unpack_one"):
                 fn = getattr(homology_module._Packing, name)
                 m.setattr(homology_module._Packing, name,
                           lambda self, s, _name=name, _fn=fn: calls.append(_name) or _fn(self, s))
-            P, F = homology_module._symplectic_reduction(G)
-        assert len(P) == len(F) == 2 * g
+            P, inverse, units = homology_module._reduce_word(word)
+        assert len(P) == len(inverse) == 2 * g and all(units)
     assert calls == []
 
 
@@ -391,6 +391,20 @@ def test_classes_alone_build_no_form(monkeypatch):
     assert certified >= 3 and first.selected
     assert built == []
 
+
+
+def test_symplectic_basis_builds_no_form(monkeypatch):
+    # the basis is reduced from the chord word: on fresh one-vertex,
+    # multi-vertex and canonical-word surfaces the form is never built,
+    # and the homology keeps none
+    surfaces = [schema_to_ribbon(canonical_word(g)) for g in (1, 4, 20)]
+    surfaces += [RibbonGraph(R.rotation, R.twin) for R in random_closed_surfaces(30)[:10]]
+    built = count_form_builds(monkeypatch)
+    for R in surfaces:
+        B = symplectic_basis(R)
+        assert matmul(B.matrix, B.inverse) == identity(len(B.matrix))
+        assert homology(R)._form is None
+    assert built == []
 
 def one_vertex_surfaces():
     """Fresh one-vertex closed surfaces: canonical words and random

@@ -340,6 +340,17 @@ def test_a_pool_that_is_not_iterable_is_refused(entry):
         CANDIDATE_ENTRY_POINTS[entry](basis, None)
 
 
+@pytest.mark.parametrize("trace", [None, [], {}, (1, 2), "trace"],
+                         ids=["None", "list", "dict", "tuple", "str"])
+def test_a_trace_that_is_not_a_procedure_trace_is_refused(trace):
+    # anything without selected and modulus is named, as a malformed pool
+    # or basis is, not reported as a raw AttributeError
+    _, pool = torus_basis_and_pool()
+    match = f"^trace {re.escape(repr(trace))} is not a procedure trace$"
+    with pytest.raises(ValidationError, match=match):
+        verify_lemma_procI_minimal(trace, pool)
+
+
 @pytest.mark.parametrize("value", [7, None], ids=["int", "None"])
 def test_a_basis_cycle_that_is_not_a_cycle_is_refused(value):
     # the certificates name a non-cycle in the basis they test as well

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -532,3 +533,21 @@ def test_complement_components_match_the_union_find():
         seen.add(got)
     # connected and split complements, and refused overlapping systems
     assert {1, 2, 3, "system walks are not pairwise edge-disjoint"} <= seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weighted_graphs(), st.randoms(use_true_random=False), st.booleans())
+def test_json_round_trip_keeps_the_surface(case, rnd, labelled):
+    # ribbon_to_dict through JSON text and back: the same rotation, twin,
+    # boundary faces and edge labels, with random boundary marks and
+    # labels on the tiny surfaces
+    R = case[0].ribbon
+    faces = [f[0] for f in trace_faces(R)]
+    marked = rnd.sample(faces, rnd.randrange(len(faces) + 1))
+    labels = tuple(rnd.choice(["a", "b'", "é", ""]) + str(i) for i in range(R.n_edges))
+    R = RibbonGraph(R.rotation, R.twin, marked, labels if labelled else None)
+    back = ribbon_from_dict(json.loads(json.dumps(ribbon_to_dict(R))))
+    assert back.rotation == R.rotation and back.twin == R.twin
+    assert back.boundary_faces == R.boundary_faces
+    assert back.edge_labels == R.edge_labels
+    assert back == R

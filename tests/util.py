@@ -73,3 +73,31 @@ def tiny_weighted_graphs(draw):
     G = WeightedGraph(RibbonGraph(rotation, tuple(twin)), lengths)
     bound = sum(G.edge_length) * Fraction(draw(st.integers(1, 20)), 16)
     return G, bound
+
+
+def interlace_form(word):
+    """The interlace form of a chord word, a list in which chord c reads
+    c at its tail and ~c at its head, as nested dicts: G[e][f] is +1
+    when f's tail lies strictly inside the arc from e's tail to e's head
+    and f's head does not, -1 the other way round, and 0 otherwise (the
+    sign of ``SurfaceHomology.pairing_matrix``)."""
+    pos = {x: i for i, x in enumerate(word)}
+    chords = sorted(x for x in word if x >= 0)
+    L = len(word)
+
+    def inside(e, p):
+        return 0 < (p - pos[e]) % L < (pos[~e] - pos[e]) % L
+
+    return {e: {f: inside(e, pos[f]) - inside(e, pos[~f]) for f in chords} for e in chords}
+
+
+def reduced_form(G, a, b):
+    """The form that one rank-2 step of the symplectic reduction leaves
+    on the chords of the nested-dict form G other than a and b, where
+    G[a][b] is +-1: with b' = G[a][b] * b, each x becomes
+    x - <x, b'> a + <x, a> b', and
+    G'[x][y] = G[x][y] - G[x][a] <y, b'> + <x, b'> G[y][a]."""
+    e = G[a][b]
+    rest = [x for x in G if x not in (a, b)]
+    return {x: {y: G[x][y] - G[x][a] * e * G[y][b] + e * G[x][b] * G[y][a] for y in rest}
+            for x in rest}
