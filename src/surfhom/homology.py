@@ -25,18 +25,21 @@ call it reduces the chord word (``_reduce_word``) to rows P with
 P @ G @ P^T equal to the standard form S.  Each step slides a handle
 off the word (Lazarus, Pocchiola, Vegter and Verroust, SoCG 2001), which
 is one rank-2 step of the symplectic reduction of G, and the form row
-P[x] @ G of each settled row is its chord's crossings, so P^-1 is read
-off the word with no product.
+P[x] @ G of each settled row is its chord's crossings, so each pair
+writes its two columns of P^-1 off the word, with no product.
 
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
 digits of a fixed byte width, so adding multiples of rows is big-integer
 arithmetic.  The reduction packs its settled rows at 1-byte digits and
-widens them only when a new row's bound passes the width.  The build
-packs each dart's class once, at digits that hold any edge-simple
-walk's class, so the class of an enumerated cycle is a sum of its
-darts' packed rows, and one ``_Unpacked`` table per surface unpacks
-each distinct sum once.
+widens them only when a new row's bound passes the width; while rows
+hold only -1, 0 and 1, one bytes test per row keeps the bound a count
+of steps, with no scan.  The build packs each dart's class once, at
+digits that hold any edge-simple walk's class, so the class of an
+enumerated cycle is a sum of its darts' packed rows, and one
+``_Unpacked`` table per surface reads each distinct sum once, slicing
+a signed unit vector (``_unit``), such as a basis dart's class, from a
+template.
 """
 
 import struct
@@ -120,13 +123,13 @@ class _Packing:
     for a width without a struct code).  Packing runs the same steps
     backwards."""
 
-    __slots__ = ("size", "count", "bias", "code", "row_format")
+    __slots__ = ("size", "count", "bias", "code", "row_struct")
 
     def __init__(self, size, count):
         self.size, self.count = size, count
         self.bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
         self.code = _SIGNED_CODE.get(size)
-        self.row_format = self.code and f"<{count}{self.code}"
+        self.row_struct = self.code and struct.Struct(f"<{count}{self.code}")
 
     def pack(self, rows):
         """The packed int of each row, a sequence of ``count`` ints."""
@@ -153,26 +156,53 @@ class _Packing:
 
     def unpack_one(self, s):
         """The entries of one packed int."""
-        if not self.row_format:
+        if not self.row_struct:
             return self.unpack((s,))
-        data = ((s + self.bias) ^ self.bias).to_bytes(self.size * self.count, "little")
-        return struct.unpack(self.row_format, data)
+        data = ((s + self.bias) ^ self.bias).to_bytes(self.row_struct.size, "little")
+        return self.row_struct.unpack(data)
+
+
+# the 1-byte digits -1, 0 and 1 in two's complement: a row packed at
+# 1-byte digits whose bytes are all among them has maximum 1
+_UNIT_DIGITS = b"\x00\x01\xff"
+
+
+def _unit(p, bits):
+    """(c, s) when the packed int p is s * e_c, a signed unit vector at
+    digits of ``bits`` bits (``_Packing``): p is +-2^(bits * c).  None
+    for any other p, 0 included."""
+    u = abs(p)
+    top = u.bit_length() - 1
+    if top % bits or u != 1 << top:
+        return None
+    return top // bits, 1 if p > 0 else -1
 
 
 class _Unpacked(dict):
-    """Packed sum -> class: a missing sum is unpacked and kept, so every
-    read of one sum returns the same class object
-    (``SurfaceHomology._class``).  ``bits`` is the digit width in bits:
-    the packed class s * e_c is s * 2^(bits * c)."""
+    """Packed sum -> class: a missing sum is read and kept, so every read
+    of one sum returns the same class object (``SurfaceHomology._class``).
+    ``bits`` is the digit width in bits: the packed class s * e_c is
+    s * 2^(bits * c).  A signed unit vector, the class of every basis
+    dart, is a slice of a template (``_unit_templates``, made at the
+    first one read), and only the other sums are unpacked."""
 
-    __slots__ = ("unpack", "bits")
+    __slots__ = ("unpack", "bits", "count", "templates")
 
     def __init__(self, packing):
         self.unpack = packing.unpack_one
         self.bits = 8 * packing.size
+        self.count = packing.count
+        self.templates = None
 
     def __missing__(self, s):
-        cls = self[s] = self.unpack(s)
+        unit = _unit(s, self.bits)
+        if unit is None:
+            cls = self[s] = self.unpack(s)
+            return cls
+        if self.templates is None:
+            self.templates = _unit_templates(self.count)
+        c, n = unit[0], self.count
+        cls = self[s] = self.templates[unit[1] < 0][n - c:2 * n - c]
         return cls
 
 
@@ -212,16 +242,21 @@ def _reduce_word(word):
     A row keeps its steps (``terms``: ``terms[c]`` the rows it
     subtracts, ``terms[~c]`` those it adds) and sums them once, when it
     settles, over the packed settled rows (``_Packing``, 1-byte digits
-    first).  Its bound is 1 plus the exact maxima of those rows; when
-    that passes the digit width, every settled row is packed again, at
-    the least width that holds it.  A row that took no step is a slice
-    of a template.
+    first).  Its bound is 1 plus the maxima of those rows; when that
+    passes the digit width, every settled row is packed again, at the
+    least width that holds it.  A row that took no step is a slice of a
+    template.  While every settled row's maximum is 1, as on every
+    surface seen so far, the bound is 1 plus the number of steps, and a
+    row at 1-byte digits whose bytes are all those of -1, 0 or 1
+    (``_UNIT_DIGITS``) has maximum 1 with no scan; any other row takes
+    its exact maximum.
 
     The form row P[x] @ G of a settled row is its chord's crossings when
     it settles: the rows settled before pair to zero with it, and every
-    row left pairs with it as the chords cross.  So the rows P @ G, and
-    P^-1 = (P @ G)^T @ S (``_inverse_from_form_rows``), are read off the
-    word.
+    row left pairs with it as the chords cross.  As S^-1 = -S and
+    G^T = -G, P^-1 = (P @ G)^T @ S, whose columns a and b are -P[b] @ G
+    and P[a] @ G: each step writes them from the crossings, and P^-1 is
+    their transpose, with no product.
     """
     n = len(word) // 2
     chord = [*range(n), *range(n - 1, -1, -1)]  # label -> its chord
@@ -232,10 +267,11 @@ def _reduce_word(word):
     plus, minus = _unit_templates(n)
     packing = _Packing(1, n)
     rows, packed, bound, units, F = [], [], [], [], []
+    ones = True  # every settled row's maximum is 1
 
     def settle(c, s):
         """Append the row of chord c, times s, to the settled rows."""
-        nonlocal packing
+        nonlocal packing, ones
         add, sub = terms[~c], terms[c]
         if not (add or sub):
             rows.append(plus[n - c:2 * n - c] if s > 0 else minus[n - c:2 * n - c])
@@ -243,21 +279,28 @@ def _reduce_word(word):
             bound.append(1)
             units.append((c, s))
             return
-        nb = 1 + sum(map(bound.__getitem__, add)) + sum(map(bound.__getitem__, sub))
+        if ones:
+            nb = 1 + len(add) + len(sub)
+        else:
+            nb = 1 + sum(map(bound.__getitem__, add)) + sum(map(bound.__getitem__, sub))
         if nb >> (8 * packing.size - 1):
             packing = _Packing(_digit_bytes(nb), n)
             packed[:] = packing.pack(rows)
         bits = 8 * packing.size
         p = (1 << bits * c) + sum(map(packed.__getitem__, add)) - sum(map(packed.__getitem__, sub))
         p = p if s > 0 else -p
-        row = packing.unpack_one(p)
+        if bits == 8:
+            data = ((p + packing.bias) ^ packing.bias).to_bytes(n, "little")
+            row = packing.row_struct.unpack(data)
+            peak = 1 if not data.translate(None, _UNIT_DIGITS) else max(map(abs, row))
+        else:
+            row = packing.unpack_one(p)
+            peak = max(map(abs, row))
+        ones = ones and peak == 1
         rows.append(row)
         packed.append(p)
-        bound.append(max(map(abs, row)))
-        u = abs(p)
-        top = u.bit_length() - 1
-        units.append((top // bits, 1 if p > 0 else -1) if u == 1 << top and not top % bits
-                     else None)
+        bound.append(peak)
+        units.append(_unit(p, bits))
 
     for a in range(0, n, 2):
         b, ca = a + 1, order[a]
@@ -295,17 +338,18 @@ def _reduce_word(word):
             arc = word[u + 1:v]
             crossed = set(map(invert, arc)).difference(arc)
         word = word[j + 1:v] + word[u + 1:j] + word[1:u] + word[v + 1:]
-        # P[a] @ G and P[b] @ G, and the step of each later row, whose
-        # label y names the list of ``terms`` that takes the row
+        # -P[b] @ G and P[a] @ G, columns a and b of P^-1, and the step
+        # of each later row, whose label y names the list of ``terms``
+        # that takes the row
         Fa, Fb = [0] * n, [0] * n
         for y in cross:
             terms[y].append(b)
             Fa[chord[y]] = sign[y]
         for y in crossed:
             terms[y].append(a)
-            Fb[chord[y]] = sign[~y]
-        F += (Fa, Fb)
-    return tuple(rows), _inverse_from_form_rows(F), units
+            Fb[chord[y]] = sign[y]
+        F += (Fb, Fa)
+    return tuple(rows), tuple(zip(*F)), units
 
 
 class _WalkClass(NamedTuple):
@@ -451,7 +495,11 @@ class SurfaceHomology:
         twice) maps to zero; tree darts contribute nothing.  The darts'
         classes are summed as tuples, so a chain of any length is exact.
         A dart is an int: ``1.0`` and ``True`` equal the dict key 1 but
-        are refused."""
+        are refused, and so is a chain that is not iterable."""
+        try:
+            darts = iter(darts)
+        except TypeError:
+            raise ValidationError(f"chain {darts!r} is not an iterable of darts") from None
         table = self._packed
         packed = []
         for d in darts:
@@ -617,8 +665,21 @@ class ReferenceBasis:
     walks: tuple
 
     def express(self, class_vec, modulus=0):
+        """A class in the surface's own coordinates, an iterable of
+        ints, in this basis, mod ``modulus`` when it is a prime.  A class
+        that is not iterable, or an entry that is not exactly an int (a
+        bool included), raises ValidationError; a wrong length raises
+        LatticeError."""
         _check_modulus(modulus)
-        coords = vec_mat(tuple(class_vec), self.inverse)
+        try:
+            entries = iter(class_vec)
+        except TypeError:
+            raise ValidationError(f"class {class_vec!r} is not an iterable of ints") from None
+        vec = tuple(entries)
+        for x in vec:
+            if type(x) is not int:
+                raise ValidationError(f"class entry {x!r} is not an int")
+        coords = vec_mat(vec, self.inverse)
         if modulus:
             coords = tuple(x % modulus for x in coords)
         return coords
@@ -716,10 +777,9 @@ def symplectic_basis(R):
         p = H._packed[e]
         if not p:
             continue
-        top = abs(p).bit_length() - 1
-        if abs(p) == 1 << top:
-            s = 1 if p > 0 else -1
-            i, j = unit_rows.get((top // bits, s)), unit_rows.get((top // bits, -s))
+        unit = _unit(p, bits)
+        if unit:
+            i, j = unit_rows.get(unit), unit_rows.get((unit[0], -unit[1]))
         else:
             if index is None:
                 index = {row: i for i, (row, u) in enumerate(zip(P, units)) if not u}

@@ -277,6 +277,37 @@ def test_symplectic_basis_torus_and_word20():
         assert abs(det_int(B.matrix)) == 1
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((1.5, 0), "class entry 1.5 is not an int"),      # was (1.5, 0.0)
+    ((1, 0.0), "class entry 0.0 is not an int"),
+    ((True, 0), "class entry True is not an int"),    # True equals 1 but is not an int
+    ("ab", "class entry 'a' is not an int"),          # was a raw TypeError
+    (None, "class None is not an iterable of ints"),  # was a raw TypeError
+    (5, "class 5 is not an iterable of ints"),
+], ids=repr)
+def test_express_refuses_what_is_not_a_class_of_ints(bad, message):
+    R = schema_to_ribbon(WORD20)
+    B = symplectic_basis(R)
+    walk = cotree_basis(R)[0][0]
+    cls = homology(R).class_of_walk(walk)
+    assert B.express(list(cls)) == B.express(iter(cls)) == B.express(cls)
+    assert class_of_walk(R, walk, B, 2).coords == B.express(cls, 2)
+    for modulus in (0, 2):
+        with pytest.raises(ValidationError) as err:
+            B.express(bad, modulus)
+        assert str(err.value) == message
+    with pytest.raises(LatticeError, match="length does not match"):
+        B.express(cls[:-1])
+
+
+@pytest.mark.parametrize("chain", [None, 5, 0.5])
+def test_class_of_chain_refuses_a_chain_that_is_not_iterable(chain):
+    H = homology(schema_to_ribbon(WORD20))
+    with pytest.raises(ValidationError) as err:
+        H.class_of_chain(chain)
+    assert str(err.value) == f"chain {chain!r} is not an iterable of darts"
+
+
 def test_symplectic_basis_random():
     rng = random.Random(11)
     done = 0

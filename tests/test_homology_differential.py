@@ -16,7 +16,8 @@ library ran before (``unit_pivot_reduction``, ``unit_pivot_basis``)
 takes the word's pivots.  On every surface the three bases must be
 equal field by field, up to random rotations of 800 and 1,600 edges,
 where only the unit-pivot oracle is fast enough and the word
-reduction's packed rows widen.  That a handle slide leaves the reduced
+reduction's packed rows widen, and at 400 edges with every row's
+maximum scanned, a path that no surface reaches unforced.  That a handle slide leaves the reduced
 form is checked on its own, on random one-face words.  A word whose
 pivot chord crosses no other chord is not a surface's, and is refused.
 The unit-pivot oracle keeps its own checks: its reduction of forms
@@ -196,6 +197,28 @@ def test_symplectic_basis_of_a_400_edge_surface_matches_reference():
     assert _reduce_word(H._chord_word())[0] == ref.symplectic_reduction(G)[0]
     assert_same_basis(R)
     assert_same_basis(R, ref.unit_pivot_basis)
+
+
+def test_rows_settled_at_their_exact_maxima_match_the_unit_pivot_oracle(monkeypatch):
+    # every row of this surface settles at 1-byte digits with entries -1,
+    # 0 and 1 only, so no row scans its maximum.  With no byte taken as
+    # such a digit, every row that took a step takes its exact maximum,
+    # the path that no surface seen so far reaches, and the basis must
+    # still be the oracle's, byte for byte
+    R = random_ribbon_graph(random.Random("symplectic-E400"), max_edges=400, min_edges=400,
+                            vertices=200)
+    maxima = []
+
+    def spy(entries):
+        maxima.append(max(entries))
+        return maxima[-1]
+
+    monkeypatch.setattr(homology_module, "max", spy, raising=False)
+    P = _reduce_word(homology(R)._chord_word())[0]
+    assert maxima == []
+    monkeypatch.setattr(homology_module, "_UNIT_DIGITS", b"")
+    assert_same_basis(R, ref.unit_pivot_basis)
+    assert len(maxima) > len(P) // 2 and set(maxima) == {1}
 
 
 

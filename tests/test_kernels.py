@@ -5,16 +5,18 @@ and the Miller-Rabin modulus check.
 versions kept in ``reference_zlattice``; the symplectic inverse with
 that module's Smith-form ``int_inverse``, so the comparison stays
 independent of the library's Hermite solve; ``_is_prime`` with trial
-division.  The library has no Smith form left, and a guard pins that
-neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The count
-guards pin that the homology path inverts no matrix, that building a
-surface's homology runs no symplectic reduction, that each symplectic
-basis runs it once, takes no determinant and takes its inverse from
-that reduction, that a canonical word's reduction multiplies no row by
-the form and unpacks no row, that nothing reading classes alone builds
-the intersection form and its first reader builds it once, that a pool
-of enumerated cycles validates no walk, and that a procedure or a
-public Z oracle validates a fixed number of matrices however long its
+division; a unit class read off a template with its unpacked row, at
+every digit width.  The library has no Smith form left, and a guard
+pins that neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The
+count guards pin that the homology path inverts no matrix, that
+building a surface's homology runs no symplectic reduction, that each
+symplectic basis runs it once, takes no determinant and takes its
+inverse from that reduction, that a canonical word's reduction
+multiplies no row by the form, that it and the word's cotree and
+symplectic bases unpack nothing, that nothing reading classes alone
+builds the intersection form and its first reader builds it once, that
+a pool of enumerated cycles validates no walk, and that a procedure or
+a public Z oracle validates a fixed number of matrices however long its
 pool: counts that repeat exactly on any machine.  One guard pins the
 memory that the homology of a surface of 6,400 edges keeps.
 """
@@ -333,19 +335,52 @@ def test_canonical_word_reduction_multiplies_no_row_by_the_form(monkeypatch):
 
 def test_canonical_word_reduction_unpacks_no_row(monkeypatch):
     # no step changes a row of a canonical word's basis, so every row
-    # settles as a unit vector, sliced from a template and not unpacked.
-    # The spies watch the reduction only
+    # settles as a unit vector, sliced from a template and not unpacked;
+    # and every fundamental cycle of a one-vertex word is a basis loop,
+    # whose class is a unit vector too, so neither the cotree basis nor
+    # the symplectic basis unpacks anything, from the build on
     calls = []
+    for name in ("unpack", "unpack_one"):
+        fn = getattr(homology_module._Packing, name)
+        monkeypatch.setattr(homology_module._Packing, name,
+                            lambda self, s, _name=name, _fn=fn: calls.append(_name) or _fn(self, s))
     for g in (1, 5, 20, 30):
-        word = homology(schema_to_ribbon(canonical_word(g)))._chord_word()
-        with monkeypatch.context() as m:
-            for name in ("unpack", "unpack_one"):
-                fn = getattr(homology_module._Packing, name)
-                m.setattr(homology_module._Packing, name,
-                          lambda self, s, _name=name, _fn=fn: calls.append(_name) or _fn(self, s))
-            P, inverse, units = homology_module._reduce_word(word)
+        R = schema_to_ribbon(canonical_word(g))
+        P, inverse, units = homology_module._reduce_word(homology(R)._chord_word())
         assert len(P) == len(inverse) == 2 * g and all(units)
+        basis = cotree_basis(R)
+        assert all(sum(map(abs, cls)) == 1 for _, cls in basis)
+        assert len(basis) == len(symplectic_basis(R).matrix) == 2 * g
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 40))
+def test_unit_classes_are_sliced_and_equal_their_unpacked_rows(size, count):
+    # s * e_c, packed as s * 2^(bits * c), is read off a template: it
+    # equals the unpacked row at every digit width (16 bytes has no struct
+    # code), and a second read returns the same object.  Sums that are
+    # not unit vectors are still unpacked
+    packing = homology_module._Packing(size, count)
+    table = homology_module._Unpacked(packing)
+    unpacked = []
+    table.unpack = lambda s: unpacked.append(s) or packing.unpack_one(s)
+    bits = 8 * size
+    for c in range(count):
+        for s in (1, -1):
+            p = s << (bits * c)
+            assert homology_module._unit(p, bits) == (c, s)
+            cls = table[p]
+            assert type(cls) is tuple and cls == packing.unpack_one(p)
+            assert table[p] is cls
+    assert unpacked == []
+    others = [0, 2 << (bits * (count - 1)), -3]
+    if count > 1:
+        others += [(1 << bits) + 1, (1 << bits) - 1]
+    for p in others:
+        assert homology_module._unit(p, bits) is None
+        assert table[p] == packing.unpack_one(p) and table[p] is table[p]
+    assert unpacked == others
 
 
 # ---------------------------------------------------------------------------
