@@ -242,14 +242,14 @@ def _reduce_word(word):
     A row keeps its steps (``terms``: ``terms[c]`` the rows it
     subtracts, ``terms[~c]`` those it adds) and sums them once, when it
     settles, over the packed settled rows (``_Packing``, 1-byte digits
-    first).  Its bound is 1 plus the maxima of those rows; when that
-    passes the digit width, every settled row is packed again, at the
-    least width that holds it.  A row that took no step is a slice of a
-    template.  While every settled row's maximum is 1, as on every
-    surface seen so far, the bound is 1 plus the number of steps, and a
-    row at 1-byte digits whose bytes are all those of -1, 0 or 1
-    (``_UNIT_DIGITS``) has maximum 1 with no scan; any other row takes
-    its exact maximum.
+    first).  Its bound is 1 plus the number of its steps times the
+    largest maximum of a settled row (``top``); when that passes the
+    digit width, every settled row is packed again, at the least width
+    that holds it.  A row that took no step is a slice of a template.
+    While every settled row's maximum is 1, as on every surface seen so
+    far, the bound is 1 plus the number of steps, and a row at 1-byte
+    digits whose bytes are all those of -1, 0 or 1 (``_UNIT_DIGITS``)
+    has maximum 1 with no scan; any other row takes its exact maximum.
 
     The form row P[x] @ G of a settled row is its chord's crossings when
     it settles: the rows settled before pair to zero with it, and every
@@ -266,23 +266,19 @@ def _reduce_word(word):
     terms = [[] for _ in range(2 * n)]
     plus, minus = _unit_templates(n)
     packing = _Packing(1, n)
-    rows, packed, bound, units, F = [], [], [], [], []
-    ones = True  # every settled row's maximum is 1
+    rows, packed, units, F = [], [], [], []
+    top = 1  # the largest maximum of a settled row
 
     def settle(c, s):
         """Append the row of chord c, times s, to the settled rows."""
-        nonlocal packing, ones
+        nonlocal packing, top
         add, sub = terms[~c], terms[c]
         if not (add or sub):
             rows.append(plus[n - c:2 * n - c] if s > 0 else minus[n - c:2 * n - c])
             packed.append(s << (8 * packing.size * c))
-            bound.append(1)
             units.append((c, s))
             return
-        if ones:
-            nb = 1 + len(add) + len(sub)
-        else:
-            nb = 1 + sum(map(bound.__getitem__, add)) + sum(map(bound.__getitem__, sub))
+        nb = 1 + (len(add) + len(sub)) * top
         if nb >> (8 * packing.size - 1):
             packing = _Packing(_digit_bytes(nb), n)
             packed[:] = packing.pack(rows)
@@ -296,10 +292,11 @@ def _reduce_word(word):
         else:
             row = packing.unpack_one(p)
             peak = max(map(abs, row))
-        ones = ones and peak == 1
+        # a comparison, not max(): max() runs only where a row is scanned
+        if peak > top:
+            top = peak
         rows.append(row)
         packed.append(p)
-        bound.append(peak)
         units.append(_unit(p, bits))
 
     for a in range(0, n, 2):
@@ -517,8 +514,11 @@ class SurfaceHomology:
         construction, and its class is read from the table: at once for
         the table's own tuple, after a test that each dart is an int for
         an equal tuple (``(True,)`` equals ``(1,)``).  Every other walk
-        is validated first."""
-        kept = self._walk_class.get(walk) if type(walk) is tuple else None
+        is validated first, a tuple with an unhashable dart among them."""
+        try:
+            kept = self._walk_class.get(walk) if type(walk) is tuple else None
+        except TypeError:  # an unhashable dart, which is no int
+            kept = None
         if kept is not None and (kept.darts is walk or set(map(type, walk)) == {int}):
             return kept.cls
         return self.class_of_chain(validate_walk(self, walk))

@@ -12,14 +12,17 @@ weight over D.  Candidate cycles are edge-simple closed walks with no
 dart followed by its reversal; vertices may repeat.  The enumeration
 starts each cycle at the smaller dart of its least edge, which makes
 the walk its own canonical encoding.
-Its depth-first search takes each vertex's darts in increasing dart
-order, so it finds the walks in lexicographic order.  Below twice the
-total length it reads tables kept on the graph and cuts each walk that
-the graph distances say cannot close within the bound; at twice the
-total length or more, where no walk is cut, a node's children come
-from a memo of the call keyed by its vertex and free edges.  It drops
-each closed walk into the bucket of its integer length, and the
-buckets joined in increasing length are in (length, encoding) order.
+Both of its depth-first searches read one table of each vertex's
+search steps in decreasing dart order, which the stack pops in
+increasing order, so they find the walks in lexicographic order.  Below
+twice the total length the table is kept on the graph beside the
+distances back to each start vertex, and the search cuts each walk that
+they say cannot close within the bound; at twice the total length or
+more, where no walk is cut, the table is built per call and a node's
+children come from a memo of the call keyed by its vertex and free
+edges.  It drops each closed walk into the bucket of its integer
+length, and the buckets joined in increasing length are in (length,
+encoding) order.
 ``WeightedCycle`` is a ``NamedTuple``, so the cycles are built as
 tuples in one pass.
 
@@ -32,14 +35,14 @@ the lengths do, and it refuses a length that is not an int or a
 """
 
 import heapq
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import lcm
-from operator import attrgetter, is_not, le, or_
+from operator import attrgetter, is_not, itemgetter, le, or_
 from typing import NamedTuple
 
 from .homology import homology
@@ -198,49 +201,37 @@ def make_cycle(G, walk, cls=None, name=None):
     )
 
 
-def _search(G):
-    """The search tables of ``enumerate_cycles`` below twice G's total
-    length, built on G's first such enumeration and kept on G, as
-    ``homology(R)`` is kept on R.
+def _step_table(G, packed):
+    """Each vertex's search steps in decreasing dart order: a step is
+    (dart, weight, edge bit, head vertex, packed row), the weight the
+    dart's in ``G._weight``, the edge bit of edge i being 1 << i and the
+    packed row the dart's in ``homology(R)`` (``packed``)."""
+    R = G.ribbon
+    twin, vof, number, weight = R.twin, R.vertex_of, R.edge_number, G._weight
+    return [
+        [(d, weight[d], 1 << number[d], vof[twin[d]], packed[d]) for d in sorted(rot, reverse=True)]
+        for rot in R.rotation
+    ]
 
-    They hold, per vertex, its outgoing darts' weights (``G._weight``)
-    in increasing order beside ``lightest`` and ``reach``.  Entry k of
-    ``lightest`` is the k lightest of those darts as search steps (dart,
-    weight, edge bit, head vertex, the dart's packed row in
-    ``homology(R)``), in decreasing dart order, the edge bit of edge i
-    being 1 << i; entry k of ``reach`` is the OR of their edge bits.
-    Equal weights are all in a prefix or all out of it, so the ties'
-    order in the sort does not matter.  A fourth table, empty at first,
-    takes the integer distances to each start vertex that a bounded
-    enumeration needs, as a list indexed by vertex."""
+
+def _search(G):
+    """The tables of ``enumerate_cycles`` below twice G's total length,
+    built on G's first such enumeration and kept on G, as
+    ``homology(R)`` is kept on R: the step table (``_step_table``) and a
+    dict, empty at first, that takes the integer distances to each start
+    vertex that a bounded enumeration needs, as a list indexed by
+    vertex."""
     tables = G.__dict__.get("_search")
     if tables is None:
-        R = G.ribbon
-        twin, vof = R.twin, R.vertex_of
-        weight = G._weight
-        bit = [1 << i for i in R.edge_number]
-        packed = homology(R)._packed
-        step = [(d, weight[d], bit[d], vof[twin[d]], packed[d]) for d in range(len(twin))]
-        weights, lightest, reach = [], [], []
-        for rot in R.rotation:
-            darts = sorted(rot, key=weight.__getitem__)
-            steps, prefixes, masks = [], [()], [0]
-            for d in darts:
-                insort(steps, step[d])
-                prefixes.append(steps[::-1])
-                masks.append(masks[-1] | bit[d])
-            weights.append([weight[d] for d in darts])
-            lightest.append(prefixes)
-            reach.append(masks)
-        tables = (weights, lightest, reach, {})
+        tables = (_step_table(G, homology(G.ribbon)._packed), {})
         object.__setattr__(G, "_search", tables)
     return tables
 
 
-def _free_steps(darts, free, step, bit):
-    """The steps of those of ``darts`` whose edge bit is in ``free``, in
+def _free_steps(steps, free):
+    """Those of a vertex's ``steps`` whose edge bit is in ``free``, in
     order: a node's children in the close-all search."""
-    return [step[d] for d in darts if bit[d] & free]
+    return [step for step in steps if step[2] & free]
 
 
 def enumerate_cycles(G, bound):
@@ -256,30 +247,28 @@ def enumerate_cycles(G, bound):
     dart occurs nowhere else in the walk or in its reversal, so the walk
     is its own canonical encoding and no cycle is reached twice.
 
-    A bound of at least twice G's total length cuts no walk (a walk of
-    length L is at most L from its start, and an edge-simple walk is at
-    most the total length long), and it has a search of its own, the
-    close-all search.  Per call it builds each dart's edge bit, each
-    vertex's darts in decreasing dart order and mask of incident edge
-    bits, and one empty memo per vertex.  A node with no free (incident,
-    unused) edge has no children; any other node reads the steps of the
-    darts on its free edges from its vertex's memo under those edges,
-    built on a miss (``_free_steps``).  No room, ``bisect_right``,
-    distance or ``_search`` table is used, and nothing is kept on G.
+    Both searches read each vertex's search steps in decreasing dart
+    order (``_step_table``), so the stack pops a node's children in
+    increasing dart order.  A bound of at least twice G's total length
+    cuts no walk (a walk of length L is at most L from its start, and an
+    edge-simple walk is at most the total length long), and it has a
+    search of its own, the close-all search.  Per call it builds the
+    step table, each vertex's mask of incident edge bits and one empty
+    memo per vertex.  A node with no free (incident, unused) edge has no
+    children; any other node reads the steps on its free edges from its
+    vertex's memo under those edges, built on a miss (``_free_steps``).
+    No room, distance or ``_search`` table is used, and nothing is kept
+    on G.
 
-    Below that bound, at each step one ``bisect_right`` of the room left
-    into the vertex's dart lengths (``_search``) picks its k lightest
-    darts, all the darts short enough to take, which the stack then pops
-    in increasing dart order; a step whose k darts all lie on edges the
-    walk has used already (their OR of edge bits, ``reach``, adds none)
-    takes none of them and skips the loop.  A dart of weight w to vertex
-    h is taken only when w + back[h] fits the room left, back[h] being
-    the integer distance from h to the walk's start vertex
-    (``shortest_distances``, run once per start vertex and kept on G
-    with the ``_search`` tables).  The rest of a closed walk through
-    that dart is a walk from h back to the start, never shorter than
-    back[h], so the test cuts only walks that cannot close within the
-    bound.
+    Below that bound the step table is kept on G (``_search``), and a
+    node takes a step of weight w to vertex h only when its edge is
+    unused and w + back[h] fits the room left, back[h] being the integer
+    distance from h to the walk's start vertex (``shortest_distances``,
+    run once per start vertex and kept on G beside the steps).  The rest
+    of a closed walk through that dart is a walk from h back to the
+    start, never shorter than back[h], so the test cuts only walks that
+    cannot close within the bound; as back[h] >= 0, it also refuses
+    every dart longer than the room left.
 
     The starts run in increasing dart order too, a walk is found before
     its extensions and each subtree is finished before its next sibling
@@ -315,11 +304,9 @@ def enumerate_cycles(G, bound):
     # sum(weight) counts each edge twice: twice the total length
     if limit >= sum(weight):
         # every walk fits and can still close
-        bit = [1 << i for i in R.edge_number]
-        step = [(d, weight[d], bit[d], vof[twin[d]], packed[d]) for d in range(len(twin))]
-        darts_at = [sorted(rot, reverse=True) for rot in R.rotation]
-        incident = [reduce(or_, map(bit.__getitem__, rot), 0) for rot in R.rotation]
-        memo = [{} for _ in R.rotation]
+        steps_at = _step_table(G, packed)
+        incident = [reduce(or_, map(itemgetter(2), steps), 0) for steps in steps_at]
+        memo = [{} for _ in steps_at]
         for i, start in enumerate(edges(R)):
             home = vof[start]
             # edges up to and including the start edge start out used, so
@@ -336,11 +323,11 @@ def enumerate_cycles(G, bound):
                     continue
                 children = memo[at].get(free)
                 if children is None:
-                    children = memo[at][free] = _free_steps(darts_at[at], free, step, bit)
+                    children = memo[at][free] = _free_steps(steps_at[at], free)
                 for d, w, b, head, p in children:
                     push((walk + (d,), used | b, length + w, head, s + p))
     else:
-        weights, lightest, reach, back_of = _search(G)
+        steps_at, back_of = _search(G)
         vertices = range(len(R.rotation))
         for i, start in enumerate(edges(R)):
             if weight[start] > limit:
@@ -357,10 +344,7 @@ def enumerate_cycles(G, bound):
                     walks_of[length].append(walk)
                     sums_of[length].append(s)
                 room = limit - length
-                k = bisect_right(weights[at], room)
-                if reach[at][k] | used == used:
-                    continue
-                for d, w, b, head, p in lightest[at][k]:
+                for d, w, b, head, p in steps_at[at]:
                     if not used & b and w + back[head] <= room:
                         push((walk + (d,), used | b, length + w, head, s + p))
     order = sorted(walks_of)
@@ -692,8 +676,7 @@ def is_straight_cycle(G, cycle):
     and distances are compared as integers, in units of 1/D: every
     length of G is a multiple of it.
     """
-    walk = cycle.darts if isinstance(cycle, WeightedCycle) else tuple(cycle)
-    validate_walk(G.ribbon, walk)
+    walk = validate_walk(G.ribbon, cycle.darts if isinstance(cycle, WeightedCycle) else cycle)
     vof = G.ribbon.vertex_of
     verts = [vof[d] for d in walk]
     prefix = list(accumulate(map(G._weight.__getitem__, walk), initial=0))

@@ -337,7 +337,11 @@ def validate_walk(R, walk):
     reversal, no undirected edge used twice.
 
     Only R's ``twin`` and ``vertex_of`` tables are read, so a surface's
-    ``SurfaceHomology``, which keeps them, validates its walks too."""
+    ``SurfaceHomology``, which keeps them, validates its walks too.  A
+    walk is a tuple or a list of darts: anything else, a set or an
+    iterator among them, is refused."""
+    if not isinstance(walk, (tuple, list)):
+        raise ValidationError(f"walk {walk!r} is not a tuple or a list of darts")
     if not walk:
         raise ValidationError("empty walk")
     vof, twin = R.vertex_of, R.twin

@@ -19,9 +19,12 @@ multi-vertex graphs with loops and parallel edges, bordered surfaces
 and tiny graphs drawn by Hypothesis; it calls neither ``bisect_right``
 nor ``shortest_distances``, keeps no search tables on the graph and
 builds each child list of a (vertex, free edges) at most once per
-call.  On simple graphs its vertex-simple cycles are the simple cycles
-of ``networkx``.  Every enumerated class is checked against the class of
-the validated walk, and the homology's table of enumerated walks
+call.  Both searches read one step table: the bounded search calls no
+``bisect_right``, and the steps it keeps on the graph equal the ones
+the close-all search builds per call.  On simple graphs its
+vertex-simple cycles are the simple cycles of ``networkx``.  Every
+enumerated class is checked against the class of the validated walk,
+and the homology's table of enumerated walks
 against the validating path of ``class_of_walk``, which must still
 refuse darts that only equal ints.  The cycles, built as tuples in one
 pass from per-length buckets, are checked against the ones the
@@ -461,7 +464,8 @@ def test_search_shaped_graphs_match_reference():
 
 
 class CountedSteps(list):
-    """A step table of ``_search`` that counts the loops run over it."""
+    """A vertex's steps in ``_search`` that count the loops run over
+    them."""
 
     def __init__(self, steps, counter):
         super().__init__(steps)
@@ -473,11 +477,11 @@ class CountedSteps(list):
 
 
 def counting_search_loops(G):
-    """G's search tables with every step list counting its loops, and
-    the counter."""
+    """G's step table with every vertex's steps counting their loops,
+    and the counter."""
     counter = [0]
-    for prefixes in minima._search(G)[1]:
-        prefixes[:] = [CountedSteps(steps, counter) for steps in prefixes]
+    steps_at = minima._search(G)[0]
+    steps_at[:] = [CountedSteps(steps, counter) for steps in steps_at]
     return counter
 
 
@@ -489,7 +493,7 @@ def test_the_distance_cut_keeps_the_cycles_and_cuts_walks():
         bound = growing_bounds(G, most=200)[-1]
         H = WeightedGraph(G.ribbon, G.edge_length)
         vertices = range(len(H.ribbon.rotation))
-        minima._search(H)[3].update(dict.fromkeys(vertices, [0] * len(vertices)))
+        minima._search(H)[1].update(dict.fromkeys(vertices, [0] * len(vertices)))
         counts = counting_search_loops(G), counting_search_loops(H)
         assert summary(enumerate_cycles(G, bound)) == summary(enumerate_cycles(H, bound))
         cut, uncut = cut + counts[0][0], uncut + counts[1][0]
@@ -648,9 +652,9 @@ def test_close_all_search_reads_no_tables_and_lists_children_once(monkeypatch):
     built = []
     real = minima._free_steps
 
-    def counted(darts, free, step, bit):
-        built.append((tuple(darts), free))
-        return real(darts, free, step, bit)
+    def counted(steps, free):
+        built.append((tuple(steps), free))
+        return real(steps, free)
 
     monkeypatch.setattr(minima, "_free_steps", counted)
     G = bouquet(random.Random(14), 6)
@@ -659,13 +663,52 @@ def test_close_all_search_reads_no_tables_and_lists_children_once(monkeypatch):
         # the six loops, for 7,060 nodes
         built.clear()
         assert len(enumerate_cycles(G, bound)) == 7060
-        assert len(built) == len(set(built)) <= 2 ** 6
+        assert 0 < len(built) == len(set(built)) <= 2 ** 6
         assert "_search" not in G.__dict__
+    lists = 0
     for _, G in weighted_graphs(2912, 30):
         built.clear()
         enumerate_cycles(G, 2 * sum(G.edge_length))
         assert len(built) == len(set(built))
         assert "_search" not in G.__dict__
+        lists += len(built)
+    assert lists > 30
+
+
+def test_both_searches_read_one_step_table(monkeypatch):
+    # the bounded search takes no bisection, and the steps it keeps on G
+    # are the ones the close-all search builds for G per call: each
+    # vertex's darts in decreasing dart order with their weight, edge
+    # bit, head vertex and packed row
+    def refused(*args):
+        raise AssertionError("the bounded search bisects nothing")
+
+    monkeypatch.setattr(minima, "bisect_right", refused)
+    built = []
+    real = minima._step_table
+
+    def recorded(G, packed):
+        built.append(real(G, packed))
+        return built[-1]
+
+    monkeypatch.setattr(minima, "_step_table", recorded)
+    bounded = 0
+    for _, G in weighted_graphs(33, 40):
+        R = G.ribbon
+        total = sum(G.edge_length)
+        built.clear()
+        enumerate_cycles(G, 2 * total)
+        assert len(built) == 1 and "_search" not in G.__dict__
+        table = built[0]
+        bounded += len(assert_matches_reference(G, total))
+        assert len(built) == 2 and minima._search(G)[0] is built[1]
+        assert built[1] == table
+        packed = homology(R)._packed
+        for rot, steps in zip(R.rotation, table):
+            assert [step[0] for step in steps] == sorted(rot, reverse=True)
+            assert steps == [(d, G._weight[d], 1 << R.edge_number[d], R.vertex_of[R.twin[d]],
+                              packed[d]) for d, *_ in steps]
+    assert bounded > 100
 
 
 # ---------------------------------------------------------------------------

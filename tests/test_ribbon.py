@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfhom import ribbon as ribbon_module
-from surfhom.homology import homology
-from surfhom.minima import WeightedGraph, enumerate_cycles, is_straight_cycle
+from surfhom.homology import (
+    algebraic_intersection,
+    class_of_walk,
+    class_vector,
+    homology,
+    symplectic_basis,
+)
+from surfhom.minima import WeightedGraph, enumerate_cycles, is_straight_cycle, make_cycle
 from surfhom.ribbon import (
     RibbonGraph,
     _trace_faces_raw,
@@ -223,7 +229,7 @@ def test_walk_validation_messages(walk, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("dart", [0.5, "0", None, 1.0, True, False])
+@pytest.mark.parametrize("dart", [0.5, "0", None, 1.0, True, False, [0]])
 def test_walks_of_non_integer_darts_are_refused_everywhere(dart):
     message = f"dart {dart!r} not in graph"
     refusals = [
@@ -235,6 +241,39 @@ def test_walks_of_non_integer_darts_are_refused_everywhere(dart):
         with pytest.raises(ValidationError) as err:
             refuse()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("walk", [
+    5, None, 0.5, "01", b"\x00\x01", {0}, frozenset({0, 1}), {0: 1}, range(2),
+    iter((0, 1)), (d for d in (0, 1)),
+])
+def test_walks_that_are_not_tuples_or_lists_are_refused_everywhere(walk):
+    # a walk is read by length and index: anything that is not a tuple
+    # or a list is refused by name before a dart of it is read, and a
+    # set is not taken in its iteration order
+    R = torus()
+    G = WeightedGraph(R, (1, 1))
+    basis = symplectic_basis(R)
+    message = f"walk {walk!r} is not a tuple or a list of darts"
+    refusals = [
+        lambda: validate_walk(R, walk),
+        lambda: homology(R).class_of_walk(walk),
+        lambda: class_vector(R, walk),
+        lambda: class_of_walk(R, walk, basis),
+        lambda: make_cycle(G, walk),
+        lambda: is_straight_cycle(G, walk),
+        lambda: complement_components(R, [walk]),
+        lambda: algebraic_intersection(R, walk, (0,)),
+        lambda: algebraic_intersection(R, (0,), walk),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValidationError) as err:
+            refuse()
+        assert str(err.value) == message
+    # the same darts as a tuple or a list are a walk
+    for darts in ((0,), [0]):
+        assert validate_walk(R, darts) == (0,)
+        assert is_straight_cycle(G, darts) is is_straight_cycle(G, make_cycle(G, darts))
 
 
 def test_class_of_walk_rejects_a_bad_successor():
