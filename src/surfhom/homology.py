@@ -37,9 +37,9 @@ hold only -1, 0 and 1, one bytes test per row keeps the bound a count
 of steps, with no scan.  The build packs each dart's class once, at
 digits that hold any edge-simple walk's class, so the class of an
 enumerated cycle is a sum of its darts' packed rows, and one
-``_Unpacked`` table per surface reads each distinct sum once, slicing
-a signed unit vector (``_unit``), such as a basis dart's class, from a
-template.
+``_Unpacked`` table per surface unpacks each distinct sum once; the
+basis loops' classes, e_i by construction, are put there by
+``cotree_basis`` as the rows of the identity.
 """
 
 import struct
@@ -63,6 +63,7 @@ from .zlattice import (
     _basis_state,
     _unimodular_solve,
     as_int_matrix,
+    identity,
     matmul,
     transpose,
     vec_mat,
@@ -170,7 +171,8 @@ _UNIT_DIGITS = b"\x00\x01\xff"
 def _unit(p, bits):
     """(c, s) when the packed int p is s * e_c, a signed unit vector at
     digits of ``bits`` bits (``_Packing``): p is +-2^(bits * c).  None
-    for any other p, 0 included."""
+    for any other p, 0 included.  Only ``_reduce_word`` and
+    ``symplectic_basis`` call it."""
     u = abs(p)
     top = u.bit_length() - 1
     if top % bits or u != 1 << top:
@@ -179,30 +181,20 @@ def _unit(p, bits):
 
 
 class _Unpacked(dict):
-    """Packed sum -> class: a missing sum is read and kept, so every read
-    of one sum returns the same class object (``SurfaceHomology._class``).
-    ``bits`` is the digit width in bits: the packed class s * e_c is
-    s * 2^(bits * c).  A signed unit vector, the class of every basis
-    dart, is a slice of a template (``_unit_templates``, made at the
-    first one read), and only the other sums are unpacked."""
+    """Packed sum -> class: a missing sum is unpacked and kept, so every
+    read of one sum returns the same class object
+    (``SurfaceHomology._class``).  ``bits`` is the digit width in bits:
+    the packed class s * e_c is s * 2^(bits * c).  ``cotree_basis`` puts
+    the basis loops' classes, the rows of the identity, in the table."""
 
-    __slots__ = ("unpack", "bits", "count", "templates")
+    __slots__ = ("unpack", "bits")
 
     def __init__(self, packing):
         self.unpack = packing.unpack_one
         self.bits = 8 * packing.size
-        self.count = packing.count
-        self.templates = None
 
     def __missing__(self, s):
-        unit = _unit(s, self.bits)
-        if unit is None:
-            cls = self[s] = self.unpack(s)
-            return cls
-        if self.templates is None:
-            self.templates = _unit_templates(self.count)
-        c, n = unit[0], self.count
-        cls = self[s] = self.templates[unit[1] < 0][n - c:2 * n - c]
+        cls = self[s] = self.unpack(s)
         return cls
 
 
@@ -391,7 +383,8 @@ class SurfaceHomology:
     dart's is the sum of the L darts leaving its subtree of faces), so a
     walk's is at most the number of edges.  ``enumerate_cycles`` sums
     these rows, and ``_class`` unpacks each sum the first time it is
-    read; one sum is always one class object.
+    read, unless ``cotree_basis`` put it there; one sum is always one
+    class object.
     """
 
     def __init__(self, R):
@@ -510,16 +503,16 @@ class SurfaceHomology:
     def class_of_walk(self, walk):
         """H1 class of a closed walk, in the surface's own coordinates.
 
-        A walk of the table of walks built on this surface is valid by
-        construction, and its class is read from the table: at once for
-        the table's own tuple, after a test that each dart is an int for
-        an equal tuple (``(True,)`` equals ``(1,)``).  Every other walk
-        is validated first, a tuple with an unhashable dart among them."""
+        A walk object that this surface built and kept in its table of
+        walks is valid by construction, and its class is read from the
+        table in one lookup.  Every other walk, an equal tuple built
+        afresh included, is validated first (``(True,)`` equals ``(1,)``
+        but is refused), and its class is the sum of its darts'."""
         try:
-            kept = self._walk_class.get(walk) if type(walk) is tuple else None
-        except TypeError:  # an unhashable dart, which is no int
+            kept = self._walk_class.get(walk)
+        except TypeError:  # a list, or a dart that is unhashable, so no int
             kept = None
-        if kept is not None and (kept.darts is walk or set(map(type, walk)) == {int}):
+        if kept is not None and kept.darts is walk:
             return kept.cls
         return self.class_of_chain(validate_walk(self, walk))
 
@@ -602,10 +595,14 @@ def cotree_basis(R):
 
     The walks generate the surface's first homology (and, for a closed
     surface, map onto all of Z^2g).  R's homology builds the pairs once
-    and keeps each walk's class for ``class_of_walk``.
+    and keeps each walk's class for ``class_of_walk``; the i-th basis
+    loop's, e_i by construction, is row i of the identity unless read
+    before.
     """
     H = homology(R)
     if H._cotree is None:
+        for e, row in zip(H.basis_edges, identity(H.rank)):
+            H._class.setdefault(H._packed[e], row)
         H._cotree = tuple((H._tree_walk(e), H._class[H._packed[e]])
                           for e in H.fundamental_edges)
         H._walk_class.update((walk, _WalkClass(walk, cls)) for walk, cls in H._cotree)

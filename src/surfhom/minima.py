@@ -173,8 +173,11 @@ class WeightedCycle(NamedTuple):
     def with_class(self, cls, name=None):
         """This cycle with class ``cls`` and, when given, ``name``: the
         cycle itself when it carries that class already and no name is
-        given."""
-        cls = tuple(cls)
+        given.  A class that is not iterable raises ValidationError."""
+        try:
+            cls = tuple(cls)
+        except TypeError:
+            raise ValidationError(f"class {cls!r} is not an iterable of ints") from None
         if name is None and cls == self.cls:
             return self
         return WeightedCycle(
@@ -191,14 +194,9 @@ class WeightedCycle(NamedTuple):
 
 
 def make_cycle(G, walk, cls=None, name=None):
-    validate_walk(G.ribbon, walk)
-    return WeightedCycle(
-        tuple(walk),
-        G.walk_length(walk),
-        canonical_walk(tuple(walk), G.ribbon.twin),
-        tuple(cls) if cls is not None else None,
-        name,
-    )
+    walk = validate_walk(G.ribbon, walk)
+    cycle = WeightedCycle(walk, G.walk_length(walk), canonical_walk(walk, G.ribbon.twin), None, name)
+    return cycle if cls is None else cycle.with_class(cls)
 
 
 def _step_table(G, packed):

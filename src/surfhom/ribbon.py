@@ -431,8 +431,13 @@ def complement_components(R, system):
     every edge the system does not use; vertices away from the system
     connect their incident faces automatically through unused edges.
     They are the components of a BFS (``_spanning_tree``) over the
-    faces, joined across the unused edges.
+    faces, joined across the unused edges.  A system that is not
+    iterable raises ValidationError.
     """
+    try:
+        system = iter(system)
+    except TypeError:
+        raise ValidationError(f"system {system!r} is not an iterable of walks") from None
     used = set()
     for walk in system:
         validate_walk(R, walk)

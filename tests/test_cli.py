@@ -219,6 +219,14 @@ PINNED_STDOUT = {
         "f2677e7def6c206de30a1270b20194c9930162284fbb7df18c69409233dbe4ea",
     "minima example4 --procedure I --modulus 2 --bound 2":
         "51619140e8b6df6e7ba4799f24f8f3882af62676f4b754f6efef40407b46aedb",
+    # a bound below twice example 4's total length, so the enumeration
+    # cuts walks by their distance back to their start; the same output
+    # as at bound 2
+    "minima example4 --procedure I --modulus 2 --bound 3":
+        "51619140e8b6df6e7ba4799f24f8f3882af62676f4b754f6efef40407b46aedb",
+    # the CLI's only odd-prime path, through zlattice._EchelonModP
+    "minima example2G --procedure II --modulus 3 --bound 4":
+        "48e651ebc3114c1841c15044200becf028dcbf62f28e22439bcf3898803a6a7c",
     "minima remark45G --procedure I --bound 4":
         "f3eb13cd0c4753f84692ac29cdec8c1eb7aea6f1aba51c3a4c4a8570ab12b25b",
     # exactly twice example 2H's total length, and far past remark

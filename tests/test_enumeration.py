@@ -299,7 +299,7 @@ def test_enumerated_walks_skip_validation_and_others_do_not(monkeypatch):
     seen = counting_validations(monkeypatch)
     assert [H.class_of_walk(c.darts) for c in cycles] == [c.cls for c in cycles]
     assert seen == []
-    # a list is never looked up, an invalid tuple still raises
+    # a list is validated, and an invalid tuple still raises
     walk = cycles[-1].darts
     assert H.class_of_walk(list(walk)) == cycles[-1].cls
     with pytest.raises(ValidationError, match="immediate reversal"):
@@ -329,13 +329,14 @@ def test_table_walks_refuse_darts_that_only_equal_ints(monkeypatch):
     for walk in ((True,), (1.0,), (False,), (False, True, 2, 3)):
         with pytest.raises(ValidationError, match="not in graph"):
             H.class_of_walk(walk)
-    # an equal tuple of ints built afresh is type-tested, not validated,
-    # and gets the class object the table keeps
+    # an equal tuple of ints built afresh is validated and gets an equal
+    # class
     seen = counting_validations(monkeypatch)
+    fresh = []
     for walk, cls in pairs + tuple((c.darts, c.cls) for c in cycles):
-        fresh = tuple(list(walk))
-        assert fresh is not walk and H.class_of_walk(fresh) is cls
-    assert seen == []
+        fresh.append(tuple(list(walk)))
+        assert fresh[-1] is not walk and H.class_of_walk(fresh[-1]) == cls
+    assert list(map(id, seen)) == list(map(id, fresh))
 
 
 @pytest.mark.parametrize("width", [2, 4, 8])

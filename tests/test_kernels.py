@@ -5,15 +5,17 @@ and the Miller-Rabin modulus check.
 versions kept in ``reference_zlattice``; the symplectic inverse with
 that module's Smith-form ``int_inverse``, so the comparison stays
 independent of the library's Hermite solve; ``_is_prime`` with trial
-division; a unit class read off a template with its unpacked row, at
-every digit width.  The library has no Smith form left, and a guard
+division; the unit test of a packed int, and the class table's reads,
+with the unpacked row, at every digit width.  The library has no Smith form left, and a guard
 pins that neither ``surfhom`` nor ``surfhom.zlattice`` offers one.  The
 count guards pin that the homology path inverts no matrix, that
 building a surface's homology runs no symplectic reduction, that each
 symplectic basis runs it once, takes no determinant and takes its
 inverse from that reduction, that a canonical word's reduction
 multiplies no row by the form, that it and the word's cotree and
-symplectic bases unpack nothing, that nothing reading classes alone
+symplectic bases unpack nothing, that the basis loops' classes are the
+rows of the identity and no class reader tests for a unit vector, that
+nothing reading classes alone
 builds the intersection form and its first reader builds it once, that
 a pool of enumerated cycles validates no walk, and that a procedure or
 a public Z oracle validates a fixed number of matrices however long its
@@ -354,33 +356,58 @@ def test_canonical_word_reduction_unpacks_no_row(monkeypatch):
     assert calls == []
 
 
+def test_basis_loop_classes_are_identity_rows_and_no_reader_tests_a_unit(monkeypatch):
+    # the i-th basis loop's class is e_i by construction: cotree_basis
+    # puts the rows of the identity in the class table, where a class
+    # read before keeps its object, and neither it, nor the enumeration,
+    # nor class_of_walk tests a class for being a unit vector
+    calls = []
+    unit = homology_module._unit
+    monkeypatch.setattr(homology_module, "_unit", lambda p, bits: calls.append(p) or unit(p, bits))
+    words = [schema_to_ribbon(canonical_word(g)) for g in (1, 2, 5)]
+    for R in words + random_closed_surfaces(30):
+        H = homology(R)
+        e = H.basis_edges[-1]
+        early = H.fundamental_class(e)
+        for c in enumerate_cycles(WeightedGraph(R, [1] * R.n_edges), 3):
+            assert H.class_of_walk(c.darts) is c.cls
+            assert H.class_of_walk(list(c.darts)) == c.cls
+        basis = dict(zip(H.fundamental_edges, cotree_basis(R)))
+        assert [basis[f][1] for f in H.basis_edges] == list(identity(H.rank))
+        assert basis[e][1] is early and H.fundamental_class(e) is early
+        for walk, cls in basis.values():
+            assert H.class_of_walk(walk) is cls
+            assert H.class_of_walk(list(walk)) == cls
+    assert calls == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 40))
-def test_unit_classes_are_sliced_and_equal_their_unpacked_rows(size, count):
-    # s * e_c, packed as s * 2^(bits * c), is read off a template: it
-    # equals the unpacked row at every digit width (16 bytes has no struct
-    # code), and a second read returns the same object.  Sums that are
-    # not unit vectors are still unpacked
+def test_unit_vectors_are_found_by_unit_and_unpacked_by_the_table(size, count):
+    # s * e_c, packed as s * 2^(bits * c), is found by _unit at every
+    # digit width (16 bytes has no struct code), and no other sum is.
+    # The table unpacks every sum it has not seen, a unit vector or not,
+    # into the unpacked row, and a second read returns the same object
     packing = homology_module._Packing(size, count)
     table = homology_module._Unpacked(packing)
     unpacked = []
     table.unpack = lambda s: unpacked.append(s) or packing.unpack_one(s)
     bits = 8 * size
+    units = []
     for c in range(count):
         for s in (1, -1):
-            p = s << (bits * c)
-            assert homology_module._unit(p, bits) == (c, s)
-            cls = table[p]
-            assert type(cls) is tuple and cls == packing.unpack_one(p)
-            assert table[p] is cls
-    assert unpacked == []
+            units.append(s << (bits * c))
+            assert homology_module._unit(units[-1], bits) == (c, s)
     others = [0, 2 << (bits * (count - 1)), -3]
     if count > 1:
         others += [(1 << bits) + 1, (1 << bits) - 1]
     for p in others:
         assert homology_module._unit(p, bits) is None
-        assert table[p] == packing.unpack_one(p) and table[p] is table[p]
-    assert unpacked == others
+    for p in units + others:
+        cls = table[p]
+        assert type(cls) is tuple and cls == packing.unpack_one(p)
+        assert table[p] is cls
+    assert unpacked == units + others
 
 
 # ---------------------------------------------------------------------------

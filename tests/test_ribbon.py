@@ -276,6 +276,29 @@ def test_walks_that_are_not_tuples_or_lists_are_refused_everywhere(walk):
         assert is_straight_cycle(G, darts) is is_straight_cycle(G, make_cycle(G, darts))
 
 
+@pytest.mark.parametrize("system", [5, None, 0.5])
+def test_a_system_that_is_not_iterable_is_refused(system):
+    with pytest.raises(ValidationError) as err:
+        complement_components(torus(), system)
+    assert str(err.value) == f"system {system!r} is not an iterable of walks"
+
+
+@pytest.mark.parametrize("cls", [5, None, 0.5])
+def test_a_class_that_is_not_iterable_is_refused(cls):
+    # make_cycle takes None for "no class", so only with_class sees None
+    G = WeightedGraph(torus(), (1, 1))
+    cycle = make_cycle(G, (0,))
+    refusals = [lambda: cycle.with_class(cls), lambda: cycle.with_class(cls, "a")]
+    if cls is not None:
+        refusals.append(lambda: make_cycle(G, (0,), cls))
+    for refuse in refusals:
+        with pytest.raises(ValidationError) as err:
+            refuse()
+        assert str(err.value) == f"class {cls!r} is not an iterable of ints"
+    assert make_cycle(G, (0,), [1, 0], "a") == cycle.with_class((1, 0), "a")
+    assert make_cycle(G, (0,), [1, 0]).cls == (1, 0) and cycle.cls is None
+
+
 def test_class_of_walk_rejects_a_bad_successor():
     with pytest.raises(ValidationError, match="dart 99 not in graph"):
         homology(DIPOLE).class_of_walk((0, 99))
