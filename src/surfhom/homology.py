@@ -26,7 +26,10 @@ P @ G @ P^T equal to the standard form S.  Each step slides a handle
 off the word (Lazarus, Pocchiola, Vegter and Verroust, SoCG 2001), which
 is one rank-2 step of the symplectic reduction of G, and the form row
 P[x] @ G of each settled row is its chord's crossings, so each pair
-writes its two columns of P^-1 off the word, with no product.
+writes its two columns of P^-1 off the word, with no product.  The
+reduction writes each label as a code below 2n, n the rank, and a word
+of up to 256 codes as bytes, so its searches, slices and slides run in
+C and two ``translate`` calls read off the chords that cross an arc.
 
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
@@ -45,7 +48,7 @@ basis loops' classes, e_i by construction, are put there by
 import struct
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import invert, neg
+from operator import neg
 from typing import NamedTuple
 
 from .ribbon import (
@@ -231,10 +234,20 @@ def _reduce_word(word):
     SoCG 2001).  A chord of a one-face word crosses some other chord;
     a pivot chord that crosses none raises AssertionError.
 
+    The word holds codes, not labels: label x is x mod 2n, the index
+    the ``chord``, ``sign``, ``at`` and ``terms`` tables give it, and
+    the other end of code k is 2n - 1 - k.  Up to 256 codes, rank 128,
+    the word is bytes.  Then the codes of an arc whose other ends lie
+    outside it are ``arc.translate(None, arc.translate(flip))``, with
+    ``flip`` the table that sends each code to its other end, and those
+    other ends are ``arc.translate(flip).translate(None, arc)``: no set
+    is built.  A longer word is a list of codes, and the same two reads
+    build sets.  The loop is the same for both.
+
     A row keeps its steps (``terms``: ``terms[c]`` the rows it
-    subtracts, ``terms[~c]`` those it adds) and sums them once, when it
-    settles, over the packed settled rows (``_Packing``, 1-byte digits
-    first).  Its bound is 1 plus the number of its steps times the
+    subtracts, ``terms[2n - 1 - c]`` those it adds) and sums them once,
+    when it settles, over the packed settled rows (``_Packing``, 1-byte
+    digits first).  Its bound is 1 plus the number of its steps times the
     largest maximum of a settled row (``top``); when that passes the
     digit width, every settled row is packed again, at the least width
     that holds it.  A row that took no step is a slice of a template.
@@ -251,10 +264,22 @@ def _reduce_word(word):
     their transpose, with no product.
     """
     n = len(word) // 2
-    chord = [*range(n), *range(n - 1, -1, -1)]  # label -> its chord
-    sign = [1] * n + [-1] * n  # label -> +1 at a tail, -1 at a head
+    last = 2 * n - 1  # code k's other end is last - k
+    word = [x % (2 * n) for x in word]
+    # ends_inside(arc): the codes in arc of the chords with one end in
+    # it; ends_outside(arc): the other ends of those chords
+    if last < 256:
+        flip = bytes(range(last, -1, -1)) + bytes(range(last + 1, 256))
+        word = bytes(word)
+        ends_inside = lambda arc: arc.translate(None, arc.translate(flip))
+        ends_outside = lambda arc: arc.translate(flip).translate(None, arc)
+    else:
+        ends_inside = lambda arc: set(arc).difference(map(last.__sub__, arc))
+        ends_outside = lambda arc: set(map(last.__sub__, arc)).difference(arc)
+    chord = [*range(n), *range(n - 1, -1, -1)]  # code -> its chord
+    sign = [1] * n + [-1] * n  # code -> +1 at a tail, -1 at a head
     order = list(range(n))  # row -> the chord it began as
-    at = chord[:]  # label -> the row of its chord
+    at = chord[:]  # code -> the row of its chord
     terms = [[] for _ in range(2 * n)]
     plus, minus = _unit_templates(n)
     packing = _Packing(1, n)
@@ -264,7 +289,7 @@ def _reduce_word(word):
     def settle(c, s):
         """Append the row of chord c, times s, to the settled rows."""
         nonlocal packing, top
-        add, sub = terms[~c], terms[c]
+        add, sub = terms[last - c], terms[c]
         if not (add or sub):
             rows.append(plus[n - c:2 * n - c] if s > 0 else minus[n - c:2 * n - c])
             packed.append(s << (8 * packing.size * c))
@@ -295,40 +320,36 @@ def _reduce_word(word):
         b, ca = a + 1, order[a]
         i = word.index(ca)
         word = word[i:] + word[:i]
-        m, j = len(word), word.index(~ca)
-        # the word from a's tail is a X b Y a' Z b' U.  cross: the labels
+        m, j = len(word), word.index(last - ca)
+        # the word from a's tail is a X b Y a' Z b' U.  cross: the codes
         # inside a's arc of the chords that cross a, read off the shorter
         # side of a
         if 2 * j <= m:
-            arc = word[1:j]
-            cross = set(arc).difference(map(invert, arc))
+            cross = ends_inside(word[1:j])
         else:
-            arc = word[j + 1:]
-            cross = set(map(invert, arc)).difference(arc)
+            cross = ends_outside(word[j + 1:])
         if not cross:
             raise AssertionError(f"pivot chord {ca} crosses no other chord")
         t = min(map(at.__getitem__, cross))
         cb = order[t]
         if t != b:
             order[b], order[t] = cb, order[b]
-            at[cb] = at[~cb] = b
-            at[order[t]] = at[~order[t]] = t
+            at[cb] = at[last - cb] = b
+            at[order[t]] = at[last - order[t]] = t
         s = 1 if cb in cross else -1
         settle(ca, 1)
         settle(cb, s)
         # b's ends at u inside a's arc and at v past a'.  crossed: the
-        # labels outside them, in U a X, of the chords that cross b
-        inner = cb if s > 0 else ~cb
-        u, v = word.index(inner, 1, j), word.index(~inner, j + 1)
+        # codes outside them, in U a X, of the chords that cross b
+        inner = cb if s > 0 else last - cb
+        u, v = word.index(inner, 1, j), word.index(last - inner, j + 1)
         if m < 2 * (v - u):
-            arc = word[v + 1:] + word[:u]
-            crossed = set(arc).difference(map(invert, arc))
+            crossed = ends_inside(word[v + 1:] + word[:u])
         else:
-            arc = word[u + 1:v]
-            crossed = set(map(invert, arc)).difference(arc)
+            crossed = ends_outside(word[u + 1:v])
         word = word[j + 1:v] + word[u + 1:j] + word[1:u] + word[v + 1:]
         # -P[b] @ G and P[a] @ G, columns a and b of P^-1, and the step
-        # of each later row, whose label y names the list of ``terms``
+        # of each later row, whose code y names the list of ``terms``
         # that takes the row
         Fa, Fb = [0] * n, [0] * n
         for y in cross:

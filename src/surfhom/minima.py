@@ -150,6 +150,10 @@ class WeightedGraph:
         return self.edge_length[self.ribbon.edge_number[d]]
 
     def walk_length(self, walk):
+        """The exact length of a tuple or a list of darts; anything else,
+        an iterator among them, is refused as ``validate_walk`` refuses it."""
+        if not isinstance(walk, (tuple, list)):
+            raise ValidationError(f"walk {walk!r} is not a tuple or a list of darts")
         for d in walk:
             _check_dart(self.ribbon, d)
         return Fraction(sum(map(self._weight.__getitem__, walk)), self._denominator)

@@ -42,7 +42,10 @@ class ValidationError(ValueError):
 # gluing words
 
 def parse_gluing_word(text):
-    """Parse ``"1 2 1' 3 ..."`` into a tuple of (label, primed) tokens."""
+    """Parse ``"1 2 1' 3 ..."`` into a tuple of (label, primed) tokens.
+    Text that is not a str raises ValidationError."""
+    if not isinstance(text, str):
+        raise ValidationError(f"gluing word {text!r} is not a str")
     sides = []
     for tok in text.split():
         if tok.endswith("'"):
@@ -59,7 +62,12 @@ def format_gluing_word(word):
 def validate_gluing_word(word):
     """Check the polygon schema invariants; reject non-orientable words.
     Each letter is a (label, primed) tuple: a hashable label and a bool
-    flag, ``True`` for the primed side."""
+    flag, ``True`` for the primed side.  Returns the word as a tuple; a
+    word that is not iterable raises ValidationError."""
+    try:
+        word = tuple(word)
+    except TypeError:
+        raise ValidationError(f"gluing word {word!r} is not a str or an iterable of letters") from None
     if not word:
         raise ValidationError("empty gluing word")
     if len(word) % 2:
@@ -80,6 +88,7 @@ def validate_gluing_word(word):
                 f"label {lab!r} occurs twice with the same sign; "
                 "the glued surface would be non-orientable"
             )
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +316,12 @@ def schema_to_ribbon(word):
     Side i of the polygon, traversed counterclockwise, becomes dart i.
     Pasting side k to side k' reverses orientation, so the quotient is
     orientable; the polygon interior is the single face.  Edge labels
-    are the word's side labels.
+    are the word's side labels.  A word that is neither a str nor an
+    iterable of letters raises ValidationError.
     """
     if isinstance(word, str):
         word = parse_gluing_word(word)
-    validate_gluing_word(word)
+    word = validate_gluing_word(word)
     n = len(word)
     where = {}
     for i, (lab, primed) in enumerate(word):

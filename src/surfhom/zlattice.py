@@ -35,8 +35,12 @@ class LatticeError(ValueError):
 
 
 def as_int_matrix(rows):
-    """Normalize to a tuple-of-tuples of ints; reject ragged input."""
-    out = tuple(tuple(x) for x in rows)
+    """Normalize to a tuple-of-tuples of ints; reject ragged input and
+    a matrix or a row that is not iterable."""
+    try:
+        out = tuple(tuple(x) for x in rows)
+    except TypeError:
+        raise LatticeError(f"matrix {rows!r} is not an iterable of rows") from None
     if out:
         w = len(out[0])
         for r in out:

@@ -492,6 +492,62 @@ def test_one_vertex_words_reduce_by_unit_pivots_as_the_reference_does():
 
 
 # ---------------------------------------------------------------------------
+# the reduction reads a chord word of up to 256 codes as bytes and a
+# longer one as a list: on either side of that boundary its basis is the
+# references', and only the list builds sets
+
+def boundary_surfaces():
+    """Closed surfaces of rank 128, the last whose chord word is bytes,
+    and of rank 130, the first whose word is a list: one-vertex words of
+    genus 64 and 65, then random rotations of 264 edges on 132 vertices."""
+    rng = random.Random("bytes-boundary")
+    yield one_vertex_word(rng, 64)
+    yield one_vertex_word(rng, 65)
+    for seed in (1, 0):
+        yield random_ribbon_graph(random.Random(f"bytes-boundary-{seed}"), max_edges=264,
+                                  min_edges=264, vertices=132)
+
+
+def unit_of(row):
+    """(c, s) when the row is s * e_c, else None."""
+    nonzero = [(c, x) for c, x in enumerate(row) if x]
+    if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
+        return nonzero[0]
+    return None
+
+
+def test_reduction_on_either_side_of_the_bytes_word_matches_the_references():
+    ranks = []
+    for R in boundary_surfaces():
+        H = homology(R)
+        G = H.pairing_matrix
+        P, inverse, units = _reduce_word(H._chord_word())
+        assert P == ref.symplectic_reduction(G)[0] == ref.unit_pivot_reduction(G)[0], R
+        assert matmul(matmul(P, G), transpose(P)) == standard_symplectic(H.rank // 2), R
+        assert matmul(P, inverse) == identity(H.rank), R
+        assert units == [unit_of(row) for row in P], R
+        ranks.append(H.rank)
+    assert ranks == [128, 130, 128, 130]
+
+
+def test_a_bytes_word_is_reduced_with_no_set(monkeypatch):
+    # up to 256 codes, the chords that cross an arc are read off the
+    # arc by two translate calls; a longer word reads them off sets
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return set(*args)
+
+    words = [homology(R)._chord_word() for R in boundary_surfaces()]
+    monkeypatch.setattr(homology_module, "set", spy, raising=False)
+    for word in words:
+        del calls[:]
+        _reduce_word(word)
+        assert bool(calls) is (len(word) > 256), len(word)
+
+
+# ---------------------------------------------------------------------------
 # the form from prefix sums against the indicator lists it replaced, and
 # the kept faces and tree walks against the routines before them
 

@@ -95,6 +95,30 @@ def test_word_with_a_malformed_letter_is_refused(word):
         schema_to_ribbon(word)
 
 
+@pytest.mark.parametrize("word", [5, None, 0.5], ids=repr)
+def test_word_that_is_not_iterable_is_refused(word):
+    # a word is a str or an iterable of letters; anything else is a
+    # ValidationError naming it, never a raw TypeError or AttributeError
+    message = f"gluing word {word!r} is not a str or an iterable of letters"
+    with pytest.raises(ValidationError) as err:
+        validate_gluing_word(word)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        schema_to_ribbon(word)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        parse_gluing_word(word)
+    assert str(err.value) == f"gluing word {word!r} is not a str"
+
+
+def test_word_given_as_an_iterator_is_read_once():
+    # the word is taken as a tuple once, so an iterator of letters glues
+    # the surface its tuple glues
+    letters = parse_gluing_word(WORD20)
+    assert validate_gluing_word(iter(letters)) == letters
+    assert schema_to_ribbon(iter(letters)) == schema_to_ribbon(letters)
+
+
 def test_genus3_word():
     R = schema_to_ribbon(WORD20)
     inv = surface_invariants(R)
@@ -355,6 +379,20 @@ def test_lookups_refuse_a_dart_that_is_not_an_int_in_range(lookup, dart):
     with pytest.raises(ValidationError) as err:
         lookup(torus(), dart)
     assert str(err.value) == f"dart {dart!r} not in graph"
+
+
+@pytest.mark.parametrize("walk", [
+    5, None, 0.5, "01", {0, 1}, range(2), iter((0, 1)), (d for d in (0, 1)),
+], ids=repr)
+def test_walk_length_refuses_a_walk_that_is_not_a_tuple_or_a_list(walk):
+    # checking the darts of an iterator would use it up and leave the
+    # sum empty, a length of 0: such a walk is refused by name, as
+    # validate_walk refuses it
+    G = WeightedGraph(torus(), (1, 2))
+    with pytest.raises(ValidationError) as err:
+        G.walk_length(walk)
+    assert str(err.value) == f"walk {walk!r} is not a tuple or a list of darts"
+    assert G.walk_length((0, 1)) == G.walk_length([0, 1]) == 3
 
 
 def test_labels_read_the_edge_table(monkeypatch):

@@ -167,6 +167,25 @@ def test_det_errors():
         det_int(((1, 2, 3), (4, 5, 6)))
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda: det_int(None), None),
+    (lambda: det_int([5]), [5]),
+    (lambda: subgroup_index(None), None),
+    (lambda: complete_to_unimodular(None), None),
+    (lambda: in_span(None, (1,)), None),
+    (lambda: in_span([[1, 0]], None), (None,)),
+    (lambda: is_partial_basis(None), None),
+    (lambda: as_int_matrix(5), 5),
+], ids=["det_int", "det_int-row", "subgroup_index", "complete_to_unimodular",
+        "in_span-matrix", "in_span-vector", "is_partial_basis", "as_int_matrix"])
+def test_a_matrix_or_row_that_is_not_iterable_is_refused(call, bad):
+    # a LatticeError naming the input, never a raw TypeError, as a
+    # non-integer entry is refused; in_span's vector is its one-row matrix
+    with pytest.raises(LatticeError) as err:
+        call()
+    assert str(err.value) == f"matrix {bad!r} is not an iterable of rows"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
