@@ -34,14 +34,13 @@ C and two ``translate`` calls read off the chords that cross an arc.
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
 digits of a fixed byte width, so adding multiples of rows is big-integer
-arithmetic.  The reduction packs its settled rows at 1-byte digits and
-widens them only when a new row's bound passes the width; while rows
-hold only -1, 0 and 1, one bytes test per row keeps the bound a count
-of steps, with no scan.  The build packs each dart's class once, at
-digits that hold any edge-simple walk's class, so the class of an
-enumerated cycle is a sum of its darts' packed rows, and one
-``_Unpacked`` table per surface unpacks each distinct sum once; the
-basis loops' classes, e_i by construction, are put there by
+arithmetic.  The reduction packs its settled rows at 1-byte digits,
+which hold every one: each entry of P is a crossing sign of the word,
+so -1, 0 or 1 (proved at ``_reduce_word``).  The build packs each
+dart's class once, at digits that hold any edge-simple walk's class, so
+the class of an enumerated cycle is a sum of its darts' packed rows,
+and one ``_Unpacked`` table per surface unpacks each distinct sum once;
+the basis loops' classes, e_i by construction, are put there by
 ``cotree_basis`` as the rows of the identity.
 """
 
@@ -166,11 +165,6 @@ class _Packing:
         return self.row_struct.unpack(data)
 
 
-# the 1-byte digits -1, 0 and 1 in two's complement: a row packed at
-# 1-byte digits whose bytes are all among them has maximum 1
-_UNIT_DIGITS = b"\x00\x01\xff"
-
-
 def _unit(p, bits):
     """(c, s) when the packed int p is s * e_c, a signed unit vector at
     digits of ``bits`` bits (``_Packing``): p is +-2^(bits * c).  None
@@ -247,14 +241,32 @@ def _reduce_word(word):
     A row keeps its steps (``terms``: ``terms[c]`` the rows it
     subtracts, ``terms[2n - 1 - c]`` those it adds) and sums them once,
     when it settles, over the packed settled rows (``_Packing``, 1-byte
-    digits first).  Its bound is 1 plus the number of its steps times the
-    largest maximum of a settled row (``top``); when that passes the
-    digit width, every settled row is packed again, at the least width
-    that holds it.  A row that took no step is a slice of a template.
-    While every settled row's maximum is 1, as on every surface seen so
-    far, the bound is 1 plus the number of steps, and a row at 1-byte
-    digits whose bytes are all those of -1, 0 or 1 (``_UNIT_DIGITS``)
-    has maximum 1 with no scan; any other row takes its exact maximum.
+    digits).  A row that took no step is a slice of a template.  Every
+    entry of P is -1, 0 or 1, so 1-byte digits always suffice:
+
+    Lemma (the slide).  In a X b Y a' Z b' U with <a, b> = +1, any two
+    other chords x and y cross in Z Y X U with the sign
+        <x, y> + <a, x> <y, b> - <x, b> <a, y>.
+    The sign depends only on where the four ends of x and y fall among
+    X, Y, Z and U, so a finite check decides the lemma (the tests check
+    all 840 placements), and it needs no one-face word.
+
+    Invariant.  Fix a column c, and add a virtual chord c* with one end
+    just before c's tail and the other just after it.  Then <c*, c> = 1
+    and c* crosses no other chord: column c of the starting rows, the
+    identity.  Each end of c* rides in its segment through every slide;
+    the reduction never reads c*, so its pivots do not change.  Entry c
+    of a step,
+        P[i][c] <- P[i][c] - <a, i> P[b][c] - <i, b> P[a][c],
+    is the lemma for the pair (c*, i), so entry c of every row left
+    stays <c*, its chord> in the current word.  The pivot row b takes
+    the sign s, and b's orientation flips with it, so P[b] keeps it as
+    well.  When row x settles, P[x][c] is a crossing sign: -1, 0 or 1.
+
+    So each settled row is exact at 1-byte digits, and so is any integer
+    sum of them, as packing is linear.  Whatever digits the partial sums
+    pass through, the final digits are -1, 0 or 1, and ``unpack_one``
+    reads them exactly: no width or bound is needed.
 
     The form row P[x] @ G of a settled row is its chord's crossings when
     it settles: the rows settled before pair to zero with it, and every
@@ -282,39 +294,22 @@ def _reduce_word(word):
     at = chord[:]  # code -> the row of its chord
     terms = [[] for _ in range(2 * n)]
     plus, minus = _unit_templates(n)
-    packing = _Packing(1, n)
+    unpack = _Packing(1, n).unpack_one
     rows, packed, units, F = [], [], [], []
-    top = 1  # the largest maximum of a settled row
 
     def settle(c, s):
         """Append the row of chord c, times s, to the settled rows."""
-        nonlocal packing, top
         add, sub = terms[last - c], terms[c]
         if not (add or sub):
             rows.append(plus[n - c:2 * n - c] if s > 0 else minus[n - c:2 * n - c])
-            packed.append(s << (8 * packing.size * c))
+            packed.append(s << 8 * c)
             units.append((c, s))
             return
-        nb = 1 + (len(add) + len(sub)) * top
-        if nb >> (8 * packing.size - 1):
-            packing = _Packing(_digit_bytes(nb), n)
-            packed[:] = packing.pack(rows)
-        bits = 8 * packing.size
-        p = (1 << bits * c) + sum(map(packed.__getitem__, add)) - sum(map(packed.__getitem__, sub))
+        p = (1 << 8 * c) + sum(map(packed.__getitem__, add)) - sum(map(packed.__getitem__, sub))
         p = p if s > 0 else -p
-        if bits == 8:
-            data = ((p + packing.bias) ^ packing.bias).to_bytes(n, "little")
-            row = packing.row_struct.unpack(data)
-            peak = 1 if not data.translate(None, _UNIT_DIGITS) else max(map(abs, row))
-        else:
-            row = packing.unpack_one(p)
-            peak = max(map(abs, row))
-        # a comparison, not max(): max() runs only where a row is scanned
-        if peak > top:
-            top = peak
-        rows.append(row)
+        rows.append(unpack(p))
         packed.append(p)
-        units.append(_unit(p, bits))
+        units.append(_unit(p, 8))
 
     for a in range(0, n, 2):
         b, ca = a + 1, order[a]

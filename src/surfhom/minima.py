@@ -652,8 +652,11 @@ def verify_lemma_procI_minimal(trace, candidates, modulus=0):
 def shortest_distances(G, source):
     """Dijkstra over G's integer dart weights: each distance is the
     graph distance from ``source`` times D, the least common denominator
-    of G's edge lengths (``G._denominator``)."""
+    of G's edge lengths (``G._denominator``).  A source that is not a
+    vertex of G raises ValidationError."""
     R = G.ribbon
+    if not (type(source) is int and 0 <= source < len(R.rotation)):
+        raise ValidationError(f"vertex {source!r} not in graph")
     vof, twin, weight = R.vertex_of, R.twin, G._weight
     dist = {source: 0}
     heap = [(0, source)]

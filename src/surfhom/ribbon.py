@@ -406,8 +406,19 @@ def walk_from_edge_set(R, darts):
 
     Every vertex of the chosen subgraph must have degree exactly 2.
     The walk starts at the smallest dart of the set, in its direction.
+    A collection that is not iterable, a dart that is not R's, and an
+    empty set raise ValidationError.
     """
-    eset = {edge_of_dart(R, d) for d in darts}
+    try:
+        darts = iter(darts)
+    except TypeError:
+        raise ValidationError(f"edge set {darts!r} is not an iterable of darts") from None
+    eset = set()
+    for d in darts:
+        _check_dart(R, d)
+        eset.add(edge_of_dart(R, d))
+    if not eset:
+        raise ValidationError("edge set is empty")
     vof = R.vertex_of
     incident = {}
     for e in eset:

@@ -490,11 +490,14 @@ def in_span(M, v, modulus=0):
     -v's residue records the witness.  Over F_p the oracle keeps the rows
     independent mod p of the rows kept before them, and the witness is
     the unique combination that is zero on every other row, with entries
-    in [0, p).
+    in [0, p).  A v that is not iterable raises LatticeError.
     """
     _check_modulus(modulus)
     M = as_int_matrix(M)
-    v = as_int_matrix((v,))[0]
+    try:
+        v = as_int_matrix((tuple(v),))[0]
+    except TypeError:
+        raise LatticeError(f"vector {v!r} is not an iterable of ints") from None
     n = len(v)
     if M and n != len(M[0]):
         raise LatticeError("vector length does not match matrix columns")
@@ -563,8 +566,11 @@ def complete_to_unimodular(M, ambient_cols=None):
     basis of the quotient, so M and C together span Z^n.  An empty
     matrix needs ``ambient_cols`` to know the ambient rank; any
     unimodular completion satisfies the contract, so it gets the
-    identity.
+    identity.  An ``ambient_cols`` that is not None or an int >= 0 (a
+    bool included) raises LatticeError.
     """
+    if ambient_cols is not None and (type(ambient_cols) is not int or ambient_cols < 0):
+        raise LatticeError(f"ambient_cols {ambient_cols!r} is not None or an int >= 0")
     M = as_int_matrix(M)
     if not M or not M[0]:
         if ambient_cols is None:

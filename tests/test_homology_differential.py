@@ -15,11 +15,14 @@ pivot is not a unit; the unit-pivot reduction of the form that the
 library ran before (``unit_pivot_reduction``, ``unit_pivot_basis``)
 takes the word's pivots.  On every surface the three bases must be
 equal field by field, up to random rotations of 800 and 1,600 edges,
-where only the unit-pivot oracle is fast enough and the word
-reduction's packed rows widen, and at 400 edges with every row's
-maximum scanned, a path that no surface reaches unforced.  That a handle slide leaves the reduced
-form is checked on its own, on random one-face words.  A word whose
-pivot chord crosses no other chord is not a surface's, and is refused.
+where only the unit-pivot oracle is fast enough and the word reduction
+still packs at 1-byte digits only.  That a handle slide leaves the
+reduced form is checked on its own, on random one-face words and for
+every placement of two chords' ends; so is the invariant that makes
+each entry of P the crossing sign of a virtual chord, and so -1, 0 or
+1.  On random one-face words P must be the unit-pivot oracle's, with
+no other entry.  A word whose pivot chord crosses no other chord is
+not a surface's, and is refused.
 The unit-pivot oracle keeps its own checks: its reduction of forms
 Q S Q^T with Q lower unitriangular, whose basis rows run far past
 machine words, and at small starting digit widths, must equal the
@@ -44,9 +47,11 @@ seeded closed and bordered surfaces, for their fundamental walks.
 import importlib
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfhom.catalog import EXAMPLE_NAMES, load_example
 from surfhom.homology import (
@@ -199,34 +204,13 @@ def test_symplectic_basis_of_a_400_edge_surface_matches_reference():
     assert_same_basis(R, ref.unit_pivot_basis)
 
 
-def test_rows_settled_at_their_exact_maxima_match_the_unit_pivot_oracle(monkeypatch):
-    # every row of this surface settles at 1-byte digits with entries -1,
-    # 0 and 1 only, so no row scans its maximum.  With no byte taken as
-    # such a digit, every row that took a step takes its exact maximum,
-    # the path that no surface seen so far reaches, and the basis must
-    # still be the oracle's, byte for byte
-    R = random_ribbon_graph(random.Random("symplectic-E400"), max_edges=400, min_edges=400,
-                            vertices=200)
-    maxima = []
-
-    def spy(entries):
-        maxima.append(max(entries))
-        return maxima[-1]
-
-    monkeypatch.setattr(homology_module, "max", spy, raising=False)
-    P = _reduce_word(homology(R)._chord_word())[0]
-    assert maxima == []
-    monkeypatch.setattr(homology_module, "_UNIT_DIGITS", b"")
-    assert_same_basis(R, ref.unit_pivot_basis)
-    assert len(maxima) > len(P) // 2 and set(maxima) == {1}
-
-
-
 @pytest.mark.parametrize("edges", [800, 1600])
 def test_symplectic_basis_of_a_random_rotation_matches_the_unit_pivot_oracle(monkeypatch, edges):
     # a random rotation on edges / 2 vertices, genus about edges / 4: the
-    # sums that settle its basis rows pass 1-byte digits, so the packed
-    # rows widen, and the basis must still be the oracle's, byte for byte
+    # sums that settle its basis rows run over hundreds of rows, yet every
+    # entry of P is -1, 0 or 1 (``_reduce_word``), so the reduction packs
+    # at 1-byte digits only, and the basis must be the oracle's, byte for
+    # byte
     R = random_ribbon_graph(random.Random(3), max_edges=edges, min_edges=edges,
                             vertices=edges // 2)
     H = homology(R)
@@ -242,7 +226,7 @@ def test_symplectic_basis_of_a_random_rotation_matches_the_unit_pivot_oracle(mon
     with monkeypatch.context() as m:
         m.setattr(homology_module, "_Packing", Spy)
         new = symplectic_basis(R)
-    assert widths[0] == 1 and max(widths) > 1
+    assert widths == [1]
     assert H.rank >= edges // 2 - 10
     assert new == ref.unit_pivot_basis(RibbonGraph(R.rotation, R.twin))
 
@@ -269,6 +253,114 @@ def test_slide_of_a_handle_leaves_the_reduced_form_on_one_face_words():
             assert interlace_form(Z + Y + X + U) == reduced_form(G, ca, cb), word
             checked += 1
     assert checked == 320
+
+
+def slide_placements():
+    """Every word a X b Y a' Z b' U, with chords a = 2 and b = 3, that
+    places the four ends of chords x = 0 and y = 1 among X, Y, Z and U:
+    4! orders of the ends, each cut into four runs in C(7, 3) ways, 840
+    words."""
+    for ends in permutations((0, ~0, 1, ~1)):
+        for cuts in combinations(range(7), 3):
+            # the bars between the runs sit at the cuts among 7 slots
+            sizes = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, 7))]
+            runs, i = [], 0
+            for size in sizes:
+                runs.append(list(ends[i:i + size]))
+                i += size
+            yield runs
+
+
+def test_a_slide_leaves_the_reduced_form_for_every_placement_of_two_chords():
+    # the lemma behind every entry of P being -1, 0 or 1 (``_reduce_word``):
+    # the crossing sign of x and y in Z Y X U is
+    # <x, y> + <a, x> <y, b> - <x, b> <a, y>, wherever their ends fall,
+    # on words of any number of faces
+    words = 0
+    for X, Y, Z, U in slide_placements():
+        G = interlace_form([2, *X, 3, *Y, ~2, *Z, ~3, *U])
+        assert G[2][3] == 1
+        slid = interlace_form(Z + Y + X + U)
+        assert slid[0][1] == G[0][1] + G[2][0] * G[1][3] - G[0][3] * G[2][1], (X, Y, Z, U)
+        assert slid == reduced_form(G, 2, 3), (X, Y, Z, U)
+        words += 1
+    assert words == 840
+
+
+def is_one_face(word):
+    """Does the chord word (c at c's tail, ~c at its head) have one face?
+    Exactly when its interlace matrix is invertible over F_2."""
+    G = interlace_form(word)
+    pivots = {}  # leading bit -> row, over F_2
+    for e in G:
+        row = sum(1 << f for f in G[e] if G[e][f])
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if not row:
+            return False
+        pivots[row.bit_length()] = row
+    return True
+
+
+def random_one_face_word(rng, n):
+    """A uniformly random one-face word of n chords: every arrangement of
+    the 2n ends is equally likely, so its labels and orientations are
+    random too."""
+    ends = [*range(n), *(~c for c in range(n))]
+    while True:
+        rng.shuffle(ends)
+        if is_one_face(ends):
+            return list(ends)
+
+
+def test_each_entry_of_p_is_a_virtual_chords_crossing_when_its_row_settles():
+    # the invariant behind every entry of P being -1, 0 or 1: column c
+    # of P is read off a virtual chord c*, n + c here, with its tail just
+    # before c's tail and its head just after it.  A plain-list
+    # reduction carries every c* through the slides, takes the pivots
+    # of ``_reduce_word`` off the interlace form, and each row x of P is
+    # <c*, x> over c when x settles, x oriented as it settles
+    rng = random.Random("virtual-chords")
+    checked = 0
+    for _ in range(300):
+        n = rng.choice((2, 4, 6, 8, 10, 12))
+        word = random_one_face_word(rng, n)
+        P = _reduce_word(word)[0]
+        word = [y for x in word for y in ((n + x, x, ~(n + x)) if x >= 0 else (x,))]
+        order = list(range(n))
+        for a in range(0, n, 2):
+            b, ca = a + 1, order[a]
+            G = interlace_form(word)
+            t = min(r for r in range(b, n) if G[ca][order[r]])
+            order[b], order[t] = order[t], order[b]
+            cb = order[b]
+            s = G[ca][cb]
+            assert P[a] == tuple(G[n + c][ca] for c in range(n)), word
+            assert P[b] == tuple(s * G[n + c][cb] for c in range(n)), word
+            # slide the handle: a X b Y a' Z b' U becomes Z Y X U, b
+            # oriented so that its inner end is its tail
+            i = word.index(ca)
+            word = word[i:] + word[:i]
+            inner = cb if s > 0 else ~cb
+            u, j, v = word.index(inner), word.index(~ca), word.index(~inner)
+            assert u < j < v
+            word = word[j + 1:v] + word[u + 1:j] + word[1:u] + word[v + 1:]
+            checked += 1
+    assert checked > 900
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=True))
+def test_one_face_words_reduce_to_entries_of_at_most_1_as_the_oracle_does(genus, rng):
+    # one-face words of up to 16 chords: P is the unit-pivot oracle's
+    # reduction of the word's interlace form, and every entry is -1, 0
+    # or 1
+    word = random_one_face_word(rng, 2 * genus)
+    form = interlace_form(word)
+    G = tuple(tuple(form[e][f] for f in sorted(form)) for e in sorted(form))
+    P = _reduce_word(word)[0]
+    assert P == ref.unit_pivot_reduction(G)[0], word
+    assert {x for row in P for x in row} <= {-1, 0, 1}, word
 
 def unimodular(rng, n, multipliers=(-3, -2, -1, 1, 2, 3)):
     """A random integer matrix of determinant +-1: the identity under

@@ -640,6 +640,17 @@ def test_straightness_runs_on_integers(monkeypatch):
     assert {type(x) for x in dist.values()} == {int}
 
 
+@pytest.mark.parametrize("source", [-1, 1, 99, None, 0.0, True, "0"])
+def test_a_source_that_is_not_a_vertex_is_refused(source):
+    # 99 was a raw IndexError, None a raw TypeError, and -1 read the last
+    # vertex's rotation under another name
+    G = torus_graph()
+    with pytest.raises(ValidationError) as err:
+        minima.shortest_distances(G, source)
+    assert str(err.value) == f"vertex {source!r} not in graph"
+    assert minima.shortest_distances(G, 0) == {0: 0}
+
+
 def test_straight_single_loop():
     R = RibbonGraph(((0, 1),), (1, 0))
     G = unit_weights(R)

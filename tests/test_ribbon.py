@@ -260,6 +260,8 @@ def test_walks_of_non_integer_darts_are_refused_everywhere(dart):
         lambda: homology(DIPOLE).class_of_walk((dart,)),
         lambda: is_straight_cycle(WeightedGraph(DIPOLE, (1, 1, 1)), (dart,)),
         lambda: complement_components(DIPOLE, [(dart,)]),
+        lambda: walk_from_edge_set(DIPOLE, [dart]),
+        lambda: walk_from_edge_set(DIPOLE, [0, dart]),
     ]
     for refuse in refusals:
         with pytest.raises(ValidationError) as err:
@@ -305,6 +307,20 @@ def test_a_system_that_is_not_iterable_is_refused(system):
     with pytest.raises(ValidationError) as err:
         complement_components(torus(), system)
     assert str(err.value) == f"system {system!r} is not an iterable of walks"
+
+
+@pytest.mark.parametrize("darts", [5, None, 0.5])
+def test_an_edge_set_that_is_not_iterable_is_refused(darts):
+    with pytest.raises(ValidationError) as err:
+        walk_from_edge_set(torus(), darts)
+    assert str(err.value) == f"edge set {darts!r} is not an iterable of darts"
+
+
+def test_an_empty_edge_set_is_refused():
+    # it has no smallest dart to start the walk at
+    with pytest.raises(ValidationError) as err:
+        walk_from_edge_set(torus(), [])
+    assert str(err.value) == "edge set is empty"
 
 
 @pytest.mark.parametrize("cls", [5, None, 0.5])

@@ -167,23 +167,24 @@ def test_det_errors():
         det_int(((1, 2, 3), (4, 5, 6)))
 
 
-@pytest.mark.parametrize("call, bad", [
-    (lambda: det_int(None), None),
-    (lambda: det_int([5]), [5]),
-    (lambda: subgroup_index(None), None),
-    (lambda: complete_to_unimodular(None), None),
-    (lambda: in_span(None, (1,)), None),
-    (lambda: in_span([[1, 0]], None), (None,)),
-    (lambda: is_partial_basis(None), None),
-    (lambda: as_int_matrix(5), 5),
+@pytest.mark.parametrize("call, message", [
+    (lambda: det_int(None), "matrix None is not an iterable of rows"),
+    (lambda: det_int([5]), "matrix [5] is not an iterable of rows"),
+    (lambda: subgroup_index(None), "matrix None is not an iterable of rows"),
+    (lambda: complete_to_unimodular(None), "matrix None is not an iterable of rows"),
+    (lambda: in_span(None, (1,)), "matrix None is not an iterable of rows"),
+    (lambda: in_span([[1, 0]], None), "vector None is not an iterable of ints"),
+    (lambda: is_partial_basis(None), "matrix None is not an iterable of rows"),
+    (lambda: as_int_matrix(5), "matrix 5 is not an iterable of rows"),
 ], ids=["det_int", "det_int-row", "subgroup_index", "complete_to_unimodular",
         "in_span-matrix", "in_span-vector", "is_partial_basis", "as_int_matrix"])
-def test_a_matrix_or_row_that_is_not_iterable_is_refused(call, bad):
-    # a LatticeError naming the input, never a raw TypeError, as a
-    # non-integer entry is refused; in_span's vector is its one-row matrix
+def test_a_matrix_or_row_that_is_not_iterable_is_refused(call, message):
+    # a LatticeError naming the input the caller passed, never a raw
+    # TypeError, as a non-integer entry is refused: in_span names its
+    # vector, not a one-row matrix the caller never passed
     with pytest.raises(LatticeError) as err:
         call()
-    assert str(err.value) == f"matrix {bad!r} is not an iterable of rows"
+    assert str(err.value) == message
 
 
 @settings(max_examples=200, deadline=None)
@@ -468,6 +469,17 @@ def test_complete_empty_with_ambient():
     assert abs(det_int(added)) == 1
     with pytest.raises(LatticeError):
         complete_to_unimodular(())
+
+
+@pytest.mark.parametrize("cols", [-1, True, False, 2.0, "3"])
+def test_an_ambient_width_that_is_not_an_int_of_at_least_0_is_refused(cols):
+    # a negative width read as no rows, True as width 1, and 2.0 reached
+    # identity() as a raw TypeError; a matrix with rows is no excuse
+    for M in ([], [[1, 0]]):
+        with pytest.raises(LatticeError) as err:
+            complete_to_unimodular(M, cols)
+        assert str(err.value) == f"ambient_cols {cols!r} is not None or an int >= 0"
+    assert complete_to_unimodular([], 0) == ()
 
 
 # ---------------------------------------------------------------------------
