@@ -34,14 +34,16 @@ C and two ``translate`` calls read off the chords that cross an arc.
 Rows that are only ever combined, never read entry by entry, are packed
 into one integer each (``_Packing``): a vector's entries become signed
 digits of a fixed byte width, so adding multiples of rows is big-integer
-arithmetic.  The reduction packs its settled rows at 1-byte digits,
+arithmetic.  The build packs each dart's class once, at digits that
+hold any edge-simple walk's class, so the class of an enumerated cycle
+is a sum of its darts' packed rows, and one ``_Unpacked`` table per
+surface unpacks each distinct sum once; the basis loops' classes, e_i
+by construction, are put there by ``cotree_basis`` as the rows of the
+identity.  The reduction packs its settled rows at the same digits,
 which hold every one: each entry of P is a crossing sign of the word,
-so -1, 0 or 1 (proved at ``_reduce_word``).  The build packs each
-dart's class once, at digits that hold any edge-simple walk's class, so
-the class of an enumerated cycle is a sum of its darts' packed rows,
-and one ``_Unpacked`` table per surface unpacks each distinct sum once;
-the basis loops' classes, e_i by construction, are put there by
-``cotree_basis`` as the rows of the identity.
+so -1, 0 or 1 (proved at ``_reduce_word``).  So a row and a dart's
+class are equal exactly when their packed ints are, and
+``symplectic_basis`` matches the two as ints.
 """
 
 import struct
@@ -165,30 +167,19 @@ class _Packing:
         return self.row_struct.unpack(data)
 
 
-def _unit(p, bits):
-    """(c, s) when the packed int p is s * e_c, a signed unit vector at
-    digits of ``bits`` bits (``_Packing``): p is +-2^(bits * c).  None
-    for any other p, 0 included.  Only ``_reduce_word`` and
-    ``symplectic_basis`` call it."""
-    u = abs(p)
-    top = u.bit_length() - 1
-    if top % bits or u != 1 << top:
-        return None
-    return top // bits, 1 if p > 0 else -1
-
-
 class _Unpacked(dict):
     """Packed sum -> class: a missing sum is unpacked and kept, so every
     read of one sum returns the same class object
-    (``SurfaceHomology._class``).  ``bits`` is the digit width in bits:
-    the packed class s * e_c is s * 2^(bits * c).  ``cotree_basis`` puts
-    the basis loops' classes, the rows of the identity, in the table."""
+    (``SurfaceHomology._class``).  ``size`` is the digit width in bytes,
+    at which ``symplectic_basis`` packs its rows to match them to these
+    sums.  ``cotree_basis`` puts the basis loops' classes, the rows of
+    the identity, in the table."""
 
-    __slots__ = ("unpack", "bits")
+    __slots__ = ("unpack", "size")
 
     def __init__(self, packing):
         self.unpack = packing.unpack_one
-        self.bits = 8 * packing.size
+        self.size = packing.size
 
     def __missing__(self, s):
         cls = self[s] = self.unpack(s)
@@ -207,11 +198,12 @@ def _inverse_from_form_rows(F):
     return tuple(zip(*columns))
 
 
-def _reduce_word(word):
+def _reduce_word(word, size):
     """The canonical basis of the chord word of 2g basis loops
     (``SurfaceHomology._chord_word``): its rows P, with P @ G @ P^T == S
-    for the word's interlace form G, the inverse P^-1, and per row the
-    pair (c, s) when the row is s * e_c, else None.
+    for the word's interlace form G, the inverse P^-1, and the rows
+    packed at ``size``-byte digits (``_Packing``), packed[i] the int of
+    P[i].
 
     It is the symplectic reduction of G, taken on the word itself.  Step
     k settles rows a = 2k and b = 2k + 1.  Each row left began as the
@@ -240,9 +232,9 @@ def _reduce_word(word):
 
     A row keeps its steps (``terms``: ``terms[c]`` the rows it
     subtracts, ``terms[2n - 1 - c]`` those it adds) and sums them once,
-    when it settles, over the packed settled rows (``_Packing``, 1-byte
-    digits).  A row that took no step is a slice of a template.  Every
-    entry of P is -1, 0 or 1, so 1-byte digits always suffice:
+    when it settles, over the packed settled rows.  A row that took no
+    step is a slice of a template.  Every entry of P is -1, 0 or 1, so
+    digits of any width hold every row:
 
     Lemma (the slide).  In a X b Y a' Z b' U with <a, b> = +1, any two
     other chords x and y cross in Z Y X U with the sign
@@ -263,10 +255,12 @@ def _reduce_word(word):
     the sign s, and b's orientation flips with it, so P[b] keeps it as
     well.  When row x settles, P[x][c] is a crossing sign: -1, 0 or 1.
 
-    So each settled row is exact at 1-byte digits, and so is any integer
-    sum of them, as packing is linear.  Whatever digits the partial sums
-    pass through, the final digits are -1, 0 or 1, and ``unpack_one``
-    reads them exactly: no width or bound is needed.
+    So each settled row is exact at ``size``-byte digits, and so is any
+    integer sum of them, as packing is linear.  Whatever digits the
+    partial sums pass through, the final digits are -1, 0 or 1, and
+    ``unpack_one`` reads them exactly: no bound is needed.  packed[i] is
+    then the packing of P[i] itself, so two rows, or a row and a class
+    packed at the same width, are equal exactly when their ints are.
 
     The form row P[x] @ G of a settled row is its chord's crossings when
     it settles: the rows settled before pair to zero with it, and every
@@ -294,22 +288,20 @@ def _reduce_word(word):
     at = chord[:]  # code -> the row of its chord
     terms = [[] for _ in range(2 * n)]
     plus, minus = _unit_templates(n)
-    unpack = _Packing(1, n).unpack_one
-    rows, packed, units, F = [], [], [], []
+    unpack = _Packing(size, n).unpack_one
+    rows, packed, F = [], [], []
 
     def settle(c, s):
         """Append the row of chord c, times s, to the settled rows."""
         add, sub = terms[last - c], terms[c]
         if not (add or sub):
             rows.append(plus[n - c:2 * n - c] if s > 0 else minus[n - c:2 * n - c])
-            packed.append(s << 8 * c)
-            units.append((c, s))
+            packed.append(s << 8 * size * c)
             return
-        p = (1 << 8 * c) + sum(map(packed.__getitem__, add)) - sum(map(packed.__getitem__, sub))
+        p = (1 << 8 * size * c) + sum(map(packed.__getitem__, add)) - sum(map(packed.__getitem__, sub))
         p = p if s > 0 else -p
         rows.append(unpack(p))
         packed.append(p)
-        units.append(_unit(p, 8))
 
     for a in range(0, n, 2):
         b, ca = a + 1, order[a]
@@ -354,7 +346,7 @@ def _reduce_word(word):
             terms[y].append(a)
             Fb[chord[y]] = sign[y]
         F += (Fb, Fa)
-    return tuple(rows), tuple(zip(*F)), units
+    return tuple(rows), tuple(zip(*F)), packed
 
 
 class _WalkClass(NamedTuple):
@@ -737,7 +729,9 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     also proves B unimodular: B @ G @ B^T == S forces
     det(B)^2 * det(G) == 1 over Z.  One product
     F = B @ G with the intersection form G gives both the pairing
-    F @ B^T and the inverse of B (``_inverse_from_form_rows``).
+    F @ B^T and the inverse of B (``_inverse_from_form_rows``).  A
+    count of basis names other than the rank, or of walks other than
+    the declared rows, raises LatticeError.
     """
     H = homology(R)
     declared = as_int_matrix(declared_rows)
@@ -746,6 +740,11 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     m = len(declared[0])
     if m != H.rank:
         raise LatticeError(f"table width {m} != homology rank {H.rank}")
+    names, walks = tuple(basis_names), tuple(walks)
+    if len(names) != m:
+        raise LatticeError(f"{len(names)} basis names for homology rank {m}")
+    if len(walks) != len(declared):
+        raise LatticeError(f"{len(walks)} walks for {len(declared)} declared rows")
     computed = tuple(H.class_of_walk(w) for w in walks)
     B = _unimodular_solve(declared, computed)
     if B is None:
@@ -756,9 +755,9 @@ def reference_basis_from_table(R, name, basis_names, declared_rows, walks, basis
     pairing = matmul(F, transpose(B))
     if pairing != standard_symplectic(m // 2):
         raise LatticeError("declared basis does not pair as a canonical basis")
-    walk_map = tuple((basis_walks or {}).get(nm) for nm in basis_names)
+    walk_map = tuple((basis_walks or {}).get(nm) for nm in names)
     inverse = _inverse_from_form_rows(F)
-    return ReferenceBasis(name, tuple(basis_names), B, inverse, pairing, walk_map)
+    return ReferenceBasis(name, names, B, inverse, pairing, walk_map)
 
 
 def symplectic_basis(R):
@@ -770,34 +769,25 @@ def symplectic_basis(R):
     (``_reduce_word``), which gives the rows P, with P @ G @ P^T == S for
     the intersection form G, and P^-1 read off the word; G itself is
     never built.  A basis row's walk is the first cotree walk whose class
-    is +-P[i], reversed for -P[i].  A class s * e_c is matched to the
-    row that is +-e_c by (c, s); only the other classes are looked up
-    in a dict from the other rows to their index, each as it is and,
-    only when that misses, negated.
+    is +-P[i], reversed for -P[i].  The reduction packs P at the digits
+    of the surface's packed dart classes, where a row and a class are
+    equal exactly when their ints are, so one dict from each packed row
+    to its index finds the row of a class p, and the row of -p.
     """
     if R.boundary_faces:
         raise ValidationError("symplectic basis requires a closed surface")
     H = homology(R)
-    P, inverse, units = _reduce_word(H._chord_word())
+    P, inverse, packed = _reduce_word(H._chord_word(), H._class.size)
     g = H.rank // 2
     # attach representative walks where a basis row is the class of a
-    # fundamental cycle, or of one reversed: the first such cycle
-    unit_rows = {u: i for i, u in enumerate(units) if u}
-    index = None
-    bits = H._class.bits
+    # fundamental cycle, or of one reversed: the first such cycle.  P is
+    # invertible, so no row is 0 or minus another, and a walk matches at
+    # most one row either way
+    row_of = {p: i for i, p in enumerate(packed)}
     walks = [None] * len(P)
-    for e, (walk, cls) in zip(H.fundamental_edges, cotree_basis(R)):
+    for e, (walk, _) in zip(H.fundamental_edges, cotree_basis(R)):
         p = H._packed[e]
-        if not p:
-            continue
-        unit = _unit(p, bits)
-        if unit:
-            i, j = unit_rows.get(unit), unit_rows.get((unit[0], -unit[1]))
-        else:
-            if index is None:
-                index = {row: i for i, (row, u) in enumerate(zip(P, units)) if not u}
-            i = index.get(cls)
-            j = None if i is not None else index.get(tuple(map(neg, cls)))
+        i, j = row_of.get(p), row_of.get(-p)
         if i is not None:
             if walks[i] is None:
                 walks[i] = walk
@@ -817,8 +807,13 @@ def complete_system_cotree(R, system, modulus=0):
     whenever the complement of the system is connected); they are then
     completed greedily by fundamental cycles of a spanning tree.
     Returns one (walk, class) pair per basis element, the system first.
+    A system that is not iterable raises ValidationError.
     """
     _check_modulus(modulus)
+    try:
+        system = iter(system)
+    except TypeError:
+        raise ValidationError(f"system {system!r} is not an iterable of walks") from None
     H = homology(R)
     out = [(w, H.class_of_walk(w)) for w in system]
     extend = _basis_state(H.rank, modulus).extend

@@ -567,11 +567,14 @@ def complete_to_unimodular(M, ambient_cols=None):
     matrix needs ``ambient_cols`` to know the ambient rank; any
     unimodular completion satisfies the contract, so it gets the
     identity.  An ``ambient_cols`` that is not None or an int >= 0 (a
-    bool included) raises LatticeError.
+    bool included), or that is not the width of a matrix with rows,
+    raises LatticeError.
     """
     if ambient_cols is not None and (type(ambient_cols) is not int or ambient_cols < 0):
         raise LatticeError(f"ambient_cols {ambient_cols!r} is not None or an int >= 0")
     M = as_int_matrix(M)
+    if M and ambient_cols is not None and ambient_cols != len(M[0]):
+        raise LatticeError(f"ambient_cols {ambient_cols} != matrix width {len(M[0])}")
     if not M or not M[0]:
         if ambient_cols is None:
             raise LatticeError("cannot complete an empty matrix of unknown width")

@@ -44,7 +44,7 @@ from hypothesis import given, settings
 
 from surfhom import minima
 from surfhom.catalog import load_example
-from surfhom.homology import cotree_basis, homology
+from surfhom.homology import cotree_basis, homology, symplectic_basis
 from surfhom.minima import WeightedCycle, WeightedGraph, enumerate_cycles
 from surfhom.ribbon import (
     RibbonGraph,
@@ -58,6 +58,7 @@ from surfhom.ribbon import (
     validate_walk,
 )
 
+from . import reference_homology
 from . import reference_minima as ref
 from .util import random_ribbon_graph, tiny_weighted_graphs
 
@@ -342,11 +343,31 @@ def test_table_walks_refuse_darts_that_only_equal_ints(monkeypatch):
 @pytest.mark.parametrize("width", [2, 4, 8])
 def test_classes_at_every_packing_width(monkeypatch, width):
     # the rows of these small graphs fit one byte per coordinate; pack
-    # them wider, as on a graph with 128 or more edges
-    code = homology_module._SIGNED_CODE[width]
-    monkeypatch.setattr(homology_module, "_SIGNED_CODE", {width: code})
+    # them wider, as on a graph with 128 or more edges.  symplectic_basis
+    # packs its rows at the same width to match them to the dart classes,
+    # so its basis, walks included, must still be the oracle's
+    made = []
+
+    class Spy(homology_module._Packing):
+        __slots__ = ()
+
+        def __init__(self, size, count):
+            made.append(size)
+            super().__init__(size, count)
+
+    monkeypatch.setattr(homology_module, "_digit_bytes", lambda bound: width)
+    monkeypatch.setattr(homology_module, "_Packing", Spy)
+    bases = 0
     for _, G in weighted_graphs(13, 30):
+        R = G.ribbon
+        del made[:]
+        H = homology(R)
+        assert made == [width] and H._class.size == width
         assert_classes_are_walk_classes(G, enumerate_cycles(G, sum(G.edge_length)))
+        if H.rank:
+            assert symplectic_basis(R) == reference_homology.unit_pivot_basis(R)
+            bases += 1
+    assert bases >= 10
 
 
 def test_enumeration_packs_no_rows_of_its_own(monkeypatch):

@@ -500,3 +500,31 @@ def test_reference_basis_from_rows_that_do_not_span_is_refused():
     R = schema_to_ribbon("a b a' b'")
     with pytest.raises(LatticeError):
         reference_basis_from_table(R, "x", ("a1", "b1"), ((1, 1), (2, 2)), [(0,), (1,)])
+
+
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+def test_reference_basis_with_a_name_count_other_than_the_rank_is_refused(names):
+    # one name was kept for two rows, and three were accepted
+    R = schema_to_ribbon("a b a' b'")
+    with pytest.raises(LatticeError) as err:
+        reference_basis_from_table(R, "x", names, ((1, 0), (0, 1)), [(0,), (1,)])
+    assert str(err.value) == f"{len(names)} basis names for homology rank 2"
+
+
+@pytest.mark.parametrize("walks", [[(0,)], [(0,), (1,), (0,)]])
+def test_reference_basis_with_a_walk_count_other_than_the_rows_is_refused(walks):
+    # zip cut the longer side short, so one walk was refused as rows
+    # that do not span and three as an encoding that does not reproduce
+    # the table
+    R = schema_to_ribbon("a b a' b'")
+    with pytest.raises(LatticeError) as err:
+        reference_basis_from_table(R, "x", ("a1", "b1"), ((1, 0), (0, 1)), walks)
+    assert str(err.value) == f"{len(walks)} walks for 2 declared rows"
+
+
+@pytest.mark.parametrize("system", [None, 5])
+def test_complete_system_cotree_refuses_a_system_that_is_not_iterable(system):
+    R = schema_to_ribbon("a b a' b'")
+    with pytest.raises(ValidationError) as err:
+        complete_system_cotree(R, system)
+    assert str(err.value) == f"system {system!r} is not an iterable of walks"

@@ -56,6 +56,7 @@ from hypothesis import strategies as st
 from surfhom.catalog import EXAMPLE_NAMES, load_example
 from surfhom.homology import (
     SurfaceHomology,
+    _Packing,
     _inverse_from_form_rows,
     _reduce_word,
     algebraic_intersection,
@@ -199,7 +200,7 @@ def test_symplectic_basis_of_a_400_edge_surface_matches_reference():
     assert R.n_edges == 400 and H.rank >= 190
     G = H.pairing_matrix
     assert ref.unit_pivot_reduction(G)[0] == ref.symplectic_reduction(G)[0]
-    assert _reduce_word(H._chord_word())[0] == ref.symplectic_reduction(G)[0]
+    assert _reduce_word(H._chord_word(), H._class.size)[0] == ref.symplectic_reduction(G)[0]
     assert_same_basis(R)
     assert_same_basis(R, ref.unit_pivot_basis)
 
@@ -209,8 +210,8 @@ def test_symplectic_basis_of_a_random_rotation_matches_the_unit_pivot_oracle(mon
     # a random rotation on edges / 2 vertices, genus about edges / 4: the
     # sums that settle its basis rows run over hundreds of rows, yet every
     # entry of P is -1, 0 or 1 (``_reduce_word``), so the reduction packs
-    # at 1-byte digits only, and the basis must be the oracle's, byte for
-    # byte
+    # once, at the 2-byte digits of the surface's dart classes, and the
+    # basis must be the oracle's, byte for byte
     R = random_ribbon_graph(random.Random(3), max_edges=edges, min_edges=edges,
                             vertices=edges // 2)
     H = homology(R)
@@ -226,7 +227,7 @@ def test_symplectic_basis_of_a_random_rotation_matches_the_unit_pivot_oracle(mon
     with monkeypatch.context() as m:
         m.setattr(homology_module, "_Packing", Spy)
         new = symplectic_basis(R)
-    assert widths == [1]
+    assert widths == [H._class.size] == [2]
     assert H.rank >= edges // 2 - 10
     assert new == ref.unit_pivot_basis(RibbonGraph(R.rotation, R.twin))
 
@@ -325,7 +326,7 @@ def test_each_entry_of_p_is_a_virtual_chords_crossing_when_its_row_settles():
     for _ in range(300):
         n = rng.choice((2, 4, 6, 8, 10, 12))
         word = random_one_face_word(rng, n)
-        P = _reduce_word(word)[0]
+        P = _reduce_word(word, 1)[0]
         word = [y for x in word for y in ((n + x, x, ~(n + x)) if x >= 0 else (x,))]
         order = list(range(n))
         for a in range(0, n, 2):
@@ -358,7 +359,7 @@ def test_one_face_words_reduce_to_entries_of_at_most_1_as_the_oracle_does(genus,
     word = random_one_face_word(rng, 2 * genus)
     form = interlace_form(word)
     G = tuple(tuple(form[e][f] for f in sorted(form)) for e in sorted(form))
-    P = _reduce_word(word)[0]
+    P = _reduce_word(word, 1)[0]
     assert P == ref.unit_pivot_reduction(G)[0], word
     assert {x for row in P for x in row} <= {-1, 0, 1}, word
 
@@ -443,7 +444,7 @@ def test_word_reduction_refuses_a_pivot_chord_that_crosses_no_chord(word):
     # such a word has more than one face, so no surface's basis loops
     # read it
     with pytest.raises(AssertionError, match="crosses no other chord"):
-        _reduce_word(word)
+        _reduce_word(word, 1)
 
 
 def random_surfaces(seed, count, min_edges=20, max_edges=40):
@@ -545,7 +546,7 @@ def assert_reduced_as_the_reference_does(R):
     G = H.pairing_matrix
     P = ref.symplectic_reduction(G)[0]
     assert ref.unit_pivot_reduction(G)[0] == P, R
-    assert _reduce_word(H._chord_word())[0] == P, R
+    assert _reduce_word(H._chord_word(), H._class.size)[0] == P, R
     assert_same_basis(R)
 
 
@@ -600,24 +601,16 @@ def boundary_surfaces():
                                   min_edges=264, vertices=132)
 
 
-def unit_of(row):
-    """(c, s) when the row is s * e_c, else None."""
-    nonzero = [(c, x) for c, x in enumerate(row) if x]
-    if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
-        return nonzero[0]
-    return None
-
-
 def test_reduction_on_either_side_of_the_bytes_word_matches_the_references():
     ranks = []
     for R in boundary_surfaces():
         H = homology(R)
         G = H.pairing_matrix
-        P, inverse, units = _reduce_word(H._chord_word())
+        P, inverse, packed = _reduce_word(H._chord_word(), H._class.size)
         assert P == ref.symplectic_reduction(G)[0] == ref.unit_pivot_reduction(G)[0], R
         assert matmul(matmul(P, G), transpose(P)) == standard_symplectic(H.rank // 2), R
         assert matmul(P, inverse) == identity(H.rank), R
-        assert units == [unit_of(row) for row in P], R
+        assert list(map(_Packing(H._class.size, H.rank).unpack_one, packed)) == list(P), R
         ranks.append(H.rank)
     assert ranks == [128, 130, 128, 130]
 
@@ -631,11 +624,11 @@ def test_a_bytes_word_is_reduced_with_no_set(monkeypatch):
         calls.append(args)
         return set(*args)
 
-    words = [homology(R)._chord_word() for R in boundary_surfaces()]
+    words = [(H._chord_word(), H._class.size) for H in map(homology, boundary_surfaces())]
     monkeypatch.setattr(homology_module, "set", spy, raising=False)
-    for word in words:
+    for word, size in words:
         del calls[:]
-        _reduce_word(word)
+        _reduce_word(word, size)
         assert bool(calls) is (len(word) > 256), len(word)
 
 

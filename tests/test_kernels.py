@@ -346,24 +346,29 @@ def test_canonical_word_reduction_unpacks_no_row(monkeypatch):
         fn = getattr(homology_module._Packing, name)
         monkeypatch.setattr(homology_module._Packing, name,
                             lambda self, s, _name=name, _fn=fn: calls.append(_name) or _fn(self, s))
+    reduced = []
     for g in (1, 5, 20, 30):
         R = schema_to_ribbon(canonical_word(g))
-        P, inverse, units = homology_module._reduce_word(homology(R)._chord_word())
-        assert len(P) == len(inverse) == 2 * g and all(units)
+        H = homology(R)
+        P, inverse, packed = homology_module._reduce_word(H._chord_word(), H._class.size)
+        assert len(P) == len(inverse) == 2 * g
+        assert all(sum(map(abs, row)) == 1 for row in P)
+        reduced.append((H._class.size, P, packed))
         basis = cotree_basis(R)
         assert all(sum(map(abs, cls)) == 1 for _, cls in basis)
         assert len(basis) == len(symplectic_basis(R).matrix) == 2 * g
     assert calls == []
+    # each packed row is the packing of its row
+    for size, P, packed in reduced:
+        unpack = homology_module._Packing(size, len(P)).unpack_one
+        assert list(map(unpack, packed)) == list(P)
 
 
-def test_basis_loop_classes_are_identity_rows_and_no_reader_tests_a_unit(monkeypatch):
+def test_basis_loop_classes_are_identity_rows_kept_as_one_object():
     # the i-th basis loop's class is e_i by construction: cotree_basis
     # puts the rows of the identity in the class table, where a class
-    # read before keeps its object, and neither it, nor the enumeration,
-    # nor class_of_walk tests a class for being a unit vector
-    calls = []
-    unit = homology_module._unit
-    monkeypatch.setattr(homology_module, "_unit", lambda p, bits: calls.append(p) or unit(p, bits))
+    # read before keeps its object, and the enumeration and
+    # class_of_walk return the kept object
     words = [schema_to_ribbon(canonical_word(g)) for g in (1, 2, 5)]
     for R in words + random_closed_surfaces(30):
         H = homology(R)
@@ -378,31 +383,25 @@ def test_basis_loop_classes_are_identity_rows_and_no_reader_tests_a_unit(monkeyp
         for walk, cls in basis.values():
             assert H.class_of_walk(walk) is cls
             assert H.class_of_walk(list(walk)) == cls
-    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 40))
-def test_unit_vectors_are_found_by_unit_and_unpacked_by_the_table(size, count):
-    # s * e_c, packed as s * 2^(bits * c), is found by _unit at every
-    # digit width (16 bytes has no struct code), and no other sum is.
-    # The table unpacks every sum it has not seen, a unit vector or not,
-    # into the unpacked row, and a second read returns the same object
+def test_the_class_table_unpacks_each_sum_once_into_one_object(size, count):
+    # at every digit width (16 bytes has no struct code) the table keeps
+    # its width, unpacks every sum it has not seen, a unit vector s * e_c
+    # (s * 2^(8 * size * c)) or not, into the unpacked row, and a second
+    # read returns the same object
     packing = homology_module._Packing(size, count)
     table = homology_module._Unpacked(packing)
+    assert table.size == size
     unpacked = []
     table.unpack = lambda s: unpacked.append(s) or packing.unpack_one(s)
     bits = 8 * size
-    units = []
-    for c in range(count):
-        for s in (1, -1):
-            units.append(s << (bits * c))
-            assert homology_module._unit(units[-1], bits) == (c, s)
+    units = [s << (bits * c) for c in range(count) for s in (1, -1)]
     others = [0, 2 << (bits * (count - 1)), -3]
     if count > 1:
         others += [(1 << bits) + 1, (1 << bits) - 1]
-    for p in others:
-        assert homology_module._unit(p, bits) is None
     for p in units + others:
         cls = table[p]
         assert type(cls) is tuple and cls == packing.unpack_one(p)

@@ -482,6 +482,24 @@ def test_an_ambient_width_that_is_not_an_int_of_at_least_0_is_refused(cols):
     assert complete_to_unimodular([], 0) == ()
 
 
+@pytest.mark.parametrize("M, cols", [
+    ([[1, 0]], 5),
+    ([[1, 0, 0]], 2),
+    ([[]], 3),
+    ([[0, 1], [1, 1]], 0),
+])
+def test_an_ambient_width_other_than_the_matrix_width_is_refused(M, cols):
+    # each was completed in the matrix's own width, as if no width were
+    # given: ((0, 1),) for [[1, 0]] in Z^5, two rows of width 3 for
+    # [[1, 0, 0]] in Z^2, identity(3) for a row of width 0
+    with pytest.raises(LatticeError) as err:
+        complete_to_unimodular(M, cols)
+    assert str(err.value) == f"ambient_cols {cols} != matrix width {len(M[0])}"
+    # the matrix's own width is accepted
+    assert complete_to_unimodular(M, len(M[0])) == (complete_to_unimodular(M) if M[0] else ())
+    assert complete_to_unimodular((), 4) == identity(4)
+
+
 # ---------------------------------------------------------------------------
 # the sparse Z oracles against the reference kernels: a Hermite insertion
 # that takes a new pivot reduces only the rows it changes, and the quotient
